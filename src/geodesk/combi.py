@@ -14,6 +14,8 @@ from itertools import combinations
 
 import numpy as np
 
+from . import pointwise as P
+
 
 @lru_cache(maxsize=None)
 def combos(dim: int, k: int) -> tuple[tuple[int, ...], ...]:
@@ -33,10 +35,6 @@ def _merge_sign(I: tuple[int, ...], J: tuple[int, ...]) -> int:
     """Sign of sorting the concatenation I+J (disjoint, each increasing)."""
     inversions = sum(1 for a in I for b in J if a > b)
     return -1 if inversions % 2 else 1
-
-
-def perm_sign_concat(I: tuple[int, ...], J: tuple[int, ...]) -> int:
-    return _merge_sign(I, J)
 
 
 @lru_cache(maxsize=None)
@@ -99,7 +97,7 @@ def det_batched(mat: np.ndarray) -> np.ndarray:
         return (mat[0, 0] * (mat[1, 1] * mat[2, 2] - mat[1, 2] * mat[2, 1])
                 - mat[0, 1] * (mat[1, 0] * mat[2, 2] - mat[1, 2] * mat[2, 0])
                 + mat[0, 2] * (mat[1, 0] * mat[2, 1] - mat[1, 1] * mat[2, 0]))
-    return np.linalg.det(np.moveaxis(mat, (0, 1), (-2, -1)))
+    return P.det(mat)
 
 
 def pullback_linear_coef(a: np.ndarray, dim: int, k: int, A: np.ndarray) -> np.ndarray:

@@ -8,15 +8,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import pointwise as P
 from .errors import DomainError
-from .grid import (TorusGrid, constant_field, form_from_matrix, metric_inverse,
-                   metric_sqrt_det, standard_volume_field)
+from .grid import (TorusGrid, constant_field, form_from_matrix, metric_sqrt_det,
+                   standard_volume_field)
 from .tensor import vol_sign
 
 
 def j_star_metric(g0: np.ndarray, J: np.ndarray) -> np.ndarray:
     """(J*g)(u, v) = g(Ju, Jv)."""
-    return np.einsum("ki...,kl...,lj...->ij...", J, g0, J)
+    return P.contract("ki...,kl...,lj...->ij...", J, g0, J)
 
 
 def metric_volume_form(grid: TorusGrid, g: np.ndarray) -> np.ndarray:
@@ -40,7 +41,7 @@ def compatible_pair(grid: TorusGrid, rho: np.ndarray, J: np.ndarray,
     gJ = g0 + j_star_metric(g0, J)
     scale = (rho_density / metric_sqrt_det(gJ)) ** (1.0 / grid.n)
     g = scale * gJ
-    omega_mat = np.einsum("ki...,kj...->ij...", J, g)
+    omega_mat = P.contract("ki...,kj...->ij...", J, g)
     asym = np.max(np.abs(omega_mat + np.swapaxes(omega_mat, 0, 1)))
     if asym > tol * max(1.0, float(np.max(np.abs(omega_mat)))):
         raise DomainError(f"compatible_pair: ω not antisymmetric ({asym:.2e})")
@@ -74,8 +75,8 @@ class CurvatureField:
     riem: np.ndarray
 
     def first_bianchi_residual(self) -> float:
-        cyc = self.riem + np.einsum("lijk...->lkij...", self.riem) \
-            + np.einsum("ljki...->lkij...", self.riem)
+        cyc = self.riem + P.contract("lijk...->lkij...", self.riem) \
+            + P.contract("ljki...->lkij...", self.riem)
         return float(np.max(np.abs(cyc)) / max(1.0, np.max(np.abs(self.riem))))
 
 
@@ -92,9 +93,9 @@ def levi_civita(grid: TorusGrid, g: np.ndarray) -> ConnectionField:
     if float(np.ptp(g.reshape(g.shape[:2] + (-1,)), axis=-1).max()) == 0.0:
         zero = np.zeros((grid.d,) * 3 + grid.shape)
         return ConnectionField(grid, zero, {"nabla_g": 0.0, "torsion": 0.0})
-    ginv = metric_inverse(g)
+    ginv = P.inv(g)
     dg = grid.derivs(g)  # dg[l, i, j] = ∂_l g_{ij}
-    gamma = 0.5 * np.einsum("kl...,ijl...->kij...", ginv, _sym_sum(dg))
+    gamma = 0.5 * P.contract("kl...,ijl...->kij...", ginv, _sym_sum(dg))
     conn = ConnectionField(grid, gamma)
     resid = nabla_metric_residual(grid, conn, g)
     flags = {"nabla_g": resid, "torsion": float(np.max(np.abs(conn.torsion())))}
@@ -103,9 +104,9 @@ def levi_civita(grid: TorusGrid, g: np.ndarray) -> ConnectionField:
 
 def _sym_sum(dg: np.ndarray) -> np.ndarray:
     """∂_i g_{jl} + ∂_j g_{il} − ∂_l g_{ij}, indexed [i, j, l]."""
-    return (np.einsum("ijl...->ijl...", dg)
-            + np.einsum("jil...->ijl...", dg)
-            - np.einsum("lij...->ijl...", dg))
+    return (P.contract("ijl...->ijl...", dg)
+            + P.contract("jil...->ijl...", dg)
+            - P.contract("lij...->ijl...", dg))
 
 
 def curvature(grid: TorusGrid, conn: ConnectionField) -> CurvatureField:
@@ -120,7 +121,7 @@ def curvature(grid: TorusGrid, conn: ConnectionField) -> CurvatureField:
     d = grid.d
     dgamma = grid.derivs(gamma).reshape((d, d, d, d, -1))  # [a, k, i, j]
     gam = gamma.reshape((d, d, d, -1))
-    gg = np.ascontiguousarray(np.einsum("limx,mjkx->lkijx", gam, gam, optimize=True))
+    gg = np.ascontiguousarray(P.contract("limx,mjkx->lkijx", gam, gam))
     riem = np.ascontiguousarray(dgamma.transpose(1, 3, 0, 2, 4))
     riem -= dgamma.transpose(1, 3, 2, 0, 4)
     riem += gg
@@ -133,45 +134,36 @@ def curvature(grid: TorusGrid, conn: ConnectionField) -> CurvatureField:
 # --- covariant derivatives (derivative index first) ---
 
 
-def cov_scalar(grid: TorusGrid, conn: ConnectionField, f: np.ndarray) -> np.ndarray:
-    return grid.derivs(f)
-
-
 def cov_vector(grid: TorusGrid, conn: ConnectionField, v: np.ndarray) -> np.ndarray:
     """out[k, i] = (∇_k v)^i."""
-    return grid.derivs(v) + np.einsum("ikm...,m...->ki...", conn.gamma, v)
-
-
-def cov_oneform(grid: TorusGrid, conn: ConnectionField, lam: np.ndarray) -> np.ndarray:
-    """out[k, i] = (∇_k λ)_i."""
-    return grid.derivs(lam) - np.einsum("mki...,m...->ki...", conn.gamma, lam)
+    return grid.derivs(v) + P.contract("ikm...,m...->ki...", conn.gamma, v)
 
 
 def cov_endo(grid: TorusGrid, conn: ConnectionField, E: np.ndarray) -> np.ndarray:
     """out[k, i, j] = (∇_k E)^i_j."""
     return (grid.derivs(E)
-            + np.einsum("ikm...,mj...->kij...", conn.gamma, E)
-            - np.einsum("mkj...,im...->kij...", conn.gamma, E))
+            + P.contract("ikm...,mj...->kij...", conn.gamma, E)
+            - P.contract("mkj...,im...->kij...", conn.gamma, E))
 
 
 def cov_bilinear(grid: TorusGrid, conn: ConnectionField, b: np.ndarray) -> np.ndarray:
     """out[k, i, j] = (∇_k b)_{ij} for a (0,2)-tensor."""
     return (grid.derivs(b)
-            - np.einsum("mki...,mj...->kij...", conn.gamma, b)
-            - np.einsum("mkj...,im...->kij...", conn.gamma, b))
+            - P.contract("mki...,mj...->kij...", conn.gamma, b)
+            - P.contract("mkj...,im...->kij...", conn.gamma, b))
 
 
 def cov_tm_two_form(grid: TorusGrid, conn: ConnectionField, tau: np.ndarray) -> np.ndarray:
     """out[k, a, i, j] = (∇_k τ)^a_{ij} for TM-valued 2-forms τ[a, i, j]."""
     return (grid.derivs(tau)
-            + np.einsum("akm...,mij...->kaij...", conn.gamma, tau)
-            - np.einsum("mki...,amj...->kaij...", conn.gamma, tau)
-            - np.einsum("mkj...,aim...->kaij...", conn.gamma, tau))
+            + P.contract("akm...,mij...->kaij...", conn.gamma, tau)
+            - P.contract("mki...,amj...->kaij...", conn.gamma, tau)
+            - P.contract("mkj...,aim...->kaij...", conn.gamma, tau))
 
 
 def cov_volume_residual(grid: TorusGrid, conn: ConnectionField, rho: np.ndarray) -> float:
     r = rho[0]
-    out = grid.derivs(r) - r * np.einsum("aka...->k...", conn.gamma)
+    out = grid.derivs(r) - r * P.contract("aka...->k...", conn.gamma)
     return float(np.max(np.abs(out)) / max(1.0, np.max(np.abs(r))))
 
 
@@ -184,9 +176,9 @@ def second_cov_endo(grid: TorusGrid, conn: ConnectionField, E: np.ndarray):
     """(∇²E)[l, k, i, j] = (∇_l ∇ E)_k{}^i{}_j, with ∇E treated as a tensor."""
     dE = cov_endo(grid, conn, E)  # [k, i, j]
     ddE = (grid.derivs(dE)
-           + np.einsum("ilm...,kmj...->lkij...", conn.gamma, dE)
-           - np.einsum("mlk...,mij...->lkij...", conn.gamma, dE)
-           - np.einsum("mlj...,kim...->lkij...", conn.gamma, dE))
+           + P.contract("ilm...,kmj...->lkij...", conn.gamma, dE)
+           - P.contract("mlk...,mij...->lkij...", conn.gamma, dE)
+           - P.contract("mlj...,kim...->lkij...", conn.gamma, dE))
     return dE, ddE
 
 
@@ -194,7 +186,7 @@ def rough_laplacian_endo(grid: TorusGrid, conn: ConnectionField, g: np.ndarray,
                          E: np.ndarray) -> np.ndarray:
     """∇*∇E = −g^{lk}(∇²E)_{lk} (nonnegative convention)."""
     _, ddE = second_cov_endo(grid, conn, E)
-    return -np.einsum("lk...,lkij...->ij...", metric_inverse(g), ddE)
+    return -P.contract("lk...,lkij...->ij...", P.inv(g), ddE)
 
 
 def gaussian_curvature(grid: TorusGrid, g: np.ndarray) -> np.ndarray:
@@ -202,7 +194,7 @@ def gaussian_curvature(grid: TorusGrid, g: np.ndarray) -> np.ndarray:
     if grid.d != 2:
         raise DomainError("gaussian_curvature needs a 2-dimensional torus")
     R = curvature(grid, levi_civita(grid, g)).riem
-    num = np.einsum("lm...,l...->m...", g, R[:, 1, 0, 1])[0]
+    num = P.contract("lm...,l...->m...", g, R[:, 1, 0, 1])[0]
     det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
     return num / det
 
@@ -215,19 +207,19 @@ def nijenhuis(grid: TorusGrid, J: np.ndarray, conn: ConnectionField | None = Non
     """
     dJ = grid.derivs(J)  # dJ[m, k, j] = ∂_m J^k_j
     # frame/bracket route: J^m_i ∂_m J^k_j − J^m_j ∂_m J^k_i + J^k_m(∂_j J^m_i − ∂_i J^m_j)
-    n_bracket = (np.einsum("mi...,mkj...->kij...", J, dJ)
-                 - np.einsum("mj...,mki...->kij...", J, dJ)
-                 + np.einsum("km...,jmi...->kij...", J, dJ)
-                 - np.einsum("km...,imj...->kij...", J, dJ))
+    n_bracket = (P.contract("mi...,mkj...->kij...", J, dJ)
+                 - P.contract("mj...,mki...->kij...", J, dJ)
+                 + P.contract("km...,jmi...->kij...", J, dJ)
+                 - P.contract("km...,imj...->kij...", J, dJ))
     if conn is None:
         conn = ConnectionField(grid, np.zeros((grid.d,) * 3 + grid.shape))
     if not conn.torsion_free:
         raise DomainError("nijenhuis: connection must be torsion-free")
     nJ = cov_endo(grid, conn, J)  # [m, k, j] = (∇_m J)^k_j
-    n_conn = (np.einsum("ikm...,mj...->kij...", nJ, J)
-              + np.einsum("mi...,mkj...->kij...", J, nJ)
-              - np.einsum("jkm...,mi...->kij...", nJ, J)
-              - np.einsum("mj...,mki...->kij...", J, nJ))
+    n_conn = (P.contract("ikm...,mj...->kij...", nJ, J)
+              + P.contract("mi...,mkj...->kij...", J, nJ)
+              - P.contract("jkm...,mi...->kij...", nJ, J)
+              - P.contract("mj...,mki...->kij...", J, nJ))
     resid = float(np.max(np.abs(n_bracket - n_conn)) / max(1.0, np.max(np.abs(n_bracket))))
     return n_bracket, resid
 
@@ -244,24 +236,24 @@ def special_connections(grid: TorusGrid, rho: np.ndarray, J: np.ndarray,
     nJ = cov_endo(grid, lc, J)  # [i, m, j] = (∇_i J)^m_j
 
     # hermitian tilt: Γ̃ = Γ − ½ J (∇J)
-    gamma_t = lc.gamma - 0.5 * np.einsum("km...,imj...->kij...", J, nJ)
+    gamma_t = lc.gamma - 0.5 * P.contract("km...,imj...->kij...", J, nJ)
     tilde = ConnectionField(grid, gamma_t, {
         "nabla_J": _endo_cov_residual(grid, gamma_t, J),
     })
 
     # volume connection: preserves ρ and J, torsion −¼ N_J
-    alpha = 0.5 * np.einsum("km...,kmj...->j...", J, nJ)
-    alpha_j = np.einsum("m...,mi...->i...", alpha, J)
+    alpha = 0.5 * P.contract("km...,kmj...->j...", J, nJ)
+    alpha_j = P.contract("m...,mi...->i...", alpha, J)
     d = grid.d
     eye = constant_field(grid, np.eye(d))
-    corr = (np.einsum("i...,kj...->kij...", alpha, eye)
-            + np.einsum("j...,ki...->kij...", alpha, eye)
-            - np.einsum("i...,kj...->kij...", alpha_j, J)
-            - np.einsum("j...,ki...->kij...", alpha_j, J)) / (2 * grid.n + 2)
+    corr = (P.contract("i...,kj...->kij...", alpha, eye)
+            + P.contract("j...,ki...->kij...", alpha, eye)
+            - P.contract("i...,kj...->kij...", alpha_j, J)
+            - P.contract("j...,ki...->kij...", alpha_j, J)) / (2 * grid.n + 2)
     gamma_h = (lc.gamma
-               - 0.5 * np.einsum("km...,imj...->kij...", J, nJ)
-               - 0.25 * np.einsum("km...,jmi...->kij...", J, nJ)
-               - 0.25 * np.einsum("lj...,lki...->kij...", J, nJ)
+               - 0.5 * P.contract("km...,imj...->kij...", J, nJ)
+               - 0.25 * P.contract("km...,jmi...->kij...", J, nJ)
+               - 0.25 * P.contract("lj...,lki...->kij...", J, nJ)
                + corr)
     hat = ConnectionField(grid, gamma_h)
     n_tensor, _ = nijenhuis(grid, J, lc)
@@ -274,8 +266,8 @@ def special_connections(grid: TorusGrid, rho: np.ndarray, J: np.ndarray,
     })
 
     # symplectic correction: torsion-free, preserves ω when dω = 0
-    gamma_o = lc.gamma - (1.0 / 3.0) * np.einsum("km...,imj...->kij...", J, nJ) \
-        - (1.0 / 3.0) * np.einsum("km...,jmi...->kij...", J, nJ)
+    gamma_o = lc.gamma - (1.0 / 3.0) * P.contract("km...,imj...->kij...", J, nJ) \
+        - (1.0 / 3.0) * P.contract("km...,jmi...->kij...", J, nJ)
     ring = ConnectionField(grid, gamma_o)
     from .grid import form_to_matrix
     w_mat = form_to_matrix(grid, omega)

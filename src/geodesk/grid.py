@@ -3,7 +3,9 @@
 Layout: component axes first, the 2n grid axes last.  Scalars are (m,)*d,
 vectors (d,)+grid, k-forms (C(d,k),)+grid over increasing index tuples,
 endomorphisms (d,d)+grid with E[i, j] = E^i_j, metrics (d,d)+grid,
-Christoffel arrays (d,d,d)+grid with G[k, i, j] = Γ^k_{ij}.
+Christoffel arrays (d,d,d)+grid with G[k, i, j] = Γ^k_{ij}.  Fields may be
+strided views (transposes, ``moveaxis``); the pointwise helpers of
+``geodesk.pointwise`` accept any strides.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import combi
+from . import pointwise as P
 from .errors import DomainError, NumericError, UsageError
 from .tensor import standard_j, standard_omega_matrix, vol_sign
 
@@ -257,12 +260,8 @@ def integrate_against_volume(grid: TorusGrid, f: np.ndarray, rho: np.ndarray) ->
     return vol_sign(grid.n) * grid.integrate_scalar(f * rho[0])
 
 
-def metric_inverse(g: np.ndarray) -> np.ndarray:
-    return np.moveaxis(np.linalg.inv(np.moveaxis(g, (0, 1), (-2, -1))), (-2, -1), (0, 1))
-
-
 def metric_sqrt_det(g: np.ndarray) -> np.ndarray:
-    det = np.linalg.det(np.moveaxis(g, (0, 1), (-2, -1)))
+    det = P.det(g)
     if np.any(det <= 0):
         raise DomainError("metric determinant must be positive")
     return np.sqrt(det)
@@ -277,7 +276,7 @@ def star_f(grid: TorusGrid, coef: np.ndarray, k: int | None = None,
         ginv = np.eye(grid.d)
         sq = 1.0
     else:
-        ginv = metric_inverse(g)
+        ginv = P.inv(g)
         sq = metric_sqrt_det(g)
     return combi.star_coef(coef, grid.d, k, ginv, sq, vol_sign(grid.n))
 
@@ -294,7 +293,7 @@ def codiff_f(grid: TorusGrid, coef: np.ndarray, k: int | None = None,
 
 def form_inner_f(grid: TorusGrid, a: np.ndarray, b: np.ndarray, k: int,
                  g: np.ndarray | None = None) -> np.ndarray:
-    ginv = np.eye(grid.d) if g is None else metric_inverse(g)
+    ginv = np.eye(grid.d) if g is None else P.inv(g)
     return combi.metric_inner_coef(a, b, grid.d, k, ginv)
 
 
@@ -322,7 +321,7 @@ def insert_j_form(grid: TorusGrid, coef: np.ndarray, k: int, J: np.ndarray) -> n
 
 def one_form_compose_j(lam: np.ndarray, J: np.ndarray) -> np.ndarray:
     """(λ∘J)(u) := λ(J u), i.e. components λ_k J^k_i."""
-    return np.einsum("k...,ki...->i...", lam, J)
+    return P.contract("k...,ki...->i...", lam, J)
 
 
 # ---------------------------------------------------------------------------
@@ -330,22 +329,22 @@ def one_form_compose_j(lam: np.ndarray, J: np.ndarray) -> np.ndarray:
 
 
 def lie_scalar(grid: TorusGrid, v: np.ndarray, f: np.ndarray) -> np.ndarray:
-    return np.einsum("j...,j...->...", v, grid.derivs(f))
+    return P.contract("j...,j...->...", v, grid.derivs(f))
 
 
 def lie_vector(grid: TorusGrid, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     dv = grid.derivs(v)  # dv[j, i] = ∂_j v^i
     dw = grid.derivs(w)
-    return (np.einsum("k...,ki...->i...", v, dw)
-            - np.einsum("k...,ki...->i...", w, dv))
+    return (P.contract("k...,ki...->i...", v, dw)
+            - P.contract("k...,ki...->i...", w, dv))
 
 
 def lie_endo(grid: TorusGrid, v: np.ndarray, E: np.ndarray) -> np.ndarray:
     dv = grid.derivs(v)  # dv[k, i] = ∂_k v^i
     dE = grid.derivs(E)  # dE[k, i, j]
-    return (np.einsum("k...,kij...->ij...", v, dE)
-            - np.einsum("ki...,kj...->ij...", dv, E)
-            + np.einsum("ik...,jk...->ij...", E, dv))
+    return (P.contract("k...,kij...->ij...", v, dE)
+            - P.contract("ki...,kj...->ij...", dv, E)
+            + P.contract("ik...,jk...->ij...", E, dv))
 
 
 def lie_form(grid: TorusGrid, v: np.ndarray, a: np.ndarray, k: int | None = None) -> np.ndarray:
@@ -366,15 +365,15 @@ def lie_derivative_J(grid: TorusGrid, v: np.ndarray, J: np.ndarray,
     if tor > torsion_tol:
         raise DomainError(f"lie_derivative_J requires a torsion-free connection (torsion {tor:.2e})")
     dv = grid.derivs(v)
-    nabla_v = np.einsum("ji...->ij...", dv) + np.einsum("ijl...,l...->ij...", gamma, v)
+    nabla_v = P.contract("ji...->ij...", dv) + P.contract("ijl...,l...->ij...", gamma, v)
     # nabla_v[i, j] = ∇_j v^i
     dJ = grid.derivs(J)
-    nabla_J = dJ + np.einsum("ikl...,lj...->kij...", gamma, J) \
-        - np.einsum("lkj...,il...->kij...", gamma, J)
+    nabla_J = dJ + P.contract("ikl...,lj...->kij...", gamma, J) \
+        - P.contract("lkj...,il...->kij...", gamma, J)
     # nabla_J[k, i, j] = (∇_k J)^i_j
-    return (np.einsum("ik...,kj...->ij...", J, nabla_v)
-            - np.einsum("kj...,ik...->ij...", J, nabla_v)
-            + np.einsum("k...,kij...->ij...", v, nabla_J))
+    return (P.mul(J, nabla_v)
+            - P.contract("kj...,ik...->ij...", J, nabla_v)
+            + P.contract("k...,kij...->ij...", v, nabla_J))
 
 
 def divergence_frho(grid: TorusGrid, v: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -423,18 +422,18 @@ def poisson_solve(grid: TorusGrid, f: np.ndarray, g: np.ndarray | None = None,
         return u.real if np.isrealobj(f) else u
 
     sq = metric_sqrt_det(g)
-    ginv = metric_inverse(g)
+    ginv = P.inv(g)
     rhs = sq * f
     mean = abs(grid.integrate_scalar(rhs)) / (2 * np.pi) ** grid.d
     if mean > 1e-8 * max(1.0, float(np.max(np.abs(rhs)))):
         raise DomainError(f"poisson_solve: source has nonzero metric mean {mean:.3e}")
     # restrict to the range of the spectral divergence (no Nyquist lines)
     rhs = drop_nyquist(grid, rhs)
-    coef = np.einsum("ij...->...", ginv * sq) / grid.d  # scale for the preconditioner
+    coef = P.contract("ij...->...", ginv * sq) / grid.d  # scale for the preconditioner
 
     def op(u):
         du = grid.derivs(u)
-        flux = np.einsum("ij...,j...->i...", ginv, du) * sq
+        flux = P.contract("ij...,j...->i...", ginv, du) * sq
         return -sum(grid.deriv(flux[i], i) for i in range(grid.d))
 
     def precond(r):
@@ -473,9 +472,9 @@ def laplacian(grid: TorusGrid, u: np.ndarray, g: np.ndarray | None = None) -> np
     if g is None:
         return grid.ifft(grid._cache()["ksq"] * grid.fft(u)).real
     sq = metric_sqrt_det(g)
-    ginv = metric_inverse(g)
+    ginv = P.inv(g)
     du = grid.derivs(u)
-    flux = np.einsum("ij...,j...->i...", ginv, du) * sq
+    flux = P.contract("ij...,j...->i...", ginv, du) * sq
     return -sum(grid.deriv(flux[i], i) for i in range(grid.d)) / sq
 
 
@@ -562,8 +561,8 @@ def random_band_limited(grid: TorusGrid, kind: str, seed: int, amplitude: float 
         K = _smooth_channels(grid, rng, (grid.d, grid.d), amplitude,
                              acs_band(grid.m) if band is None else band)
         S = constant_field(grid, np.eye(grid.d)) + K
-        Sinv = np.moveaxis(np.linalg.inv(np.moveaxis(S, (0, 1), (-2, -1))), (-2, -1), (0, 1))
-        return np.einsum("ik...,kl...,lj...->ij...", S, J0, Sinv)
+        Sinv = P.inv(S)
+        return P.mul(S, J0, Sinv)
     if kind == "volume":
         s = _smooth_channels(grid, rng, (), amplitude,
                              acs_band(grid.m) if band is None else band) \
@@ -578,7 +577,7 @@ def matrix_exp_field(F: np.ndarray, order: int = 12) -> np.ndarray:
     out = constant_field_like(F, np.eye(d))
     term = out.copy()
     for k in range(1, order + 1):
-        term = np.einsum("ik...,kj...->ij...", term, F) / k
+        term = P.mul(term, F) / k
         out = out + term
     return out
 
@@ -599,10 +598,10 @@ def random_acs_symplectic(grid: TorusGrid, seed: int, amplitude: float = 0.1,
                          acs_band(grid.m) if band is None else band)
     S = 0.5 * (S + np.swapaxes(S, 0, 1))
     Winv = np.linalg.inv(standard_omega_matrix(grid.n))
-    xi = np.einsum("ik,kj...->ij...", Winv, S)
+    xi = P.contract("ik,kj...->ij...", Winv, S)
     E = matrix_exp_field(xi)
-    Einv = np.moveaxis(np.linalg.inv(np.moveaxis(E, (0, 1), (-2, -1))), (-2, -1), (0, 1))
-    return np.einsum("ik...,kl...,lj...->ij...", E, standard_j_field(grid), Einv)
+    Einv = P.inv(E)
+    return P.mul(E, standard_j_field(grid), Einv)
 
 
 def random_hamiltonian_matrix_field(grid: TorusGrid, seed: int, amplitude: float = 0.1,
@@ -613,7 +612,7 @@ def random_hamiltonian_matrix_field(grid: TorusGrid, seed: int, amplitude: float
                          acs_band(grid.m) if band is None else band)
     S = 0.5 * (S + np.swapaxes(S, 0, 1))
     Winv = np.linalg.inv(standard_omega_matrix(grid.n))
-    return np.einsum("ik,kj...->ij...", Winv, S)
+    return P.contract("ik,kj...->ij...", Winv, S)
 
 
 # ---------------------------------------------------------------------------
@@ -631,15 +630,15 @@ def fourier_interpolate(grid: TorusGrid, arr: np.ndarray, pts: np.ndarray,
     kax = grid._cache()["k"]
     kvecs = np.stack([np.broadcast_to(kax[j], grid.shape)[mask] for j in range(grid.d)])
     coefs = F[:, mask]  # (C, nmodes)
-    P = pts.shape[1]
-    out = np.empty((flat.shape[0], P), dtype=complex)
-    for start in range(0, P, chunk):
-        sl = slice(start, min(start + chunk, P))
+    npts = pts.shape[1]
+    out = np.empty((flat.shape[0], npts), dtype=complex)
+    for start in range(0, npts, chunk):
+        sl = slice(start, min(start + chunk, npts))
         phase = np.exp(1j * (kvecs.T @ pts[:, sl]))
         out[:, sl] = coefs @ phase
     if np.isrealobj(arr):
         out = out.real
-    return out.reshape(comp_shape + (P,))
+    return out.reshape(comp_shape + (npts,))
 
 
 @dataclass(frozen=True)
@@ -671,10 +670,10 @@ class DisplacementMap:
 
 def displacement_jacobian(grid: TorusGrid, u: np.ndarray) -> np.ndarray:
     du = grid.derivs(u)  # du[j, i] = ∂_j u^i
-    jac = np.einsum("ji...->ij...", du)
+    jac = P.contract("ji...->ij...", du)
     d = grid.d
     jac = jac + constant_field(grid, np.eye(d))
-    det = np.linalg.det(np.moveaxis(jac, (0, 1), (-2, -1)))
+    det = P.det(jac)
     if det.min() < 0.1:
         raise DomainError(f"displacement Jacobian determinant dips to {det.min():.3f}")
     return jac
@@ -685,19 +684,19 @@ def _transform_components(grid: TorusGrid, kind: str, vals: np.ndarray,
     if kind == "scalar":
         return vals
     if kind == "vector":
-        jinv = np.moveaxis(np.linalg.inv(np.moveaxis(jac, (0, 1), (-2, -1))), (-2, -1), (0, 1))
-        return np.einsum("ij...,j...->i...", jinv, vals)
+        jinv = P.inv(jac)
+        return P.contract("ij...,j...->i...", jinv, vals)
     if kind == "endo":
-        jinv = np.moveaxis(np.linalg.inv(np.moveaxis(jac, (0, 1), (-2, -1))), (-2, -1), (0, 1))
-        return np.einsum("ik...,kl...,lj...->ij...", jinv, vals, jac)
+        jinv = P.inv(jac)
+        return P.mul(jinv, vals, jac)
     if kind == "metric":
-        return np.einsum("ki...,kl...,lj...->ij...", jac, vals, jac)
+        return P.contract("ki...,kl...,lj...->ij...", jac, vals, jac)
     if kind.startswith("form:"):
         k = int(kind.split(":")[1])
         return combi.pullback_linear_coef(vals, grid.d, k, jac)
     if kind == "christoffel":
-        jinv = np.moveaxis(np.linalg.inv(np.moveaxis(jac, (0, 1), (-2, -1))), (-2, -1), (0, 1))
-        return np.einsum("kc...,cab...,ai...,bj...->kij...", jinv, vals, jac, jac)
+        jinv = P.inv(jac)
+        return P.contract("kc...,cab...,ai...,bj...->kij...", jinv, vals, jac, jac)
     raise UsageError(f"unknown field kind {kind!r}")
 
 
@@ -720,9 +719,9 @@ def pullback(grid: TorusGrid, kind: str, data: np.ndarray,
     out = _transform_components(grid, kind, vals, jac)
     if kind == "christoffel":
         # inhomogeneous term (Dφ)^{-1} ∂²φ
-        jinv = np.moveaxis(np.linalg.inv(np.moveaxis(jac, (0, 1), (-2, -1))), (-2, -1), (0, 1))
-        hess = np.einsum("ijc...->cij...", grid.derivs(grid.derivs(u)))
-        out = out + np.einsum("kc...,cij...->kij...", jinv, hess)
+        jinv = P.inv(jac)
+        hess = P.contract("ijc...->cij...", grid.derivs(grid.derivs(u)))
+        out = out + P.contract("kc...,cij...->kij...", jinv, hess)
     return out
 
 
@@ -747,16 +746,16 @@ def flow_rk4(grid: TorusGrid, v: np.ndarray, time: float, steps: int = 8):
     interpolation of v and Dv.
     """
     d = grid.d
-    dv = np.einsum("ji...->ij...", grid.derivs(v))  # Dv[i, j] = ∂_j v^i
+    dv = P.contract("ji...->ij...", grid.derivs(v))  # Dv[i, j] = ∂_j v^i
     X = grid.coords().reshape(d, -1)
-    P = X.shape[1]
-    D = np.broadcast_to(np.eye(d)[:, :, None], (d, d, P)).copy()
+    npts = X.shape[1]
+    D = np.broadcast_to(np.eye(d)[:, :, None], (d, d, npts)).copy()
     h = time / steps
 
     def rhs(x, dd):
         vx = fourier_interpolate(grid, v, x)
         dvx = fourier_interpolate(grid, dv, x)
-        return vx, np.einsum("ikp,kjp->ijp", dvx, dd)
+        return vx, P.contract("ikp,kjp->ijp", dvx, dd)
 
     for _ in range(steps):
         k1x, k1d = rhs(X, D)

@@ -8,21 +8,10 @@ import numpy as np
 
 from . import connection as C
 from . import grid as G
+from . import pointwise as P
 from .errors import DomainError
 from .grid import TorusGrid
 from .report import CheckReport, suite_tolerances
-
-
-def _mul(*mats):
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.einsum("ik...,kj...->ij...", out, m)
-    return out
-
-
-def _sandwich(A, M, B):
-    """Aᵀ M B with field indices."""
-    return np.einsum("ki...,kl...,lj...->ij...", A, M, B)
 
 
 # ---------------------------------------------------------------------------
@@ -40,13 +29,13 @@ class KahlerInstance:
         d_omega = np.max(np.abs(G.exterior_d(grid, omega, 2))) if grid.d > 2 else 0.0
         if d_omega > kahler_tol:
             raise DomainError(f"instance is not symplectic (dω residual {d_omega:.2e})")
-        g = np.einsum("ik...,kj...->ij...", G.form_to_matrix(grid, omega), J)
+        g = P.mul(G.form_to_matrix(grid, omega), J)
         asym = np.max(np.abs(g - np.swapaxes(g, 0, 1)))
         if asym > kahler_tol:
             raise DomainError(f"(ω, J) not compatible (asymmetry {asym:.2e})")
         self.metric = 0.5 * (g + np.swapaxes(g, 0, 1))
         C._check_spd(self.metric, "KahlerInstance")
-        self.ginv = G.metric_inverse(self.metric)
+        self.ginv = P.inv(self.metric)
         self.rho = C.metric_volume_form(grid, self.metric)
         self.lc = C.levi_civita(grid, self.metric)
         self.nabla_j_residual = float(np.max(np.abs(C.cov_endo(grid, self.lc, J))))
@@ -60,8 +49,7 @@ class KahlerInstance:
     def frame(self) -> np.ndarray:
         """Pointwise g-orthonormal frame from Cholesky; columns indexed last."""
         L = np.linalg.cholesky(np.moveaxis(self.metric, (0, 1), (-2, -1)))
-        frame = np.linalg.inv(np.swapaxes(L, -2, -1))
-        return np.moveaxis(frame, (-2, -1), (0, 1))  # [i, a] = (f_a)^i
+        return P.inv(np.moveaxis(L, (-2, -1), (1, 0)))  # [i, a] = (f_a)^i
 
 
 def flat_instance(grid: TorusGrid) -> KahlerInstance:
@@ -93,10 +81,10 @@ def anti_linearity_residual(J: np.ndarray, x: np.ndarray, q: int) -> float:
     if q == 0:
         return 0.0
     if q == 1:
-        out = _mul(x, J) + _mul(J, x)
+        out = P.mul(x, J) + P.mul(J, x)
     elif q == 2:
-        out = (np.einsum("akj...,ki...->aij...", x, J)
-               + np.einsum("ak...,kij...->aij...", J, x))
+        out = (P.contract("akj...,ki...->aij...", x, J)
+               + P.contract("ak...,kij...->aij...", J, x))
     else:
         raise DomainError("q must be 0, 1, or 2")
     return float(np.max(np.abs(out)) / max(1.0, np.max(np.abs(x))))
@@ -104,79 +92,76 @@ def anti_linearity_residual(J: np.ndarray, x: np.ndarray, q: int) -> float:
 
 def dbar_q0(grid: TorusGrid, J: np.ndarray, v: np.ndarray) -> np.ndarray:
     """(∂̄v)u = −½ J (L_v J) u; connection-free and exact for any J."""
-    return -0.5 * _mul(J, G.lie_endo(grid, v, J))
+    return -0.5 * P.mul(J, G.lie_endo(grid, v, J))
 
 
 def dbar_q0_kahler(inst: KahlerInstance, v: np.ndarray) -> np.ndarray:
     """(∂̄X)(u) = ½(∇_u X + J ∇_{Ju} X); equals dbar_q0 when ∇J = 0."""
-    nv = np.einsum("ji...->ij...", C.cov_vector(inst.grid, inst.lc, v))  # [i, j] = ∇_j v^i
-    return 0.5 * (nv + _mul(inst.J, np.einsum("ik...,kj...->ij...", nv, inst.J)))
+    nv = P.contract("ji...->ij...", C.cov_vector(inst.grid, inst.lc, v))  # [i, j] = ∇_j v^i
+    return 0.5 * (nv + P.mul(inst.J, nv, inst.J))
 
 
 def dbar_q1(inst: KahlerInstance, jhat: np.ndarray) -> np.ndarray:
     """(∂̄Ĵ)(u,v) = ½((∇_u Ĵ)v − (∇_v Ĵ)u − (∇_{Ju} Ĵ)Jv + (∇_{Jv} Ĵ)Ju)."""
     grid, J = inst.grid, inst.J
     nJh = C.cov_endo(grid, inst.lc, jhat)  # [k, a, b] = (∇_k Ĵ)^a_b
-    t1 = np.einsum("iaj...->aij...", nJh)
-    jn = np.einsum("ki...,kab...->iab...", J, nJh)  # (∇_{J∂_i} Ĵ)^a_b
-    t3 = np.einsum("iam...,mj...->aij...", jn, J)
-    out = t1 - np.einsum("aji...->aij...", t1) - t3 + np.einsum("aji...->aij...", t3)
+    t1 = P.contract("iaj...->aij...", nJh)
+    jn = P.contract("ki...,kab...->iab...", J, nJh)  # (∇_{J∂_i} Ĵ)^a_b
+    t3 = P.contract("iam...,mj...->aij...", jn, J)
+    out = t1 - P.contract("aji...->aij...", t1) - t3 + P.contract("aji...->aij...", t3)
     return 0.5 * out
 
 
 def dbar_adjoint_q1(inst: KahlerInstance, jhat: np.ndarray) -> np.ndarray:
     """∂̄*Ĵ = −Σ (∇_{e_i} Ĵ) e_i as a vector field."""
     nJh = C.cov_endo(inst.grid, inst.lc, jhat)
-    return -np.einsum("ij...,iaj...->a...", inst.ginv, nJh)
+    return -P.contract("ij...,iaj...->a...", inst.ginv, nJh)
 
 
 def dbar_adjoint_q2(inst: KahlerInstance, tau: np.ndarray) -> np.ndarray:
     """(∂̄*τ)(u) = −Σ (∇_{e_i} τ)(e_i, u)."""
     ntau = C.cov_tm_two_form(inst.grid, inst.lc, tau)  # [k, a, i, j]
-    return -np.einsum("ki...,kaij...->aj...", inst.ginv, ntau)
+    return -P.contract("ki...,kaij...->aj...", inst.ginv, ntau)
 
 
 def l2_inner_q0(inst: KahlerInstance, x: np.ndarray, y: np.ndarray) -> float:
-    val = np.einsum("ij...,i...,j...->...", inst.metric, x, y)
+    val = P.contract("ij...,i...,j...->...", inst.metric, x, y)
     return G.integrate_against_volume(inst.grid, val, inst.rho)
 
 
 def l2_inner_q1(inst: KahlerInstance, x: np.ndarray, y: np.ndarray) -> float:
     """∫ tr(x* y) ρ with the metric adjoint."""
-    val = np.einsum("ij...,pi...,pq...,qj...->...", inst.ginv, x, inst.metric, y,
-                    optimize=True)
+    val = P.contract("ij...,pi...,pq...,qj...->...", inst.ginv, x, inst.metric, y)
     return G.integrate_against_volume(inst.grid, val, inst.rho)
 
 
 def l2_inner_q2(inst: KahlerInstance, x: np.ndarray, y: np.ndarray) -> float:
-    val = 0.5 * np.einsum("ik...,jl...,ab...,aij...,bkl...->...",
-                          inst.ginv, inst.ginv, inst.metric, x, y, optimize=True)
+    val = 0.5 * P.contract("ik...,jl...,ab...,aij...,bkl...->...",
+                           inst.ginv, inst.ginv, inst.metric, x, y)
     return G.integrate_against_volume(inst.grid, val, inst.rho)
 
 
 def endo_adjoint(inst: KahlerInstance, E: np.ndarray) -> np.ndarray:
     """g-adjoint E* = g^{-1} Eᵀ g."""
-    return np.einsum("ik...,lk...,lj...->ij...", inst.ginv, E, inst.metric)
+    return P.contract("ik...,lk...,lj...->ij...", inst.ginv, E, inst.metric)
 
 
 def ricci_endomorphism(inst: KahlerInstance) -> np.ndarray:
     """Q with g(Qu, v) = ½ tr(J R(u, v)); equals K·J on conformal surfaces."""
-    ric2 = 0.5 * np.einsum("kl...,lkij...->ij...", inst.J, inst.curvature)
-    return np.einsum("ik...,jk...->ij...", inst.ginv, ric2)
+    ric2 = 0.5 * P.contract("kl...,lkij...->ij...", inst.J, inst.curvature)
+    return P.contract("ik...,jk...->ij...", inst.ginv, ric2)
 
 
 def ricci_endomorphism_frame(inst: KahlerInstance) -> np.ndarray:
     """Q u = −½ Σ R(f_a, J f_a) u over the Cholesky orthonormal frame."""
     f = inst.frame()  # [i, a]
-    jf = np.einsum("ij...,ja...->ia...", inst.J, f)
-    return -0.5 * np.einsum("lkij...,ia...,ja...->lk...", inst.curvature, f, jf,
-                            optimize=True)
+    jf = P.contract("ij...,ja...->ia...", inst.J, f)
+    return -0.5 * P.contract("lkij...,ia...,ja...->lk...", inst.curvature, f, jf)
 
 
 def curvature_contraction(inst: KahlerInstance, jhat: np.ndarray) -> np.ndarray:
     """𝒯(Ĵ)u = Σ R(e_i, u) Ĵ e_i."""
-    return np.einsum("lkij...,km...,im...->lj...", inst.curvature, jhat, inst.ginv,
-                     optimize=True)
+    return P.contract("lkij...,km...,im...->lj...", inst.curvature, jhat, inst.ginv)
 
 
 def rough_laplacian_q1(inst: KahlerInstance, jhat: np.ndarray) -> np.ndarray:
@@ -191,9 +176,9 @@ def bkn_residual(inst: KahlerInstance, jhat: np.ndarray) -> dict:
         + dbar_q0_kahler(inst, dbar_adjoint_q1(inst, jhat))
     Q = ricci_endomorphism(inst)
     Qf = ricci_endomorphism_frame(inst)
-    jq = _mul(J, Q)
+    jq = P.mul(J, Q)
     rhs = (0.5 * rough_laplacian_q1(inst, jhat)
-           + 0.5 * (_mul(jq, jhat) - _mul(jhat, jq))
+           + 0.5 * (P.mul(jq, jhat) - P.mul(jhat, jq))
            + curvature_contraction(inst, jhat))
     scale = max(1.0, float(np.max(np.abs(jhat))))
     return {
@@ -212,15 +197,15 @@ def weitzenbock_residual(inst: KahlerInstance, what: np.ndarray) -> float:
     w_mat = G.form_to_matrix(grid, what)
     nw = C.cov_bilinear(grid, inst.lc, w_mat)  # [k, i, j]
     ddw = (grid.derivs(nw)
-           - np.einsum("mlk...,mij...->lkij...", inst.lc.gamma, nw)
-           - np.einsum("mli...,kmj...->lkij...", inst.lc.gamma, nw)
-           - np.einsum("mlj...,kim...->lkij...", inst.lc.gamma, nw))
-    rough = -np.einsum("lk...,lkij...->ij...", ginv, ddw)
+           - P.contract("mlk...,mij...->lkij...", inst.lc.gamma, nw)
+           - P.contract("mli...,kmj...->lkij...", inst.lc.gamma, nw)
+           - P.contract("mlj...,kim...->lkij...", inst.lc.gamma, nw))
+    rough = -P.contract("lk...,lkij...->ij...", ginv, ddw)
     riem = inst.curvature
-    t1 = np.einsum("pq...,pk...,qkij...->ij...", w_mat, ginv, riem, optimize=True)
-    r_endo = np.einsum("lkvj...,jk...->lv...", riem, ginv, optimize=True)
-    t2 = np.einsum("il...,lj...->ij...", w_mat, r_endo)
-    t3 = np.einsum("jl...,li...->ij...", w_mat, r_endo)
+    t1 = P.contract("pq...,pk...,qkij...->ij...", w_mat, ginv, riem)
+    r_endo = P.contract("lkvj...,jk...->lv...", riem, ginv)
+    t2 = P.contract("il...,lj...->ij...", w_mat, r_endo)
+    t3 = P.contract("jl...,li...->ij...", w_mat, r_endo)
     lhs_mat = G.form_to_matrix(grid, hodge) - rough
     rhs_mat = t1 + t2 - t3
     scale = max(1.0, float(np.max(np.abs(w_mat))))
@@ -257,11 +242,11 @@ def divergence_free_pair_field(grid: TorusGrid, seed: int, amplitude: float) -> 
     kvec = np.stack([np.broadcast_to(kax[j].astype(float), grid.shape)
                      for j in range(grid.d)])
     J0 = G.standard_j(grid.n)
-    jk = np.einsum("ji,j...->i...", J0, kvec)
+    jk = P.contract("ji,j...->i...", J0, kvec)
     for w in (kvec, jk):
-        nrm = np.einsum("i...,i...->...", w, w)
+        nrm = P.contract("i...,i...->...", w, w)
         with np.errstate(divide="ignore", invalid="ignore"):
-            coef = np.where(nrm > 0, np.einsum("i...,i...->...", w, V) /
+            coef = np.where(nrm > 0, P.contract("i...,i...->...", w, V) /
                             np.where(nrm > 0, nrm, 1.0), 0.0)
         V = V - coef * w
     return grid.ifft(V).real
@@ -292,7 +277,7 @@ def harmonic_lemma_suite(n: int, m: int, seed: int, amplitude: float = 0.1,
     rep.add("hamiltonian_divergence",
             float(np.max(np.abs(G.divergence_frho(grid, vH, rho)))),
             tols["hamiltonian_divergence"])
-    gradH = np.einsum("ij...,j...->i...", inst.ginv, G.exterior_d(grid, H[None], 0))
+    gradH = P.contract("ij...,j...->i...", inst.ginv, G.exterior_d(grid, H[None], 0))
     rep.add("gradient_divergence",
             float(np.max(np.abs(G.divergence_frho(grid, gradH, rho)
                                 + G.laplacian(grid, H)))),
@@ -301,7 +286,7 @@ def harmonic_lemma_suite(n: int, m: int, seed: int, amplitude: float = 0.1,
     # *ι(v)ω = ι(Jv)ρ
     v = G.random_band_limited(grid, "vector", seed + 1, amplitude, band=band)
     lhs = G.star_f(grid, G.interior_f(grid, v, omega, 2), 1)
-    Jv = np.einsum("ij...,j...->i...", J, v)
+    Jv = P.contract("ij...,j...->i...", J, v)
     rhs = G.interior_f(grid, Jv, rho, grid.d)
     rep.add("star_contraction", float(np.max(np.abs(lhs - rhs))), tols["star_contraction"])
 
@@ -312,8 +297,8 @@ def harmonic_lemma_suite(n: int, m: int, seed: int, amplitude: float = 0.1,
     jhat_v = G.lie_endo(grid, v, J)
     th_m = G.form_to_matrix(grid, tau_hat)
     t_m = G.form_to_matrix(grid, t11)
-    lhs_c = th_m - _sandwich(J, th_m, J)
-    rhs_c = _sandwich(J, t_m, jhat_v) + _sandwich(jhat_v, t_m, J)
+    lhs_c = th_m - P.mul(J.swapaxes(0, 1), th_m, J)
+    rhs_c = P.mul(J.swapaxes(0, 1), t_m, jhat_v) + P.mul(jhat_v.swapaxes(0, 1), t_m, J)
     rep.add("lie_compatibility",
             float(np.max(np.abs(lhs_c - rhs_c)) / max(1.0, np.max(np.abs(rhs_c)))),
             tols["lie_compatibility"])
@@ -323,14 +308,14 @@ def harmonic_lemma_suite(n: int, m: int, seed: int, amplitude: float = 0.1,
     dv_omega = G.exterior_d(grid, G.interior_f(grid, v, omega, 2), 1)
     dm = G.form_to_matrix(grid, dv_omega)
     w_mat = G.form_to_matrix(grid, omega)
-    lhs_s = dm - _sandwich(J, dm, J)
-    rhs_s = _sandwich(J, w_mat, jhat_v) + _sandwich(jhat_v, w_mat, J)
+    lhs_s = dm - P.mul(J.swapaxes(0, 1), dm, J)
+    rhs_s = P.mul(J.swapaxes(0, 1), w_mat, jhat_v) + P.mul(jhat_v.swapaxes(0, 1), w_mat, J)
     rep.add("self_adjoint_defect",
             float(np.max(np.abs(lhs_s - rhs_s)) / max(1.0, np.max(np.abs(rhs_s)))),
             tols["self_adjoint_defect"])
     # gradient flows have self-adjoint Lie derivative
     F2 = G.random_band_limited(grid, "scalar", seed + 3, amplitude, band=band)
-    gradF = np.einsum("ij...,j...->i...", inst.ginv, G.exterior_d(grid, F2[None], 0))
+    gradF = P.contract("ij...,j...->i...", inst.ginv, G.exterior_d(grid, F2[None], 0))
     jhat_grad = G.lie_endo(grid, gradF, J)
     defect = jhat_grad - endo_adjoint(inst, jhat_grad)
     rep.add("self_adjoint_gradient",
@@ -382,10 +367,10 @@ def harmonic_lemma_suite(n: int, m: int, seed: int, amplitude: float = 0.1,
     a2 = l2_inner_q2(inst, dbar_q1(inst, skew), dbar_q1(inst, skew))
     a0 = l2_inner_q0(inst, dbar_adjoint_q1(inst, skew), dbar_adjoint_q1(inst, skew))
     nskew = C.cov_endo(grid, inst.lc, skew)
-    an = G.integrate_against_volume(grid, np.einsum("kab...,kab...->...", nskew, nskew), rho)
+    an = G.integrate_against_volume(grid, P.contract("kab...,kab...->...", nskew, nskew), rho)
     rep.add("parallel_norms_endo", abs(a2 + a0 - 0.5 * an) / max(1.0, abs(an)),
             tols["parallel_norms_endo"])
-    what_m = np.einsum("ik...,kj...->ij...", inst.metric, skew)
+    what_m = P.mul(inst.metric, skew)
     rep.add("skew_two_form_antisymmetric",
             float(np.max(np.abs(what_m + np.swapaxes(what_m, 0, 1)))
                   / max(1.0, np.max(np.abs(what_m)))), 1e-10)
@@ -399,7 +384,7 @@ def harmonic_lemma_suite(n: int, m: int, seed: int, amplitude: float = 0.1,
     b_c = G.l2_inner_form(grid, cod, cod, 1)
     nw = C.cov_bilinear(grid, inst.lc, what_m)
     b_n = 0.5 * G.integrate_against_volume(
-        grid, np.einsum("kij...,kij...->...", nw, nw), rho)
+        grid, P.contract("kij...,kij...->...", nw, nw), rho)
     rep.add("parallel_norms_form", abs(b_d + b_c - b_n) / max(1.0, abs(b_n)),
             tols["parallel_norms_form"])
 
@@ -408,7 +393,7 @@ def harmonic_lemma_suite(n: int, m: int, seed: int, amplitude: float = 0.1,
     rep.add("holomorphic_divergence", float(max(
         np.max(np.abs(G.divergence_frho(grid, v_hol, rho))),
         np.max(np.abs(G.divergence_frho(
-            grid, np.einsum("ij...,j...->i...", J, v_hol), rho))))),
+            grid, P.contract("ij...,j...->i...", J, v_hol), rho))))),
         tols["holomorphic_divergence"])
     lam_h = Ric.lambda_rho(grid, rho, J, G.lie_endo(grid, v_hol, J))
     rep.add("holomorphic_lambda_zero",
@@ -566,10 +551,10 @@ def bott_chern_suite(n: int, m: int, seed: int, amplitude: float = 0.1,
     df = G.exterior_d(grid, f[None], 0)
     tau_f = G.exterior_d(grid, G.one_form_compose_j(df, J_non), 1)
     tm = G.form_to_matrix(grid, tau_f)
-    lhs = tm - _sandwich(J_non, tm, J_non)
+    lhs = tm - P.mul(J_non.swapaxes(0, 1), tm, J_non)
     N, _ = C.nijenhuis(grid, J_non)
-    jn = np.einsum("kl...,lij...->kij...", J_non, N)
-    rhs = np.einsum("k...,kij...->ij...", df, jn)
+    jn = P.contract("kl...,lij...->kij...", J_non, N)
+    rhs = P.contract("k...,kij...->ij...", df, jn)
     rep.add("ddc_nijenhuis",
             float(np.max(np.abs(lhs - rhs)) / max(1.0, np.max(np.abs(rhs)))),
             tols["ddc_nijenhuis"])
@@ -579,7 +564,7 @@ def bott_chern_suite(n: int, m: int, seed: int, amplitude: float = 0.1,
     tau_i = G.exterior_d(grid, G.one_form_compose_j(df, J_int), 1)
     ti = G.form_to_matrix(grid, tau_i)
     rep.add("ddc_integrable",
-            float(np.max(np.abs(ti - _sandwich(J_int, ti, J_int)))
+            float(np.max(np.abs(ti - P.mul(J_int.swapaxes(0, 1), ti, J_int)))
                   / max(1.0, np.max(np.abs(ti)))),
             tols["ddc_integrable"])
 

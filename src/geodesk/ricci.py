@@ -11,25 +11,15 @@ import numpy as np
 
 from . import connection as C
 from . import grid as G
+from . import pointwise as P
 from .errors import DomainError
 from .grid import TorusGrid
 from .report import CheckReport, suite_tolerances
 
 
-def _endo_mul(*mats):
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.einsum("ik...,kj...->ij...", out, m)
-    return out
-
-
-def _endo_trace(E):
-    return np.einsum("ii...->...", E)
-
-
 def trace_pairing(grid: TorusGrid, jh1: np.ndarray, J: np.ndarray, jh2: np.ndarray) -> np.ndarray:
     """Pointwise ½ tr(Ĵ1 J Ĵ2)."""
-    return 0.5 * _endo_trace(_endo_mul(jh1, J, jh2))
+    return 0.5 * P.trace(P.mul(jh1, J, jh2))
 
 
 def omega_rho_pairing(grid: TorusGrid, rho: np.ndarray, J: np.ndarray,
@@ -40,7 +30,7 @@ def omega_rho_pairing(grid: TorusGrid, rho: np.ndarray, J: np.ndarray,
 
 def anticommute_project(J: np.ndarray, A: np.ndarray) -> np.ndarray:
     """Pointwise projection onto endomorphisms anticommuting with J."""
-    return 0.5 * (A + _endo_mul(J, A, J))
+    return 0.5 * (A + P.mul(J, A, J))
 
 
 def default_volume_connection(grid: TorusGrid, rho: np.ndarray) -> C.ConnectionField:
@@ -61,7 +51,7 @@ def lambda_one_form(grid: TorusGrid, conn: C.ConnectionField, J: np.ndarray,
     """λ_j = trace of v ↦ (∇_v J)∂_j, i.e. (∇_i J)^i_j."""
     if nJ is None:
         nJ = C.cov_endo(grid, conn, J)
-    return np.einsum("iij...->j...", nJ)
+    return P.contract("iij...->j...", nJ)
 
 
 def tau_two_form(grid: TorusGrid, conn: C.ConnectionField, J: np.ndarray,
@@ -73,9 +63,9 @@ def tau_two_form(grid: TorusGrid, conn: C.ConnectionField, J: np.ndarray,
     nJ = nJ.reshape((d, d, d, -1))
     Jf = J.reshape((d, d, -1))
     riem = C.curvature(grid, conn).riem.reshape((d, d, d, d, -1))
-    jn = np.einsum("bcx,jcax->jbax", Jf, nJ, optimize=True)
-    quad = 0.5 * np.einsum("iabx,jbax->ijx", nJ, jn, optimize=True)
-    curv = np.einsum("klx,lkijx->ijx", Jf, riem, optimize=True)
+    jn = P.contract("bcx,jcax->jbax", Jf, nJ)
+    quad = 0.5 * P.contract("iabx,jbax->ijx", nJ, jn)
+    curv = P.contract("klx,lkijx->ijx", Jf, riem)
     return G.form_from_matrix(grid, (quad + curv).reshape((d, d) + grid.shape))
 
 
@@ -112,7 +102,7 @@ def lambda_rho(grid: TorusGrid, rho: np.ndarray, J: np.ndarray, jhat: np.ndarray
                conn: C.ConnectionField | None = None,
                anticommute_tol: float = 1e-8, volume_tol: float = 1e-9) -> np.ndarray:
     """Λ(u) = trace((∇Ĵ)u) + ½ tr(Ĵ J ∇_u J) as a one-form field."""
-    anti = np.max(np.abs(_endo_mul(jhat, J) + _endo_mul(J, jhat)))
+    anti = np.max(np.abs(P.mul(jhat, J) + P.mul(J, jhat)))
     if anti > anticommute_tol * max(1.0, float(np.max(np.abs(jhat)))):
         raise DomainError(f"lambda_rho: Ĵ must anticommute with J ({anti:.2e})")
     if conn is None:
@@ -120,8 +110,8 @@ def lambda_rho(grid: TorusGrid, rho: np.ndarray, J: np.ndarray, jhat: np.ndarray
     _check_volume_connection(grid, conn, rho, volume_tol)
     nJh = C.cov_endo(grid, conn, jhat)
     nJ = C.cov_endo(grid, conn, J)
-    first = np.einsum("iij...->j...", nJh)
-    second = 0.5 * np.einsum("ab...,bc...,jca...->j...", jhat, J, nJ)
+    first = P.contract("iij...->j...", nJh)
+    second = 0.5 * P.contract("ab...,bc...,jca...->j...", jhat, J, nJ)
     return first + second
 
 
@@ -154,8 +144,7 @@ def hamiltonian_vector_field(grid: TorusGrid, omega: np.ndarray, H: np.ndarray) 
     """v with ι(v)ω = dH, pointwise solve."""
     dH = G.exterior_d(grid, H[None], 0)
     w = G.form_to_matrix(grid, omega)
-    winv = np.moveaxis(np.linalg.inv(np.moveaxis(w, (0, 1), (-2, -1))), (-2, -1), (0, 1))
-    return np.einsum("j...,ji...->i...", dH, winv)
+    return P.contract("j...,ji...->i...", dH, P.inv(w))
 
 
 def vector_from_alpha(grid: TorusGrid, rho: np.ndarray, alpha: np.ndarray) -> np.ndarray:
@@ -167,15 +156,15 @@ def conjugated_path(J: np.ndarray, K: np.ndarray, t: float) -> np.ndarray:
     """(1 + tK) J (1 + tK)^{-1}; exactly an almost complex structure."""
     d = J.shape[0]
     S = G.constant_field_like(K, np.eye(d)) + t * K
-    Sinv = np.moveaxis(np.linalg.inv(np.moveaxis(S, (0, 1), (-2, -1))), (-2, -1), (0, 1))
-    return _endo_mul(S, J, Sinv)
+    Sinv = P.inv(S)
+    return P.mul(S, J, Sinv)
 
 
 def symplectic_path(J: np.ndarray, xi: np.ndarray, t: float) -> np.ndarray:
     """e^{tξ} J e^{−tξ} for a pointwise Hamiltonian matrix field ξ."""
     E = G.matrix_exp_field(t * xi)
-    Einv = np.moveaxis(np.linalg.inv(np.moveaxis(E, (0, 1), (-2, -1))), (-2, -1), (0, 1))
-    return _endo_mul(E, J, Einv)
+    Einv = P.inv(E)
+    return P.mul(E, J, Einv)
 
 
 def richardson(f, h: float):
@@ -233,7 +222,7 @@ def verify_moment_identities(n: int, m: int, seed: int, amplitude: float = 0.1,
             rep.add(f"lambda_pairing[{case}]", _rel(abs(lhs - rhs), abs(rhs) + 1.0),
                     tols["lambda_pairing"])
 
-        jdot = _endo_mul(K, J) - _endo_mul(J, K)
+        jdot = P.mul(K, J) - P.mul(J, K)
         if wanted("ricci_variation_fd"):
             # variation of the Ricci form: d/dt Ric(ρ, J_t) = ½ dΛ(J, Ĵ)
             fd = richardson(lambda t: ricci_form(grid, rho, conjugated_path(J, K, t), conn).ric, h)
@@ -268,7 +257,7 @@ def verify_moment_identities(n: int, m: int, seed: int, amplitude: float = 0.1,
         if wanted("scalar_moment_fd"):
             # scalar-curvature moment map on the compatible slice
             xi = G.random_hamiltonian_matrix_field(grid, s + 8, amplitude)
-            jdot_c = _endo_mul(xi, Jc) - _endo_mul(Jc, xi)
+            jdot_c = P.mul(xi, Jc) - P.mul(Jc, xi)
 
             def scalar_pairing(t):
                 Jt = symplectic_path(Jc, xi, t)
@@ -289,7 +278,7 @@ def verify_moment_identities(n: int, m: int, seed: int, amplitude: float = 0.1,
                                       G.lie_endo(grid, vF, Jc), G.lie_endo(grid, vH, Jc))
             S = scalar_curvature(grid, omega0, Jc)
             w_mat = G.form_to_matrix(grid, omega0)
-            poisson = np.einsum("i...,ij...,j...->...", vF, w_mat, vH)
+            poisson = P.contract("i...,ij...,j...->...", vF, w_mat, vH)
             rhs_b = G.integrate_against_volume(grid, S * poisson, rho0)
             rep.add(f"scalar_bracket[{case}]", _rel(abs(lhs_b - rhs_b), abs(rhs_b) + 1.0),
                     tols["scalar_bracket"])
@@ -325,7 +314,7 @@ def verify_transformation_laws(n: int, m: int, seed: int, amplitude: float = 0.1
                 tols["conformal_shift"])
         lam0 = lambda_rho(grid, rho, J, jhat, conn)
         lam1 = lambda_rho(grid, rho_f, J, jhat)
-        df_jh = np.einsum("k...,ki...->i...", G.exterior_d(grid, f[None], 0), jhat)
+        df_jh = P.contract("k...,ki...->i...", G.exterior_d(grid, f[None], 0), jhat)
         rep.add(f"lambda_conformal_shift[{case}]",
                 _rel(np.max(np.abs(lam1 - (lam0 + df_jh))), np.max(np.abs(lam0)) + 1.0),
                 tols["lambda_conformal_shift"])
@@ -348,7 +337,7 @@ def verify_transformation_laws(n: int, m: int, seed: int, amplitude: float = 0.1
         # Λ(J, L_u J) = 2 ι(u) Ric − d f_u ∘ J + d f_{Ju}
         lam_lie = lambda_rho(grid, rho, J, G.lie_endo(grid, v, J), conn)
         fu = G.divergence_frho(grid, v, rho)
-        Jv = np.einsum("ij...,j...->i...", J, v)
+        Jv = P.contract("ij...,j...->i...", J, v)
         fJu = G.divergence_frho(grid, Jv, rho)
         rhs = (2.0 * G.interior_f(grid, v, base.ric, 2)
                - G.one_form_compose_j(G.exterior_d(grid, fu[None], 0), J)
@@ -361,11 +350,11 @@ def verify_transformation_laws(n: int, m: int, seed: int, amplitude: float = 0.1
         w = G.random_band_limited(grid, "vector", s + 21, amplitude, band=G.acs_band(grid.m))
         fv, fw = fu, G.divergence_frho(grid, w, rho)
         fJv = fJu
-        Jw = np.einsum("ij...,j...->i...", J, w)
+        Jw = P.contract("ij...,j...->i...", J, w)
         fJw = G.divergence_frho(grid, Jw, rho)
         lhs_p = omega_rho_pairing(grid, rho, J,
                                   G.lie_endo(grid, v, J), G.lie_endo(grid, w, J))
-        ric_uv = np.einsum("i...,ij...,j...->...", v, G.form_to_matrix(grid, base.ric), w)
+        ric_uv = P.contract("i...,ij...,j...->...", v, G.form_to_matrix(grid, base.ric), w)
         rhs_p = G.integrate_against_volume(grid, 2.0 * ric_uv + fv * fJw - fJv * fw, rho)
         rep.add(f"pairing_divergence[{case}]", _rel(abs(lhs_p - rhs_p), abs(rhs_p) + 1.0),
                 tols["pairing_divergence"])
@@ -376,12 +365,12 @@ def verify_transformation_laws(n: int, m: int, seed: int, amplitude: float = 0.1
 
         def path2(su, tu):
             Scomb = (G.constant_field_like(K, np.eye(grid.d)) + su * K + tu * K2)
-            Sinv = np.moveaxis(np.linalg.inv(np.moveaxis(Scomb, (0, 1), (-2, -1))), (-2, -1), (0, 1))
-            Jst = _endo_mul(Scomb, J, Sinv)
-            dt = _endo_mul(K2, Sinv)
-            ds = _endo_mul(K, Sinv)
-            return Jst, _endo_mul(dt, Jst) - _endo_mul(Jst, dt), \
-                _endo_mul(ds, Jst) - _endo_mul(Jst, ds)
+            Sinv = P.inv(Scomb)
+            Jst = P.mul(Scomb, J, Sinv)
+            dt = P.mul(K2, Sinv)
+            ds = P.mul(K, Sinv)
+            return Jst, P.mul(dt, Jst) - P.mul(Jst, dt), \
+                P.mul(ds, Jst) - P.mul(Jst, ds)
 
         def term_s(t_of_s):
             Jst, jt, _ = path2(t_of_s, 0.0)
@@ -446,11 +435,11 @@ def verify_transformation_laws(n: int, m: int, seed: int, amplitude: float = 0.1
     hpot = G.random_band_limited(grid, "scalar", seed + 902, amplitude, band=G.acs_band(grid.m))
     dh_j = G.one_form_compose_j(G.exterior_d(grid, hpot[None], 0), J0)
     omega_h = G.standard_omega_field(grid) + 0.5 * G.exterior_d(grid, dh_j, 1)
-    metric_h = np.einsum("ik...,kj...->ij...", G.form_to_matrix(grid, omega_h), J0)
+    metric_h = P.mul(G.form_to_matrix(grid, omega_h), J0)
     lam_k = lambda_one_form(grid, C.levi_civita(grid, metric_h), J0)
     rep.add("kahler_lambda_vanishes", float(np.max(np.abs(lam_k))), tols["kahler_lambda_vanishes"])
     Jc = G.random_acs_symplectic(grid, seed + 903, amplitude)
-    metric_c = np.einsum("ik...,kj...->ij...", G.form_to_matrix(grid, G.standard_omega_field(grid)), Jc)
+    metric_c = P.mul(G.form_to_matrix(grid, G.standard_omega_field(grid)), Jc)
     lam_c = lambda_one_form(grid, C.levi_civita(grid, metric_c), Jc)
     rep.add("kahler_lambda_vanishes_compatible", float(np.max(np.abs(lam_c))),
             tols["kahler_lambda_vanishes"])

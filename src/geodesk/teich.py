@@ -14,6 +14,7 @@ from . import combi
 from . import connection as C
 from . import grid as G
 from . import hodge as H
+from . import pointwise as P
 from . import ricci as Ric
 from .errors import DomainError, UsageError
 from .grid import TorusGrid
@@ -105,7 +106,7 @@ def wp_inner(x1: WPVector, x2: WPVector) -> float:
     if x1.base.grid != x2.base.grid:
         raise UsageError("wp_inner: mismatched bases")
     base = x1.base
-    tr = 0.5 * np.einsum("ik...,ki...->...", x1.jhat, x2.jhat)
+    tr = 0.5 * P.contract("ik...,ki...->...", x1.jhat, x2.jhat)
     dens = tr - x1.f * x2.f - x1.g * x2.g
     return G.integrate_against_volume(base.grid, dens, base.rho)
 
@@ -285,21 +286,15 @@ def connection_A(base: FlatBase, what: np.ndarray, closed_tol: float = 1e-8):
     if d_resid > closed_tol * max(1.0, float(np.max(np.abs(what)))):
         raise DomainError(f"connection_A: ŵ not closed ({d_resid:.2e})")
     const, lam_hat = hodge_decompose_closed_two_form(grid, what)
-    v = Ric.hamiltonian_vector_field(grid, base.omega, np.zeros(grid.shape))
     # ι(v)ω = λ̂ pointwise
     w_mat = G.form_to_matrix(grid, base.omega)
-    winv = np.moveaxis(np.linalg.inv(np.moveaxis(w_mat, (0, 1), (-2, -1))), (-2, -1), (0, 1))
-    v = np.einsum("j...,ji...->i...", lam_hat, winv)
+    v = P.contract("j...,ji...->i...", lam_hat, P.inv(w_mat))
     tau = const - G.j_star_form(grid, const, 2, base.J).real
     tau_mat = G.form_to_matrix(grid, tau)
     # flat metric: g(Ĵ0 u, v) = ½ τ(u, v)  ⟹  (Ĵ0)^j_i = ½ τ_{ij}
-    jhat0 = 0.5 * np.einsum("ij...->ji...", tau_mat)
+    jhat0 = 0.5 * P.contract("ij...->ji...", tau_mat)
     jhat = G.lie_endo(grid, v, base.J) + jhat0
     return jhat, v, lam_hat, jhat0
-
-
-def insert_j_form(grid: TorusGrid, coef: np.ndarray, J: np.ndarray) -> np.ndarray:
-    return combi.derivation_coef(J, coef, grid.d, 2)
 
 
 def curvature_hamiltonian(base: FlatBase, w1: np.ndarray, w2: np.ndarray) -> dict:
@@ -314,7 +309,7 @@ def curvature_hamiltonian(base: FlatBase, w1: np.ndarray, w2: np.ndarray) -> dic
     x2 = WPVector(base, j2)
     first = -wp_form(x1, x2)
     red = w1 - G.exterior_d(grid, lam1, 1)
-    integrand = G.wedge_f(grid, insert_j_form(grid, red, base.J), w2, 2, 2)
+    integrand = G.wedge_f(grid, G.insert_j_form(grid, red, 2, base.J), w2, 2, 2)
     if grid.n > 2:
         integrand = G.wedge_f(grid, integrand, Ric.omega_power(grid, base.omega, grid.n - 2),
                               4, grid.d - 4)
@@ -374,7 +369,7 @@ def theta_beta(grid: TorusGrid, jhat: np.ndarray, theta: np.ndarray,
     """β with i ι(u)β − ι(Ju)β = ι(Ĵu)θ: insert −½JĴ into one slot of θ."""
     if J is None:
         J = G.standard_j_field(grid)
-    E = -0.5 * np.einsum("ik...,kj...->ij...", J, jhat).astype(complex)
+    E = -0.5 * P.mul(J, jhat).astype(complex)
     return combi.derivation_coef(E, theta, grid.d, grid.n)
 
 
@@ -401,14 +396,14 @@ def beta_theta(grid: TorusGrid, beta: np.ndarray, theta: np.ndarray,
     for u in range(d):
         eu = np.zeros((d,) + grid.shape)
         eu[u] = 1.0
-        Ju = np.einsum("ij...,j...->i...", J, eu)
+        Ju = P.contract("ij...,j...->i...", J, eu)
         rhs = 1j * combi.interior_coef(eu, beta, d, n) \
             - combi.interior_coef(Ju, beta, d, n)
         rhs_r = np.concatenate([rhs.real, rhs.imag], axis=0)
         if flat_theta:
-            jhat[:, u] = np.einsum("ic,c...->i...", pinv, rhs_r)
+            jhat[:, u] = P.contract("ic,c...->i...", pinv, rhs_r)
         else:
-            sol = np.einsum("...ic,...c->...i", pinv, np.moveaxis(rhs_r, 0, -1))
+            sol = P.contract("...ic,...c->...i", pinv, np.moveaxis(rhs_r, 0, -1))
             jhat[:, u] = np.moveaxis(sol, -1, 0)
     return jhat
 
@@ -515,7 +510,7 @@ def wp_suite(n: int, m: int, seed: int, amplitude: float = 0.1,
 
     # (f, g) solver: plug-back, the Lie oracle, and the coclosed case
     fv = G.divergence_frho(grid, v, base.rho)
-    Jv = np.einsum("ij...,j...->i...", base.J, v)
+    Jv = P.contract("ij...,j...->i...", base.J, v)
     fJv = G.divergence_frho(grid, Jv, base.rho)
     rep.add("fg_lie_oracle", float(max(np.max(np.abs(lie.f - fv)), np.max(np.abs(lie.g - fJv))))
             / max(1.0, float(np.max(np.abs(fv)))), tols["fg_lie_oracle"])
@@ -606,9 +601,9 @@ def connection_suite(m: int, seed: int, amplitude: float = 0.05,
     # horizontal-lift conditions for a seeded closed form
     jhat, v, lam_hat, jh0 = connection_A(base, w1)
     wm = G.form_to_matrix(grid, w1)
-    lhs1 = wm - np.einsum("ki...,kl...,lj...->ij...", J0, wm, J0)
-    rhs1 = np.einsum("ki...,kl...,lj...->ij...", jhat, w_mat0, J0) \
-        + np.einsum("ki...,kl...,lj...->ij...", J0, w_mat0, jhat)
+    lhs1 = wm - P.contract("ki...,kl...,lj...->ij...", J0, wm, J0)
+    rhs1 = P.contract("ki...,kl...,lj...->ij...", jhat, w_mat0, J0) \
+        + P.contract("ki...,kl...,lj...->ij...", J0, w_mat0, jhat)
     rep.add("condition_type", float(np.max(np.abs(lhs1 - rhs1)))
             / max(1.0, float(np.max(np.abs(rhs1)))), tols["condition_type"])
     rep.add("condition_dbar",
@@ -665,7 +660,7 @@ def theta_suite(n: int, m: int, seed: int, amplitude: float = 0.1,
 
     # adjoint correspondence and the flag equivalences
     sb = G.star_f(grid, beta, n)
-    jh_star = np.einsum("ij...->ji...", jh)  # flat metric adjoint
+    jh_star = P.contract("ij...->ji...", jh)  # flat metric adjoint
     rep.add("star_adjoint_flag",
             float(np.max(np.abs(np.conj(cn) * sb - theta_beta(grid, -jh_star, theta)))),
             tols["star_adjoint_flag"])
@@ -688,13 +683,13 @@ def theta_suite(n: int, m: int, seed: int, amplitude: float = 0.1,
     jh2 = Ric.anticommute_project(J0, raw2)
     beta2 = theta_beta(grid, jh2, theta)
     lhs_s = cn * theta_pairing_form(grid, beta, beta2, n)
-    tr_plain = np.einsum("ik...,ki...->...", jh, jh2)
-    tr_j = np.einsum("ik...,kl...,li...->...", jh, J0, jh2)
+    tr_plain = P.contract("ik...,ki...->...", jh, jh2)
+    tr_j = P.contract("ik...,kl...,li...->...", jh, J0, jh2)
     rhs_s = (-tr_plain / 8.0 + 1j * tr_j / 8.0) * base.rho
     rep.add("symplectic_pairing", float(np.max(np.abs(lhs_s - rhs_s))),
             tols["symplectic_pairing"])
     lhs_i = theta_pairing_form(grid, beta, G.star_f(grid, beta2, n), n).real
-    rhs_i = np.einsum("ki...,ki...->...", jh, jh2) / 8.0 * base.rho
+    rhs_i = P.contract("ki...,ki...->...", jh, jh2) / 8.0 * base.rho
     rep.add("inner_pairing", float(np.max(np.abs(lhs_i - rhs_i))),
             tols["inner_pairing"])
 
@@ -705,7 +700,7 @@ def theta_suite(n: int, m: int, seed: int, amplitude: float = 0.1,
                         n - 1)
     beta_v = theta_beta(grid, jh_v, theta)
     fv = G.divergence_frho(grid, v, base.rho)
-    fJv = G.divergence_frho(grid, np.einsum("ij...,j...->i...", J0, v), base.rho)
+    fJv = G.divergence_frho(grid, P.contract("ij...,j...->i...", J0, v), base.rho)
     h_v = 0.5 * (fv - 1j * fJv)
     rep.add("lie_beta_oracle", float(np.max(np.abs(d_iv - beta_v - h_v * theta))),
             tols["lie_beta_oracle"])
@@ -760,10 +755,10 @@ def theta_suite(n: int, m: int, seed: int, amplitude: float = 0.1,
     th2 = theta_beta(grid, x2_cl.jhat, theta) + h2_cl * theta
     pair = cn * G.integrate(grid, theta_pairing_form(grid, th1, th2, n))
     re_expected = (-G.integrate_against_volume(
-        grid, np.einsum("ik...,ki...->...", x_cl.jhat, x2_cl.jhat), base.rho) / 8.0
+        grid, P.contract("ik...,ki...->...", x_cl.jhat, x2_cl.jhat), base.rho) / 8.0
         + G.integrate_against_volume(grid, (h_cl.conj() * h2_cl).real, base.rho))
     im_expected = (G.integrate_against_volume(
-        grid, np.einsum("ik...,kl...,li...->...", x_cl.jhat, J0, x2_cl.jhat),
+        grid, P.contract("ik...,kl...,li...->...", x_cl.jhat, J0, x2_cl.jhat),
         base.rho) / 8.0
         + G.integrate_against_volume(grid, (h_cl.conj() * h2_cl).imag, base.rho))
     rep.add("pairing_re", abs(pair.real - re_expected) / (abs(re_expected) + 1.0),

@@ -99,3 +99,22 @@ def test_cli_config_file(tmp_path):
     assert rc == 0
     assert json.loads(out.read_text())["params"]["seed"] == 11
     assert cli.main(["verify", "lincs", "--config", str(tmp_path / "nope.json")]) == 2
+
+
+def test_threaded_verify_all_matches_serial(tmp_path, monkeypatch):
+    # Threaded suites share the grid cache and the contraction-path cache.
+    # Rounding-level residuals may differ in their last bits between the two
+    # runs, so each residual must agree to 1e-3 of its tolerance.
+    docs = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("GEODESK_THREADS", threads)
+        path = tmp_path / f"all_t{threads}.json"
+        rc = cli.main(["verify", "all", "--n", "1", "--grid", "64", "--seed", "1",
+                       "--report", str(path)])
+        assert rc == 0
+        docs[threads] = json.loads(path.read_text())["checks"]
+    serial, threaded = docs["1"], docs["2"]
+    assert [c["name"] for c in threaded] == [c["name"] for c in serial]
+    for s, t in zip(serial, threaded):
+        assert t["tol"] == s["tol"]
+        assert abs(t["residual"] - s["residual"]) <= 1e-3 * s["tol"], s["name"]
