@@ -1,0 +1,6 @@
+"""``python -m geodesk``: the ``geodesk`` command."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

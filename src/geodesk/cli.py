@@ -15,6 +15,7 @@ from .errors import DomainError, NumericError, UsageError
 from .report import REPORT_SCHEMA, CheckReport, compare_to_baseline, suite_tolerances
 
 MEMORY_CAP_BYTES = int(1.5e9)
+DEFAULT_GRID = {1: 64, 2: 16, 3: 8}  # grid size per n when --grid is not given
 
 
 def max_threads() -> int:
@@ -171,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=SUITES + ("all",))
-    v.add_argument("--n", type=int, default=None, choices=(1, 2, 3))
+    v.add_argument("--n", type=int, default=None, choices=tuple(DEFAULT_GRID))
     v.add_argument("--grid", type=int, default=None, metavar="M")
     v.add_argument("--seed", type=int, default=None)
     v.add_argument("--amp", type=float, default=None)
@@ -184,8 +185,34 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _default_grid(n: int) -> int:
-    return {1: 64, 2: 16, 3: 8}[n]
+def _read_json(path: str, what: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read {what}: {exc}") from None
+
+
+def _read_baseline(path: str) -> dict:
+    doc = _read_json(path, "baseline")
+    checks = doc.get("checks", []) if isinstance(doc, dict) else None
+    if not isinstance(checks, list) or not all(
+            isinstance(c, dict) and isinstance(c.get("name"), str)
+            and isinstance(c.get("residual"), (int, float))
+            and not isinstance(c.get("residual"), bool) for c in checks):
+        raise UsageError("baseline must be a JSON report: an object whose checks "
+                         "each have a string name and a numeric residual")
+    return doc
+
+
+def _check_writable(path: str) -> None:
+    folder = os.path.dirname(path) or "."
+    if os.path.exists(path):
+        writable = os.path.isfile(path) and os.access(path, os.W_OK)
+    else:
+        writable = os.path.isdir(folder) and os.access(folder, os.W_OK)
+    if not writable:
+        raise UsageError(f"cannot write report: {path!r} is not a writable file path")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -198,31 +225,37 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(REPORT_SCHEMA, indent=2, sort_keys=True))
         return 0
 
-    cfg = {}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"usage error: cannot read config: {exc}", file=sys.stderr)
-            return 2
+    try:
+        cfg = _read_json(args.config, "config") if args.config else {}
+        if not isinstance(cfg, dict):
+            raise UsageError("config must be a JSON object")
 
-    def pick(flag, default):
-        val = getattr(args, flag.replace("-", "_"))
-        if val is not None:
+        def pick(flag, default, types, what):
+            val = getattr(args, flag.replace("-", "_"))
+            if val is None:
+                val = cfg.get(flag)
+            if val is None:
+                return default
+            if isinstance(val, bool) or not isinstance(val, types):
+                raise UsageError(f"{flag} must be {what}, got {val!r}")
             return val
-        return cfg.get(flag, default)
 
-    args.n = int(pick("n", 1))
-    args.seed = int(pick("seed", 1))
-    args.amp = pick("amp", None)
-    args.tol_scale = float(pick("tol-scale", 1.0))
-    args.report = pick("report", None)
-    args.baseline = pick("baseline", None)
-    grid_val = pick("grid", None)
-    args.grid = int(grid_val) if grid_val is not None else None
+        args.n = pick("n", 1, int, "an integer")
+        if args.n not in DEFAULT_GRID:
+            raise UsageError(f"n must be one of {sorted(DEFAULT_GRID)}, got {args.n}")
+        args.seed = pick("seed", 1, int, "an integer")
+        args.amp = pick("amp", None, (int, float), "a number")
+        args.tol_scale = float(pick("tol-scale", 1.0, (int, float), "a number"))
+        args.report = pick("report", None, str, "a path")
+        args.baseline = pick("baseline", None, str, "a path")
+        m = pick("grid", DEFAULT_GRID[args.n], int, "an integer")
+        base_doc = _read_baseline(args.baseline) if args.baseline else None
+        if args.report:
+            _check_writable(args.report)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
 
-    m = args.grid if args.grid is not None else _default_grid(args.n)
     try:
         if args.suite == "all":
             reports = run_all(args.n, m, args.seed, args.amp, args.tol_scale)
@@ -245,13 +278,15 @@ def main(argv: list[str] | None = None) -> int:
         "wall_ms": sum(r.wall_ms for r in reports),
     }
     if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
+        try:
+            with open(args.report, "w") as fh:
+                json.dump(doc, fh, indent=2, sort_keys=True)
+        except OSError as exc:
+            print(f"usage error: cannot write report: {exc}", file=sys.stderr)
+            return 2
 
     regressions: list[str] = []
-    if args.baseline:
-        with open(args.baseline) as fh:
-            base_doc = json.load(fh)
+    if base_doc is not None:
         for r in reports:
             regressions.extend(compare_to_baseline(r, base_doc))
 

@@ -619,26 +619,60 @@ def random_hamiltonian_matrix_field(grid: TorusGrid, seed: int, amplitude: float
 # diffeomorphisms and pullbacks
 
 
+_INTERP_BYTES = 1 << 24  # budget for the largest temporary of fourier_interpolate
+
+
 def fourier_interpolate(grid: TorusGrid, arr: np.ndarray, pts: np.ndarray,
-                        rel_cut: float = 1e-14, chunk: int = 4096) -> np.ndarray:
-    """Evaluate the trigonometric interpolant of arr at points (d, P)."""
-    comp_shape = arr.shape[:-grid.d]
+                        rel_cut: float = 1e-14) -> np.ndarray:
+    """Evaluate the trigonometric interpolant of arr at points (d, P).
+
+    Sums exactly the Fourier modes whose magnitude, over all components,
+    exceeds ``rel_cut`` times the largest.  The sum factors over the torus
+    axes: the kept modes lie in the box K_0 × … × K_{d−1} of the frequencies
+    each axis keeps, and the other modes of the box are zeroed.  Each chunk of
+    points builds per-axis phase tables exp(i k x_j), contracts the last axis
+    with one matmul and folds the others by multiply-and-sum.  Chunks are
+    sized so that the largest temporary stays within ``_INTERP_BYTES``
+    whatever the number of modes (a chunk holds at least one point).  Real
+    input gives real output.
+    """
+    d = grid.d
+    comp_shape = arr.shape[:-d]
     flat = arr.reshape((-1,) + grid.shape)
     F = grid.fft(flat) / grid.npoints
     mags = np.max(np.abs(F), axis=0)
     mask = mags > rel_cut * np.max(mags)
-    kax = grid._cache()["k"]
-    kvecs = np.stack([np.broadcast_to(kax[j], grid.shape)[mask] for j in range(grid.d)])
-    coefs = F[:, mask]  # (C, nmodes)
     npts = pts.shape[1]
+    if not mask.any():  # a zero (or NaN) field: no mode is kept
+        return np.zeros(comp_shape + (npts,), dtype=float if np.isrealobj(arr) else complex)
+    kax = grid._cache()["k"]
+    keep = [np.flatnonzero(mask.any(axis=tuple(a for a in range(d) if a != j)))
+            for j in range(d)]
+    box = np.ix_(*keep)
+    coefs = F[(slice(None),) + box]  # (C, K_0, ..., K_{d-1})
+    coefs[:, ~mask[box]] = 0.0
+    freqs = [kax[j].ravel()[keep[j]] for j in range(d)]
+    lead = coefs.reshape(-1, coefs.shape[-1])  # (C·ΠK_{<d−1}, K_{d−1})
+    per_point = 16 * max(lead.shape[0], *map(len, freqs))  # complex bytes
+    step = max(1, _INTERP_BYTES // per_point)
     out = np.empty((flat.shape[0], npts), dtype=complex)
-    for start in range(0, npts, chunk):
-        sl = slice(start, min(start + chunk, npts))
-        phase = np.exp(1j * (kvecs.T @ pts[:, sl]))
-        out[:, sl] = coefs @ phase
+    for start in range(0, npts, step):
+        x = pts[:, start:start + step]
+        acc = lead @ _phase_table(freqs[-1], x[-1])
+        acc = acc.reshape(coefs.shape[:-1] + (-1,))
+        for j in range(d - 2, -1, -1):
+            acc *= _phase_table(freqs[j], x[j])
+            acc = acc.sum(axis=-2)
+        out[:, start:start + step] = acc
     if np.isrealobj(arr):
         out = out.real
     return out.reshape(comp_shape + (npts,))
+
+
+def _phase_table(k: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """exp(i k x) for frequencies k (K,) and coordinates x (p,), as (K, p)."""
+    table = np.multiply.outer(1j * k, x)
+    return np.exp(table, out=table)
 
 
 @dataclass(frozen=True)
@@ -804,13 +838,37 @@ def save_field(path, fld: Field) -> None:
 
 
 def load_field(path) -> Field:
+    """Read a snapshot written by ``save_field``; a malformed file raises
+    ``UsageError``."""
     with open(path, "rb") as fh:
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise UsageError("not a geodesk field snapshot")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode())
-        grid = TorusGrid(header["n"], header["m"])
-        shape = tuple(header["slot"]) + grid.shape
-        raw = np.frombuffer(fh.read(), dtype="<f8").reshape(shape)
-    data = raw[0] + 1j * raw[1] if header["complex"] else raw.copy()
-    return Field(grid, header["kind"], data, header.get("lineage", {}))
+        head = fh.read(8)
+        if len(head) != 8:
+            raise UsageError("snapshot header is truncated")
+        (hlen,) = struct.unpack("<Q", head)
+        try:
+            header = json.loads(fh.read(hlen).decode())
+            grid = TorusGrid(_snapshot_int(header["n"]), _snapshot_int(header["m"]))
+            slot = tuple(_snapshot_int(s) for s in header["slot"])
+            is_complex = bool(header["complex"])
+            kind = header["kind"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise UsageError(f"bad snapshot header: {exc}") from None
+        if is_complex and slot[:1] != (2,):
+            raise UsageError("complex snapshot must store stacked real and imaginary parts")
+        payload = fh.read()
+    shape = slot + grid.shape
+    expected = 8 * int(np.prod(shape, dtype=object))  # exact, no overflow
+    if len(payload) != expected:
+        raise UsageError(f"snapshot payload has {len(payload)} bytes, its header "
+                         f"implies {expected}")
+    raw = np.frombuffer(payload, dtype="<f8").reshape(shape)
+    data = raw[0] + 1j * raw[1] if is_complex else raw.copy()
+    return Field(grid, kind, data, header.get("lineage", {}))
+
+
+def _snapshot_int(val) -> int:
+    if isinstance(val, bool) or not isinstance(val, int) or val < 0:
+        raise UsageError(f"expected a non-negative integer, got {val!r}")
+    return val

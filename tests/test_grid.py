@@ -267,6 +267,67 @@ def test_inverse_displacement():
     assert np.max(np.abs(comp - X)) <= 1e-11
 
 
+def _full_spectrum(g, comp_shape, seed, cplx=False):
+    """exp of band-limited fields: every Fourier mode is kept by the interpolant."""
+    out = np.empty(comp_shape + g.shape, dtype=complex if cplx else float)
+    for i, idx in enumerate(np.ndindex(*comp_shape)):
+        f = np.exp(random_band_limited(g, "scalar", seed + i, 1.5, band=g.m // 2 - 1))
+        if cplx:
+            f = f + 1j * np.exp(random_band_limited(g, "scalar", seed + 500 + i, 1.5,
+                                                    band=g.m // 2 - 1))
+        out[idx] = f
+    return out
+
+
+def _direct_sum(g, arr, pts):
+    """Σ_k F_k e^{ik·x} over every mode of the grid."""
+    F = g.fft(arr.reshape((-1,) + g.shape)).reshape(-1, g.npoints) / g.npoints
+    k = np.stack([np.broadcast_to(kj, g.shape).ravel() for kj in g._cache()["k"]])
+    vals = F @ np.exp(1j * (k.T @ pts))
+    return vals.reshape(arr.shape[:-g.d] + (pts.shape[1],))
+
+
+@pytest.mark.parametrize("g", [TorusGrid(1, 16), TorusGrid(2, 8)], ids=["n1m16", "n2m8"])
+@pytest.mark.parametrize("rank", [0, 1, 2, 3])
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+def test_fourier_interpolate_matches_direct_sum(g, rank, cplx):
+    comp_shape = (g.d,) * rank
+    arr = _full_spectrum(g, comp_shape, 200 + 10 * rank, cplx)
+    F = g.fft(arr.reshape((-1,) + g.shape))
+    mags = np.max(np.abs(F), axis=0)
+    assert np.mean(mags > 1e-14 * mags.max()) > 0.9  # (nearly) every mode is summed
+    pts = np.random.default_rng(rank).uniform(-2 * np.pi, 4 * np.pi, (g.d, 64))
+    vals = fourier_interpolate(g, arr, pts)
+    assert vals.shape == comp_shape + (64,)
+    assert np.iscomplexobj(vals) == cplx
+    ref = _direct_sum(g, arr, pts)
+    ref = ref if cplx else ref.real
+    assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(np.abs(ref))
+    const = constant_field(g, np.full(comp_shape, 0.75))
+    np.testing.assert_allclose(fourier_interpolate(g, const, pts),
+                               np.full(comp_shape + (64,), 0.75), rtol=1e-14)
+    zero = fourier_interpolate(g, np.zeros_like(arr), pts)  # no mode is kept
+    assert zero.shape == comp_shape + (64,) and np.iscomplexobj(zero) == cplx
+    assert not np.any(zero)
+
+
+@pytest.mark.parametrize("g,comp_shape", [(TorusGrid(1, 64), (1,)), (TorusGrid(2, 8), (4, 4))],
+                         ids=["n1m64-two-form", "n2m8-endo"])
+def test_fourier_interpolate_memory_is_bounded(g, comp_shape):
+    import tracemalloc
+    rng = np.random.default_rng(5)
+    arr = rng.standard_normal(comp_shape + g.shape)  # every mode kept
+    u = random_band_limited(g, "vector", 7, 0.05)
+    pts = (g.coords() + u).reshape(g.d, -1)
+    tracemalloc.start()
+    try:
+        fourier_interpolate(g, arr, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6, peak
+
+
 def test_pq_project_field_resolution():
     g = T4
     J = random_band_limited(g, "acs", 97, 0.1)
@@ -290,6 +351,28 @@ def test_snapshot_roundtrip(tmp_path):
     cplx = Field(g, "scalar", data[0, 0] + 1j * data[0, 1])
     save_field(p, cplx)
     np.testing.assert_array_equal(load_field(p).data, cplx.data)
+
+
+_SNAPSHOT_DAMAGE = {
+    "truncated": lambda blob, body: blob[:body + (len(blob) - body) // 2],
+    "partial_element": lambda blob, body: blob[:-3],
+    "oversized": lambda blob, body: blob + bytes(8),
+    "no_header_length": lambda blob, body: blob[:10],
+    "header_not_json": lambda blob, body: blob[:14] + b"{" * (body - 14) + blob[body:],
+    "header_not_utf8": lambda blob, body: blob[:14] + b"\xff" * (body - 14) + blob[body:],
+    "bad_magic": lambda blob, body: b"XXXXXX" + blob[6:],
+}
+
+
+@pytest.mark.parametrize("damage", sorted(_SNAPSHOT_DAMAGE))
+def test_snapshot_rejects_malformed_files(tmp_path, damage):
+    p = tmp_path / "field.gdsk"
+    save_field(p, Field(T2, "endo", random_band_limited(T2, "endo", 99, 0.2)))
+    blob = p.read_bytes()
+    body = 14 + int.from_bytes(blob[6:14], "little")  # magic, length, JSON header
+    p.write_bytes(_SNAPSHOT_DAMAGE[damage](blob, body))
+    with pytest.raises(UsageError):
+        load_field(p)
 
 
 def test_lie_derivative_J_connection_independent_curved():

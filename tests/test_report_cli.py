@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,3 +120,56 @@ def test_threaded_verify_all_matches_serial(tmp_path, monkeypatch):
     for s, t in zip(serial, threaded):
         assert t["tol"] == s["tol"]
         assert abs(t["residual"] - s["residual"]) <= 1e-3 * s["tol"], s["name"]
+
+
+def test_bad_baseline_rejected_before_any_suite(tmp_path, monkeypatch, capsys):
+    def no_suite(*args, **kwargs):
+        raise AssertionError("a suite ran before the baseline was checked")
+
+    monkeypatch.setattr(cli, "run_suite", no_suite)
+    not_json = tmp_path / "not.json"
+    not_json.write_text("{ residuals")
+    shapes = [[], {"checks": [1]}, {"checks": [{"name": "x"}]},
+              {"checks": [{"name": "x", "residual": "small"}]}, {"checks": {"x": 1.0}}]
+    bad_shapes = []
+    for i, doc in enumerate(shapes):
+        bad_shapes.append(tmp_path / f"shape{i}.json")
+        bad_shapes[-1].write_text(json.dumps(doc))
+    report_path = tmp_path / "report.json"
+    for base in [tmp_path / "missing.json", not_json, tmp_path] + bad_shapes:
+        rc = cli.main(["verify", "lincs", "--baseline", str(base),
+                       "--report", str(report_path)])
+        assert rc == 2, base
+        assert "usage error" in capsys.readouterr().err
+    assert not report_path.exists()
+
+
+@pytest.mark.parametrize("cfg", [{"n": 5}, {"n": 0}, {"n": "2"}, {"n": 1.5}, {"n": True},
+                                 {"grid": "16"}, {"grid": 16.5}, {"seed": "x"},
+                                 {"tol-scale": "big"}, {"amp": [0.1]}, {"report": 5},
+                                 {"baseline": ["a.json"]}, [1, 2]])
+def test_bad_config_values_exit_2(tmp_path, capsys, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["verify", "lincs", "--config", str(path)]) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_unwritable_report_rejected_before_any_suite(tmp_path, monkeypatch, capsys):
+    def no_suite(*args, **kwargs):
+        raise AssertionError("a suite ran before the report path was checked")
+
+    monkeypatch.setattr(cli, "run_suite", no_suite)
+    for path in (tmp_path / "missing" / "r.json", tmp_path):
+        assert cli.main(["verify", "lincs", "--report", str(path)]) == 2
+        assert "cannot write report" in capsys.readouterr().err
+
+
+def test_python_dash_m_geodesk_runs():
+    src = str(Path(cli.__file__).resolve().parents[1])  # the package under test
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "geodesk", "schema"],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["title"].startswith("geodesk")
