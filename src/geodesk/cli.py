@@ -6,6 +6,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -116,6 +117,22 @@ def lincs_suite(n: int, m: int, seed: int, amplitude: float = 0.3,
 
 def run_suite(suite: str, n: int, m: int, seed: int, amplitude: float | None,
               tol_scale: float) -> CheckReport:
+    """One suite's report.  A DomainError or NumericError inside the suite is
+    recorded as its failed flag check ``numeric_failure`` and printed to
+    stderr; a UsageError propagates."""
+    t0 = time.perf_counter()
+    try:
+        return _suite_report(suite, n, m, seed, amplitude, tol_scale)
+    except (DomainError, NumericError) as exc:
+        print(f"numeric failure: {suite}: {exc}", file=sys.stderr)
+        rep = CheckReport(suite, {"n": n, "m": m, "seed": seed, "tol_scale": tol_scale},
+                          _t0=t0)
+        rep.add_flag("numeric_failure", False)
+        return rep.finalize()
+
+
+def _suite_report(suite: str, n: int, m: int, seed: int, amplitude: float | None,
+                  tol_scale: float) -> CheckReport:
     amp_default = 0.1 if n == 1 else 0.05
     amp = amp_default if amplitude is None else amplitude
     if suite == "lincs":
@@ -265,9 +282,6 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, NumericError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 1
 
     doc = reports[0].as_dict() if len(reports) == 1 else {
         "suite": "all",
@@ -285,10 +299,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"usage error: cannot write report: {exc}", file=sys.stderr)
             return 2
 
-    regressions: list[str] = []
-    if base_doc is not None:
-        for r in reports:
-            regressions.extend(compare_to_baseline(r, base_doc))
+    regressions = compare_to_baseline(reports, base_doc) if base_doc is not None else []
 
     ok = True
     for r in reports:
@@ -300,8 +311,8 @@ def main(argv: list[str] | None = None) -> int:
               f"checks={len(r.checks)} wall={r.wall_ms}ms{detail}")
         ok = ok and r.passed
     if regressions:
-        print(f"regressions beyond 10x baseline: {', '.join(sorted(set(regressions)))}",
-              file=sys.stderr)
+        print("baseline regressions (residual grown over 10x, NaN, or check vanished): "
+              f"{', '.join(sorted(set(regressions)))}", file=sys.stderr)
         ok = False
     return 0 if ok else 1
 

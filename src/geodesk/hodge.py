@@ -216,16 +216,17 @@ def weitzenbock_residual(inst: KahlerInstance, what: np.ndarray) -> float:
 # flat-torus spectral helpers
 
 
+def dbar_exact_part(grid: TorusGrid, jhat: np.ndarray) -> np.ndarray:
+    """Flat-instance ∂̄-exact part ∂̄v of Ĵ: v = 2·G(∂̄*Ĵ), G the flat Green's
+    operator, since ∂̄*∂̄ = ½∇*∇ on vectors (Fourier-exact)."""
+    inst = flat_instance(grid)
+    v = 2.0 * G.flat_green(grid, dbar_adjoint_q1(inst, jhat))
+    return dbar_q0(grid, inst.J, v)
+
+
 def project_coclosed_q1(grid: TorusGrid, jhat: np.ndarray) -> np.ndarray:
     """Flat-instance projection onto ker ∂̄* along im ∂̄ (Fourier-exact)."""
-    inst = flat_instance(grid)
-    x = dbar_adjoint_q1(inst, jhat)
-    ksq = grid._cache()["ksq"]
-    X = grid.fft(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sol = np.where(ksq > 0, X / np.where(ksq > 0, ksq, 1.0), 0.0)
-    v = 2.0 * grid.ifft(sol).real  # Green's operator of ∂̄*∂̄ = ½∇*∇ on vectors
-    return jhat - dbar_q0(grid, inst.J, v)
+    return jhat - dbar_exact_part(grid, jhat)
 
 
 def harmonic_mean_q1(grid: TorusGrid, jhat: np.ndarray) -> np.ndarray:

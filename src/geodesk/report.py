@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
-TOLERANCE_TABLE_VERSION = 1
+TOLERANCE_TABLE_VERSION = 2
 
 # Default tolerance per (suite, check-name prefix); part of the shipped claim.
 TOLERANCES: dict[str, dict[str, float]] = {
@@ -102,7 +103,6 @@ TOLERANCES: dict[str, dict[str, float]] = {
         "del_lambda": 1e-7,
         "closed_correction": 1e-7,
         "integrability_bridge": 1e-7,
-        "bridge_correlation": 0.999,
         "pairing_vs_wp": 1e-7,
     },
 }
@@ -211,12 +211,23 @@ def validate_report(doc: dict) -> list[str]:
     return problems
 
 
-def compare_to_baseline(report: CheckReport, baseline: dict, factor: float = 10.0) -> list[str]:
-    """Names of checks whose residual regressed by more than `factor`."""
+def compare_to_baseline(reports: CheckReport | list[CheckReport], baseline: dict,
+                        factor: float = 10.0) -> list[str]:
+    """Names of checks that regressed against the baseline: the residual grew
+    by more than `factor`, is NaN on either side, or the check vanished.
+
+    Pass every report of a run together: a baseline check counts as vanished
+    only if no suite of the run produced it.
+    """
+    if isinstance(reports, CheckReport):
+        reports = [reports]
     base = {c["name"]: c["residual"] for c in baseline.get("checks", [])}
+    checks = [c for r in reports for c in r.checks]
     floor = 1e-15
-    return [c.name for c in report.checks
-            if c.name in base and c.residual > factor * max(base[c.name], floor)]
+    grown = [c.name for c in checks if c.name in base and (
+        math.isnan(c.residual) or math.isnan(base[c.name])
+        or c.residual > factor * max(base[c.name], floor))]
+    return grown + sorted(set(base) - {c.name for c in checks})
 
 
 def suite_tolerances(suite: str, tol_scale: float = 1.0) -> dict[str, float]:

@@ -264,12 +264,7 @@ def teich_dimensions(n: int, kmax: int = 2) -> dict:
 
 def hodge_decompose_closed_two_form(grid: TorusGrid, what: np.ndarray):
     """Closed ŵ = constant + dλ̂ with d*λ̂ = 0 on the flat torus."""
-    ksq = grid._cache()["ksq"]
-    W = grid.fft(what)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        Wg = np.where(ksq > 0, W / np.where(ksq > 0, ksq, 1.0), 0.0)
-    green = grid.ifft(Wg).real
-    lam_hat = G.codiff_f(grid, green, 2)
+    lam_hat = G.codiff_f(grid, G.flat_green(grid, what), 2)
     exact = G.exterior_d(grid, lam_hat, 1)
     const = what - exact
     return const, lam_hat
@@ -537,17 +532,8 @@ def wp_suite(n: int, m: int, seed: int, amplitude: float = 0.1,
 
 def harmonic_closure(grid: TorusGrid, jhat: np.ndarray) -> np.ndarray:
     """Project onto ker ∂̄ by harmonic plus exact parts (flat torus)."""
-    inst = H.flat_instance(grid)
-    # remove the ∂̄-exact defect: solve ∂̄*∂̄ v = ∂̄*(Ĵ − mean) and subtract rest
     const = H.harmonic_mean_q1(grid, jhat)
-    fluct = jhat - const
-    x = H.dbar_adjoint_q1(inst, fluct)
-    ksq = grid._cache()["ksq"]
-    X = grid.fft(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sol = np.where(ksq > 0, X / np.where(ksq > 0, ksq, 1.0), 0.0)
-    v = 2.0 * grid.ifft(sol).real
-    return const + H.dbar_q0(grid, inst.J, v)
+    return const + H.dbar_exact_part(grid, jhat - const)
 
 
 def connection_suite(m: int, seed: int, amplitude: float = 0.05,

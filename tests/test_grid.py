@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from geodesk import grid as G
 from geodesk.errors import DomainError, UsageError
 from geodesk.grid import (AffineMap, DisplacementMap, Field, TorusGrid, band_limit_residual,
                           codiff_f, constant_field, divergence_frho, exterior_d,
-                          flow_rk4, form_from_matrix, fourier_interpolate,
+                          flat_green, flow_rk4, form_from_matrix, fourier_interpolate,
                           integrate, integrate_against_volume, interior_f,
                           inverse_displacement, laplacian, lie_derivative_J, lie_endo,
                           lie_form, lie_scalar, lie_vector, load_field, poisson_solve,
@@ -114,6 +116,73 @@ def test_poisson_flat_and_curved():
     u = poisson_solve(g, src, metric)
     resid = laplacian(g, u, metric) - src
     assert np.max(np.abs(resid)) <= 1e-9 * max(1.0, np.max(np.abs(src)))
+
+
+def _band_limited(g, kind, seed, cplx):
+    a = random_band_limited(g, kind, seed)
+    return a + 1j * random_band_limited(g, kind, seed + 1) if cplx else a
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_derivative_routes_agree(cplx):
+    # m = 40 takes the FFT routes; the dense matrix is pinned against both
+    g = TorusGrid(1, 40)
+    assert g._spectral(np.zeros(g.shape)) is not None
+    assert TorusGrid(1, 32)._spectral(np.zeros((1, 1))) is None
+    for kind in ("scalar", "vector", "endo"):
+        a = _band_limited(g, kind, 3, cplx)
+        da = g.derivs(a)
+        assert da.dtype == (np.complex128 if cplx else np.float64)
+        scale = np.max(np.abs(da))
+        for j in range(g.d):
+            dense = g._deriv_matmul(a, j)
+            assert np.max(np.abs(dense - da[j])) <= 1e-12 * scale
+            assert np.max(np.abs(g.deriv(a, j) - da[j])) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_exterior_d_fourier_combination_matches_derivs(cplx):
+    g = TorusGrid(1, 40)
+    for k in range(g.d):
+        a = _band_limited(g, f"form:{k}", 5 + k, cplx)
+        i_hi, j, i_lo, sign = combi._interior_table(g.d, k + 1)
+        dall = g.derivs(a)
+        ref = np.zeros((combi.n_combos(g.d, k + 1),) + g.shape, dtype=dall.dtype)
+        for r in range(len(i_hi)):
+            ref[i_hi[r]] += sign[r] * dall[j[r], i_lo[r]]
+        da = exterior_d(g, a, k)
+        assert da.dtype == ref.dtype
+        assert np.max(np.abs(da - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("g", [TorusGrid(1, 16), TorusGrid(2, 8), TorusGrid(1, 40)])
+def test_flat_green_inverts_laplacian(g):
+    f = random_band_limited(g, "scalar", 11, 1.0) + 0.3  # a nonzero mean is dropped
+    u = flat_green(g, f)
+    assert u.dtype == np.float64
+    assert abs(g.mean(u)) <= 1e-15
+    f0 = f - g.mean(f)
+    assert np.max(np.abs(laplacian(g, u) - f0)) <= 1e-12 * np.max(np.abs(f0))
+    h = random_band_limited(g, "scalar", 12, 1.0)
+    w = flat_green(g, f + 1j * h)
+    assert w.dtype == np.complex128
+    np.testing.assert_allclose(w.real, u, rtol=0, atol=1e-15 * np.max(np.abs(u)))
+    np.testing.assert_allclose(w.imag, flat_green(g, h), rtol=0,
+                               atol=1e-15 * np.max(np.abs(u)))
+    assert np.max(np.abs(flat_green(g, np.ones(g.shape)))) == 0.0
+
+
+def test_only_grid_reads_the_fourier_tables():
+    src = Path(G.__file__).resolve().parent
+    offenders = []
+    for path in src.glob("*.py"):
+        if path.name == "grid.py":
+            continue
+        text = path.read_text()
+        for idiom in ('_cache()["ksq"]', '["dmul', "where(ksq"):
+            if idiom in text:
+                offenders.append(f"{path.name}: {idiom}")
+    assert offenders == []
 
 
 def test_divergence_two_routes_and_mean_zero():

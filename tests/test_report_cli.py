@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from geodesk import cli, report
+from geodesk.errors import DomainError
 from geodesk.report import CheckReport, compare_to_baseline, validate_report
 
 
@@ -39,6 +41,22 @@ def test_baseline_comparison():
     base = {"checks": [{"name": "a", "residual": 1e-10},
                        {"name": "b", "residual": 4e-7}]}
     assert compare_to_baseline(rep, base) == ["a"]
+    # a baseline check that the run did not produce has vanished
+    gone = {"checks": base["checks"] + [{"name": "c", "residual": 1e-9}]}
+    assert compare_to_baseline(rep, gone) == ["a", "c"]
+    # ... unless another suite of the same run produced it
+    other = CheckReport("other", {})
+    other.add("c", 2e-9, 1e-6)
+    other.finalize()
+    assert compare_to_baseline([rep, other], gone) == ["a"]
+    # a NaN residual on either side is a regression
+    nan_rep = CheckReport("demo", {})
+    nan_rep.add("a", float("nan"), 1e-6)
+    nan_rep.add("b", 5e-7, 1e-6)
+    nan_rep.finalize()
+    nan_base = {"checks": [{"name": "a", "residual": 1e-8},
+                           {"name": "b", "residual": float("nan")}]}
+    assert compare_to_baseline(nan_rep, nan_base) == ["a", "b"]
 
 
 def test_lincs_suite_passes():
@@ -173,3 +191,56 @@ def test_python_dash_m_geodesk_runs():
                           capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["title"].startswith("geodesk")
+
+
+def _per_suite(stdout: str, doc: dict) -> dict[str, list[dict]]:
+    """Cut the flat `verify all` check list by the per-suite summary lines."""
+    out, start = {}, 0
+    for line in stdout.splitlines():
+        hit = re.match(r"^\[(?:pass|FAIL)\] (\S+) n=\d+ m=\d+ checks=(\d+)", line)
+        if hit:
+            out[hit.group(1)] = doc["checks"][start:start + int(hit.group(2))]
+            start += int(hit.group(2))
+    assert start == len(doc["checks"])
+    return out
+
+
+def test_numeric_failure_is_recorded(tmp_path, monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise DomainError("metric must be positive definite")
+
+    monkeypatch.setattr(cli.hodge, "bkn_suite", boom)
+    path = tmp_path / "all.json"
+    rc = cli.main(["verify", "all", "--n", "1", "--grid", "32", "--seed", "1",
+                   "--report", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "numeric failure: bkn: metric must be positive definite" in captured.err
+    doc = json.loads(path.read_text())
+    assert validate_report(doc) == []
+    suites = _per_suite(captured.out, doc)
+    assert list(suites) == [s for s in cli.SUITES if s != "teich-connection"]
+    assert suites.pop("bkn") == [{"name": "numeric_failure", "residual": 1.0,
+                                  "tol": 0.5, "pass": False}]
+    assert all(c["pass"] for checks in suites.values() for c in checks)
+    # a usage error still exits 2
+    assert cli.main(["verify", "teich-connection", "--n", "1"]) == 2
+
+
+def test_verify_all_n2_m10_writes_report_on_exit_1(tmp_path, capsys):
+    # Two Ricci suites fail on this coarse grid; the seven others still report.
+    path = tmp_path / "all.json"
+    rc = cli.main(["verify", "all", "--n", "2", "--grid", "10", "--seed", "1",
+                   "--report", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    doc = json.loads(path.read_text())
+    assert validate_report(doc) == []
+    suites = _per_suite(captured.out, doc)
+    assert list(suites) == list(cli.SUITES)
+    failed = [s for s, checks in suites.items()
+              if [c["name"] for c in checks] == ["numeric_failure"]]
+    assert failed == ["ricci-moment", "ricci-laws"]
+    for suite in set(cli.SUITES) - set(failed):
+        alone = cli.run_suite(suite, 2, 10, 1, None, 1.0).as_dict()["checks"]
+        assert suites[suite] == alone, suite
