@@ -451,7 +451,8 @@ def flat_green(grid: TorusGrid, f: np.ndarray) -> np.ndarray:
 def laplacian(grid: TorusGrid, u: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
     """Δu = d*du (≥ 0 convention)."""
     if g is None:
-        return grid.ifft(grid._cache()["ksq"] * grid.fft(u)).real
+        out = grid.ifft(grid._cache()["ksq"] * grid.fft(u))
+        return out.real if np.isrealobj(u) else out
     sq = metric_sqrt_det(g)
     ginv = P.inv(g)
     du = grid.derivs(u)

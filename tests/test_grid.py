@@ -96,6 +96,16 @@ def test_star_flat_roundtrip_and_codiff():
     np.testing.assert_allclose(lhs, laplacian(g, f), atol=1e-10)
 
 
+def test_flat_laplacian_keeps_complex_input():
+    g = TorusGrid(1, 16)
+    f = random_band_limited(g, "scalar", 3)
+    lap = laplacian(g, f)
+    assert np.isrealobj(lap)
+    # equal up to the rounding-level real part of the inverse FFT
+    np.testing.assert_allclose(laplacian(g, 1j * f), 1j * lap, rtol=0,
+                               atol=1e-14 * np.max(np.abs(lap)))
+
+
 def test_poisson_flat_and_curved():
     g = TorusGrid(1, 32)
     x = g.coords()

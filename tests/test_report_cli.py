@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -10,13 +11,17 @@ import pytest
 
 from geodesk import cli, report
 from geodesk.errors import DomainError
-from geodesk.report import CheckReport, compare_to_baseline, validate_report
+from geodesk.report import CheckEntry, CheckReport, compare_to_baseline, validate_report
+
+INVENTORY = Path(__file__).resolve().parents[1] / "perfbench" / "inventory.json"
+# pass/fail checks: residual 0 or 1 against the fixed report.FLAG_TOL
+FLAGS = {"dimension", "dimension_gap", "gram_full_rank", "dplus_gap", "dplus_kappa1",
+         "bridge_nonzero", "b2_plus_is_three"}
 
 
 def test_check_report_roundtrip_and_order():
     rep = CheckReport("demo", {"n": 1})
-    rep.add("zeta", 1e-9, 1e-6)
-    rep.add("alpha", 2e-6, 1e-6)
+    rep.checks += [CheckEntry("zeta", 1e-9, 1e-6), CheckEntry("alpha", 2e-6, 1e-6)]
     rep.finalize()
     assert [c.name for c in rep.checks] == ["alpha", "zeta"]
     assert not rep.passed
@@ -35,8 +40,7 @@ def test_validate_report_catches_problems():
 
 def test_baseline_comparison():
     rep = CheckReport("demo", {})
-    rep.add("a", 1e-8, 1e-6)
-    rep.add("b", 5e-7, 1e-6)
+    rep.checks += [CheckEntry("a", 1e-8, 1e-6), CheckEntry("b", 5e-7, 1e-6)]
     rep.finalize()
     base = {"checks": [{"name": "a", "residual": 1e-10},
                        {"name": "b", "residual": 4e-7}]}
@@ -46,13 +50,12 @@ def test_baseline_comparison():
     assert compare_to_baseline(rep, gone) == ["a", "c"]
     # ... unless another suite of the same run produced it
     other = CheckReport("other", {})
-    other.add("c", 2e-9, 1e-6)
+    other.checks.append(CheckEntry("c", 2e-9, 1e-6))
     other.finalize()
     assert compare_to_baseline([rep, other], gone) == ["a"]
     # a NaN residual on either side is a regression
     nan_rep = CheckReport("demo", {})
-    nan_rep.add("a", float("nan"), 1e-6)
-    nan_rep.add("b", 5e-7, 1e-6)
+    nan_rep.checks += [CheckEntry("a", float("nan"), 1e-6), CheckEntry("b", 5e-7, 1e-6)]
     nan_rep.finalize()
     nan_base = {"checks": [{"name": "a", "residual": 1e-8},
                            {"name": "b", "residual": float("nan")}]}
@@ -101,8 +104,79 @@ def test_cli_unknown_suite_exits_2():
 
 
 def test_tolerance_scale():
-    tols = report.suite_tolerances("bkn", 10.0)
-    assert tols["flat_identity"] == pytest.approx(1e-7)
+    rep = CheckReport("bkn", {"n": 1, "tol_scale": 10.0})
+    rep.add("flat_identity", 0.0)
+    rep.add("q_two_ways[flat]", 0.0)
+    assert [c.tol for c in rep.checks] == [pytest.approx(1e-7)] * 2
+    # an n-dependent entry: (n = 1, n >= 2)
+    for n, tol in ((1, 1e-7), (2, 1e-6), (3, 1e-6)):
+        rep = CheckReport("harmonic", {"n": n, "tol_scale": 1.0})
+        rep.add("lie_compatibility", 0.0)
+        assert rep.checks[0].tol == tol
+    with pytest.raises(KeyError):
+        CheckReport("bkn", {"n": 1}).add("no_such_check", 0.0)
+
+
+def test_tolerance_table_matches_inventory():
+    # every shipped (config, suite, check) gets exactly its recorded tolerance,
+    # flags get FLAG_TOL, and no table entry is left unused
+    inventory = json.loads(INVENTORY.read_text())
+    used = set()
+    for config, suites in inventory.items():
+        n = int(re.match(r"n(\d+)-m\d+$", config).group(1))
+        for suite, checks in suites.items():
+            for name, shipped in checks.items():
+                base = name.split("[", 1)[0]
+                rep = CheckReport(suite, {"n": n, "tol_scale": 1.0})
+                if base in FLAGS:
+                    assert base not in report.TOLERANCES[suite], name
+                    rep.add_flag(name, True)
+                    assert rep.checks[0].tol == 0.5, (config, suite, name)
+                else:
+                    rep.add(name, 0.0)
+                    assert rep.checks[0].tol == shipped, (config, suite, name)
+                    used.add((suite, base))
+    table = {(suite, base) for suite, entries in report.TOLERANCES.items()
+             for base in entries}
+    assert table - used == set()
+
+
+def test_only_report_reads_the_tolerance_table():
+    offenders = []
+    for path in Path(report.__file__).resolve().parent.glob("*.py"):
+        if path.name == "report.py":
+            continue
+        text = path.read_text()
+        for idiom in ("TOLERANCES", "suite_tolerances"):
+            if idiom in text:
+                offenders.append(f"{path.name}: {idiom}")
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "add" and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "rep"
+                    and len(node.args) + len(node.keywords) > 2):
+                offenders.append(f"{path.name}:{node.lineno}: rep.add with a tolerance")
+    assert offenders == []
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("tol_scale", [1.0, 4.0])
+def test_failed_flag_fails_at_any_scale(n, tol_scale):
+    rep = CheckReport("teich-wp", {"n": n, "tol_scale": tol_scale})
+    rep.add_flag("dimension_gap", False)
+    rep.add_flag("dimension[kahler_cone]", True)
+    assert [(c.residual, c.tol, c.passed) for c in rep.checks] == [
+        (1.0, 0.5, False), (0.0, 0.5, True)]
+
+
+def test_verify_teich_wp_n2_reports_flag_tolerance(tmp_path):
+    path = tmp_path / "wp.json"
+    assert cli.main(["verify", "teich-wp", "--n", "2", "--grid", "16",
+                     "--report", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    assert doc["params"]["tolerance_table_version"] == 3
+    gap = [c for c in doc["checks"] if c["name"] == "dimension_gap"]
+    assert gap == [{"name": "dimension_gap", "residual": 0.0, "tol": 0.5, "pass": True}]
 
 
 def test_cli_config_file(tmp_path):
@@ -160,6 +234,27 @@ def test_bad_baseline_rejected_before_any_suite(tmp_path, monkeypatch, capsys):
         assert rc == 2, base
         assert "usage error" in capsys.readouterr().err
     assert not report_path.exists()
+
+
+def test_baseline_params_must_match_the_run(tmp_path, monkeypatch, capsys):
+    def no_suite(*args, **kwargs):
+        raise AssertionError("a suite ran before the baseline was checked")
+
+    monkeypatch.setattr(cli, "run_suite", no_suite)
+    run = {"n": 1, "m": 32, "seed": 4}
+    wrong = [None, {}, {"m": 32, "seed": 4}, {"n": 1, "seed": 4}, {"n": 1, "m": 32},
+             dict(run, n=2), dict(run, m=64), dict(run, seed=5), [1, 32, 4]]
+    base = tmp_path / "base.json"
+    args = ["verify", "lincs", "--n", "1", "--grid", "32", "--seed", "4",
+            "--baseline", str(base)]
+    for params in wrong:
+        doc = {"checks": []} if params is None else {"checks": [], "params": params}
+        base.write_text(json.dumps(doc))
+        assert cli.main(args) == 2, params
+        assert "usage error" in capsys.readouterr().err
+    monkeypatch.undo()
+    base.write_text(json.dumps({"checks": [], "params": dict(run, tol_scale=2.0)}))
+    assert cli.main(args) == 0
 
 
 @pytest.mark.parametrize("cfg", [{"n": 5}, {"n": 0}, {"n": "2"}, {"n": 1.5}, {"n": True},

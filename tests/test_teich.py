@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -106,3 +108,19 @@ def test_curvature_hamiltonian_requires_n2():
     base = T.FlatBase(g)
     with pytest.raises(DomainError):
         T.curvature_hamiltonian(base, G.standard_omega_field(g), G.standard_omega_field(g))
+
+
+def test_failed_dimension_gap_fails_at_tol_scale_4(monkeypatch):
+    real = T.teich_dimensions
+    monkeypatch.setattr(T, "teich_dimensions", lambda n: dict(real(n), min_gap=0.0))
+    rep = T.wp_suite(1, 16, seed=3, amplitude=0.1, tol_scale=4.0)
+    gap = [(c.residual, c.tol, c.passed) for c in rep.checks if c.name == "dimension_gap"]
+    assert gap == [(1.0, 0.5, False)]
+    assert not rep.passed
+
+
+def test_theta_report_is_strict_json_when_wp_vanishes(monkeypatch):
+    monkeypatch.setattr(T, "wp_form", lambda a, b: 0.0)
+    rep = T.theta_suite(1, 16, seed=9, amplitude=0.1)
+    assert rep.params["measured_pairing_ratio"] is None
+    json.dumps(rep.as_dict(), allow_nan=False)
