@@ -4,15 +4,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-
-import numpy as np
+from dataclasses import dataclass
 
 from . import hodge, lincs, report, ricci, teich
 from .errors import DomainError, NumericError, UsageError
+from .grid import TorusGrid
 from .report import REPORT_SCHEMA, CheckReport, compare_to_baseline
 
 MEMORY_CAP_BYTES = int(1.5e9)
@@ -20,10 +21,15 @@ DEFAULT_GRID = {1: 64, 2: 16, 3: 8}  # grid size per n when --grid is not given
 
 
 def max_threads() -> int:
+    """GEODESK_THREADS: an integer >= 1; unset means 1."""
+    raw = os.environ.get("GEODESK_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("GEODESK_THREADS", "1")))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise UsageError(f"GEODESK_THREADS must be an integer >= 1, got {raw!r}")
+    return workers
 
 
 def estimate_curvature_bytes(n: int, m: int) -> int:
@@ -31,147 +37,73 @@ def estimate_curvature_bytes(n: int, m: int) -> int:
     return d ** 4 * m ** d * 8 * 4  # curvature array plus working copies
 
 
-def lincs_suite(n: int, m: int, seed: int, amplitude: float = 0.3,
-                tol_scale: float = 1.0, cases: int = 30) -> CheckReport:
-    """Moment-map, orbit-form, and Siegel checks for the linear model."""
-    rep = CheckReport("lincs", {"n": n, "m": m, "seed": seed, "amplitude": amplitude,
-                                "tol_scale": tol_scale, "cases": cases})
-    rng = np.random.default_rng(seed)
-    worst_moment = 0.0
-    worst_tau = 0.0
-    for _ in range(cases):
-        J = lincs.random_lincs(rng, n, amplitude)
-        xi = lincs.project_traceless(rng.standard_normal((2 * n, 2 * n)))
-        jh = lincs.tangent_project(J, rng.standard_normal((2 * n, 2 * n)))
-        worst_moment = max(worst_moment,
-                           lincs.moment_residual(J, xi, jh)
-                           / max(1.0, float(np.max(np.abs(jh.jhat)))))
-        xi2 = lincs.project_traceless(rng.standard_normal((2 * n, 2 * n)))
-        lhs = lincs.tau(J, lincs.bracket_tangent(J, xi), lincs.bracket_tangent(J, xi2))
-        rhs = -np.trace((xi @ xi2 - xi2 @ xi) @ J.matrix)
-        worst_tau = max(worst_tau, abs(lhs - rhs) / (abs(rhs) + 1.0))
-    rep.add("moment", worst_moment)
-    rep.add("tau_two_expressions", worst_tau)
+@dataclass(frozen=True)
+class Suite:
+    """A suite's check body ``(rep, grid, seed, amp) -> None``, its default
+    amplitude at (n = 1, n >= 2), the n it admits, and whether the memory
+    guard applies."""
 
-    worst_sg = 0.0
-    for _ in range(max(5, cases // 2)):
-        Z = lincs.random_siegel_point(rng, n)
-        g = lincs.random_symplectic(rng, n)
-        lhs = lincs.siegel_to_acs(lincs.symplectic_action(g, Z)).matrix
-        rhs = g @ lincs.siegel_to_acs(Z).matrix @ np.linalg.inv(g)
-        worst_sg = max(worst_sg, float(np.max(np.abs(lhs - rhs))))
-    rep.add("siegel_equivariance", worst_sg)
+    body: Callable
+    amp: tuple[float, float] = (0.1, 0.05)
+    ns: tuple[int, ...] = tuple(DEFAULT_GRID)
+    guarded: bool = True
 
-    worst_iso = 0.0
-    for _ in range(5):
-        Z = lincs.random_siegel_point(rng, n)
-        Zh = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        Zh = 0.5 * (Zh + Zh.T)
-        jdot = lincs.siegel_pushforward_fd(Z, Zh)
-        val = 0.5 * float(np.trace(jdot @ jdot).real)
-        target = lincs.siegel_metric(Z, Zh)
-        worst_iso = max(worst_iso, abs(val - target) / max(1.0, abs(target)))
-    rep.add("siegel_isometry_fd", worst_iso)
 
-    # closedness of the orbit form through the conjugation action
-    h = 1e-3
-    worst_closed = 0.0
-    for _ in range(2):
-        J0 = lincs.random_lincs(rng, n, amplitude)
-        xis = [lincs.project_traceless(rng.standard_normal((2 * n, 2 * n)))
-               for _ in range(3)]
+SUITES = {
+    "lincs": Suite(lincs.lincs_suite, (0.3, 0.3), guarded=False),
+    "ricci-moment": Suite(ricci.verify_moment_identities),
+    "ricci-laws": Suite(ricci.verify_transformation_laws),
+    "bkn": Suite(hodge.bkn_suite),
+    "harmonic": Suite(hodge.harmonic_lemma_suite),
+    "bott-chern": Suite(hodge.bott_chern_suite),
+    "teich-wp": Suite(teich.wp_suite),
+    "teich-connection": Suite(teich.connection_suite, ns=(2,), guarded=False),
+    "theta": Suite(teich.theta_suite),
+}
 
-        def at(sv):
-            g = lincs.expm(sum(s * x for s, x in zip(sv, xis)))
-            from .tensor import LinCS
-            return LinCS(g @ J0.matrix @ np.linalg.inv(g))
 
-        def tau_pair(sv, i, j):
-            J = at(sv)
-            return lincs.tau(J, lincs.bracket_tangent(J, xis[i]),
-                             lincs.bracket_tangent(J, xis[j]))
+def planned_suites(suite: str, n: int) -> list[str]:
+    """The suites `verify <suite>` runs; `all` skips those that do not admit n."""
+    return [s for s in SUITES if n in SUITES[s].ns] if suite == "all" else [suite]
 
-        def dirderiv(i, f):
-            def along(t):
-                e = np.zeros(3)
-                e[i] = t
-                return f(e)
-            return ricci.richardson(along, h)
 
-        def lie_term(i, j, k):
-            com = xis[i] @ xis[j] - xis[j] @ xis[i]
-            J = at(np.zeros(3))
-            return lincs.tau(J, lincs.bracket_tangent(J, -com),
-                             lincs.bracket_tangent(J, xis[k]))
-
-        total = (dirderiv(0, lambda s: tau_pair(s, 1, 2))
-                 - dirderiv(1, lambda s: tau_pair(s, 0, 2))
-                 + dirderiv(2, lambda s: tau_pair(s, 0, 1))
-                 - lie_term(0, 1, 2) + lie_term(0, 2, 1) - lie_term(1, 2, 0))
-        scale = max(abs(tau_pair(np.zeros(3), 1, 2)), 1.0)
-        worst_closed = max(worst_closed, abs(total) / scale)
-    rep.add("tau_closed_fd", worst_closed)
-    return rep.finalize()
+def admit(suite: str, n: int, m: int) -> tuple[Suite, TorusGrid]:
+    """The suite's entry and grid; a UsageError for an unknown suite, an n it
+    does not admit, a grid that is not even and >= 8, or the memory guard."""
+    if suite not in SUITES:
+        raise UsageError(f"unknown suite {suite!r}")
+    spec = SUITES[suite]
+    if n not in spec.ns:
+        raise UsageError(f"{suite} runs on n = {' or '.join(map(str, spec.ns))}")
+    grid = TorusGrid(n, m)
+    if spec.guarded and estimate_curvature_bytes(n, m) > MEMORY_CAP_BYTES:
+        raise UsageError(
+            f"suite {suite!r} at n={n}, m={m} needs about "
+            f"{estimate_curvature_bytes(n, m) / 1e9:.1f} GB, over the configured cap")
+    return spec, grid
 
 
 def run_suite(suite: str, n: int, m: int, seed: int, amplitude: float | None,
               tol_scale: float) -> CheckReport:
-    """One suite's report.  A DomainError or NumericError inside the suite is
-    recorded as its failed flag check ``numeric_failure`` and printed to
-    stderr; a UsageError propagates."""
-    t0 = time.perf_counter()
+    """One suite's report.  A DomainError or NumericError inside its body is
+    recorded after the checks already added, as the failed flag check
+    ``numeric_failure``, and printed to stderr; a UsageError propagates."""
+    rep = CheckReport(suite, {"n": n, "m": m, "seed": seed, "tol_scale": tol_scale})
+    spec, grid = admit(suite, n, m)
+    if amplitude is None:
+        amplitude = spec.amp[0] if n == 1 else spec.amp[1]
+    rep.params["amplitude"] = amplitude
     try:
-        return _suite_report(suite, n, m, seed, amplitude, tol_scale)
+        spec.body(rep, grid, seed, amplitude)
     except (DomainError, NumericError) as exc:
         print(f"numeric failure: {suite}: {exc}", file=sys.stderr)
-        rep = CheckReport(suite, {"n": n, "m": m, "seed": seed, "tol_scale": tol_scale},
-                          _t0=t0)
         rep.add_flag("numeric_failure", False)
-        return rep.finalize()
-
-
-def _suite_report(suite: str, n: int, m: int, seed: int, amplitude: float | None,
-                  tol_scale: float) -> CheckReport:
-    amp_default = 0.1 if n == 1 else 0.05
-    amp = amp_default if amplitude is None else amplitude
-    if suite == "lincs":
-        return lincs_suite(n, m, seed, 0.3 if amplitude is None else amplitude,
-                           tol_scale)
-    if suite in ("bkn", "ricci-moment", "ricci-laws", "harmonic", "bott-chern",
-                 "teich-wp", "theta") and estimate_curvature_bytes(n, m) > MEMORY_CAP_BYTES:
-        raise UsageError(
-            f"suite {suite!r} at n={n}, m={m} needs about "
-            f"{estimate_curvature_bytes(n, m) / 1e9:.1f} GB, over the configured cap")
-    if suite == "ricci-moment":
-        return ricci.verify_moment_identities(n, m, seed, amp, tol_scale,
-                                              cases=2 if n == 1 else 1)
-    if suite == "ricci-laws":
-        return ricci.verify_transformation_laws(n, m, seed, amp, tol_scale,
-                                                cases=2 if n == 1 else 1)
-    if suite == "bkn":
-        return hodge.bkn_suite(n, m, seed, amp, tol_scale)
-    if suite == "harmonic":
-        return hodge.harmonic_lemma_suite(n, m, seed, amp, tol_scale)
-    if suite == "bott-chern":
-        return hodge.bott_chern_suite(n, m, seed, amp, tol_scale)
-    if suite == "teich-wp":
-        return teich.wp_suite(n, m, seed, amp, tol_scale)
-    if suite == "teich-connection":
-        if n != 2:
-            raise UsageError("teich-connection runs on n = 2")
-        return teich.connection_suite(m, seed, amp, tol_scale)
-    if suite == "theta":
-        return teich.theta_suite(n, m, seed, amp, tol_scale)
-    raise UsageError(f"unknown suite {suite!r}")
-
-
-SUITES = ("lincs", "ricci-moment", "ricci-laws", "bkn", "harmonic", "bott-chern",
-          "teich-wp", "teich-connection", "theta")
+    return rep.finalize()
 
 
 def run_all(n: int, m: int, seed: int, amplitude: float | None,
             tol_scale: float) -> list[CheckReport]:
-    suites = [s for s in SUITES if not (s == "teich-connection" and n != 2)]
+    suites = planned_suites("all", n)
     workers = max_threads()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -187,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
                                             "linear spaces and flat tori")
     sub = p.add_subparsers(dest="command", required=True)
     v = sub.add_parser("verify", help="run a verification suite")
-    v.add_argument("suite", choices=SUITES + ("all",))
+    v.add_argument("suite", choices=(*SUITES, "all"))
     v.add_argument("--n", type=int, default=None, choices=tuple(DEFAULT_GRID))
     v.add_argument("--grid", type=int, default=None, metavar="M")
     v.add_argument("--seed", type=int, default=None)
@@ -205,7 +137,7 @@ def _read_json(path: str, what: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise UsageError(f"cannot read {what}: {exc}") from None
 
 
@@ -216,10 +148,10 @@ def _read_baseline(path: str, run: dict) -> dict:
     checks = doc.get("checks", []) if isinstance(doc, dict) else None
     if not isinstance(checks, list) or not all(
             isinstance(c, dict) and isinstance(c.get("name"), str)
-            and isinstance(c.get("residual"), (int, float))
-            and not isinstance(c.get("residual"), bool) for c in checks):
+            and "residual" in c and (c["residual"] is None or report.is_number(c["residual"]))
+            for c in checks):
         raise UsageError("baseline must be a JSON report: an object whose checks "
-                         "each have a string name and a numeric residual")
+                         "each have a string name and a numeric or null residual")
     params = doc.get("params")
     got = {k: params.get(k) for k in run} if isinstance(params, dict) else {}
     if got != run:
@@ -258,7 +190,8 @@ def main(argv: list[str] | None = None) -> int:
                 val = cfg.get(flag)
             if val is None:
                 return default
-            if isinstance(val, bool) or not isinstance(val, types):
+            if isinstance(val, bool) or not isinstance(val, types) or (
+                    isinstance(val, float) and not math.isfinite(val)):
                 raise UsageError(f"{flag} must be {what}, got {val!r}")
             return val
 
@@ -266,8 +199,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.n not in DEFAULT_GRID:
             raise UsageError(f"n must be one of {sorted(DEFAULT_GRID)}, got {args.n}")
         args.seed = pick("seed", 1, int, "an integer")
-        args.amp = pick("amp", None, (int, float), "a number")
-        args.tol_scale = float(pick("tol-scale", 1.0, (int, float), "a number"))
+        args.amp = pick("amp", None, (int, float), "a finite number")
+        args.tol_scale = float(pick("tol-scale", 1.0, (int, float), "a finite number"))
         args.report = pick("report", None, str, "a path")
         args.baseline = pick("baseline", None, str, "a path")
         m = pick("grid", DEFAULT_GRID[args.n], int, "an integer")
@@ -275,6 +208,9 @@ def main(argv: list[str] | None = None) -> int:
         base_doc = _read_baseline(args.baseline, run) if args.baseline else None
         if args.report:
             _check_writable(args.report)
+        for suite in planned_suites(args.suite, args.n):
+            admit(suite, args.n, m)
+        max_threads()
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

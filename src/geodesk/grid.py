@@ -812,23 +812,24 @@ def load_field(path) -> Field:
     """Read a snapshot written by ``save_field``; a malformed file raises
     ``UsageError``."""
     with open(path, "rb") as fh:
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise UsageError("not a geodesk field snapshot")
-        head = fh.read(8)
-        if len(head) != 8:
-            raise UsageError("snapshot header is truncated")
-        (hlen,) = struct.unpack("<Q", head)
-        try:
-            header = json.loads(fh.read(hlen).decode())
-            grid = TorusGrid(_snapshot_int(header["n"]), _snapshot_int(header["m"]))
-            slot = tuple(_snapshot_int(s) for s in header["slot"])
-            is_complex = bool(header["complex"])
-            kind = header["kind"]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise UsageError(f"bad snapshot header: {exc}") from None
-        if is_complex and slot[:1] != (2,):
-            raise UsageError("complex snapshot must store stacked real and imaginary parts")
-        payload = fh.read()
+        blob = fh.read()  # a damaged header length must not size a read
+    body = len(_MAGIC) + 8
+    if blob[:len(_MAGIC)] != _MAGIC:
+        raise UsageError("not a geodesk field snapshot")
+    if len(blob) < body:
+        raise UsageError("snapshot header is truncated")
+    (hlen,) = struct.unpack_from("<Q", blob, len(_MAGIC))
+    try:
+        header = json.loads(blob[body:body + hlen].decode())
+        grid = TorusGrid(_snapshot_int(header["n"]), _snapshot_int(header["m"]))
+        slot = tuple(_snapshot_int(s) for s in header["slot"])
+        is_complex = bool(header["complex"])
+        kind = header["kind"]
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise UsageError(f"bad snapshot header: {exc}") from None
+    if is_complex and slot[:1] != (2,):
+        raise UsageError("complex snapshot must store stacked real and imaginary parts")
+    payload = blob[body + hlen:]
     shape = slot + grid.shape
     expected = 8 * int(np.prod(shape, dtype=object))  # exact, no overflow
     if len(payload) != expected:

@@ -11,7 +11,7 @@ from . import grid as G
 from . import pointwise as P
 from .errors import DomainError
 from .grid import TorusGrid
-from .report import CheckReport
+from .report import CheckReport, rel_max1, rel_plus1
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +87,7 @@ def anti_linearity_residual(J: np.ndarray, x: np.ndarray, q: int) -> float:
                + P.contract("ak...,kij...->aij...", J, x))
     else:
         raise DomainError("q must be 0, 1, or 2")
-    return float(np.max(np.abs(out)) / max(1.0, np.max(np.abs(x))))
+    return rel_max1(out, x)
 
 
 def dbar_q0(grid: TorusGrid, J: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -180,11 +180,7 @@ def bkn_residual(inst: KahlerInstance, jhat: np.ndarray) -> dict:
     rhs = (0.5 * rough_laplacian_q1(inst, jhat)
            + 0.5 * (P.mul(jq, jhat) - P.mul(jhat, jq))
            + curvature_contraction(inst, jhat))
-    scale = max(1.0, float(np.max(np.abs(jhat))))
-    return {
-        "identity": float(np.max(np.abs(lhs - rhs)) / scale),
-        "q_two_ways": float(np.max(np.abs(Q - Qf)) / max(1.0, np.max(np.abs(Q)))),
-    }
+    return {"identity": rel_max1(lhs - rhs, jhat), "q_two_ways": rel_max1(Q - Qf, Q)}
 
 
 def weitzenbock_residual(inst: KahlerInstance, what: np.ndarray) -> float:
@@ -208,25 +204,23 @@ def weitzenbock_residual(inst: KahlerInstance, what: np.ndarray) -> float:
     t3 = P.contract("jl...,li...->ij...", w_mat, r_endo)
     lhs_mat = G.form_to_matrix(grid, hodge) - rough
     rhs_mat = t1 + t2 - t3
-    scale = max(1.0, float(np.max(np.abs(w_mat))))
-    return float(np.max(np.abs(lhs_mat - rhs_mat)) / scale)
+    return rel_max1(lhs_mat - rhs_mat, w_mat)
 
 
 # ---------------------------------------------------------------------------
 # flat-torus spectral helpers
 
 
-def dbar_exact_part(grid: TorusGrid, jhat: np.ndarray) -> np.ndarray:
-    """Flat-instance ∂̄-exact part ∂̄v of Ĵ: v = 2·G(∂̄*Ĵ), G the flat Green's
-    operator, since ∂̄*∂̄ = ½∇*∇ on vectors (Fourier-exact)."""
-    inst = flat_instance(grid)
-    v = 2.0 * G.flat_green(grid, dbar_adjoint_q1(inst, jhat))
-    return dbar_q0(grid, inst.J, v)
+def dbar_exact_part(flat: KahlerInstance, jhat: np.ndarray) -> np.ndarray:
+    """∂̄-exact part ∂̄v of Ĵ on the flat instance: v = 2·G(∂̄*Ĵ), G the flat
+    Green's operator, since ∂̄*∂̄ = ½∇*∇ on vectors (Fourier-exact)."""
+    v = 2.0 * G.flat_green(flat.grid, dbar_adjoint_q1(flat, jhat))
+    return dbar_q0(flat.grid, flat.J, v)
 
 
-def project_coclosed_q1(grid: TorusGrid, jhat: np.ndarray) -> np.ndarray:
-    """Flat-instance projection onto ker ∂̄* along im ∂̄ (Fourier-exact)."""
-    return jhat - dbar_exact_part(grid, jhat)
+def project_coclosed_q1(flat: KahlerInstance, jhat: np.ndarray) -> np.ndarray:
+    """Projection onto ker ∂̄* along im ∂̄ on the flat instance (Fourier-exact)."""
+    return jhat - dbar_exact_part(flat, jhat)
 
 
 def harmonic_mean_q1(grid: TorusGrid, jhat: np.ndarray) -> np.ndarray:
@@ -257,19 +251,16 @@ def divergence_free_pair_field(grid: TorusGrid, seed: int, amplitude: float) -> 
 # suites
 
 
-def harmonic_lemma_suite(n: int, m: int, seed: int, amplitude: float = 0.1,
-                         tol_scale: float = 1.0) -> CheckReport:
+def harmonic_lemma_suite(rep: CheckReport, grid: TorusGrid, seed: int,
+                         amplitude: float) -> None:
     """Hamiltonian/gradient divergences, the contraction-star identity, the
     infinitesimal-compatibility identity, self-adjointness of Lie derivatives,
     the Λ = −df∘J + dg split, harmonicity of adjoints, and the parallel-form
     norm identities on the flat Ricci-flat Kähler torus."""
-    grid = TorusGrid(n, m)
-    rep = CheckReport("harmonic", {"n": n, "m": m, "seed": seed, "amplitude": amplitude,
-                                   "tol_scale": tol_scale})
     inst = flat_instance(grid)
     from . import ricci as Ric
     J, omega, rho = inst.J, inst.omega, inst.rho
-    band = G.acs_band(m)
+    band = G.acs_band(grid.m)
 
     # Hamiltonian fields are divergence-free; gradients divergе by −ΔH
     H = G.random_band_limited(grid, "scalar", seed, amplitude, band=band)
@@ -296,8 +287,7 @@ def harmonic_lemma_suite(n: int, m: int, seed: int, amplitude: float = 0.1,
     t_m = G.form_to_matrix(grid, t11)
     lhs_c = th_m - P.mul(J.swapaxes(0, 1), th_m, J)
     rhs_c = P.mul(J.swapaxes(0, 1), t_m, jhat_v) + P.mul(jhat_v.swapaxes(0, 1), t_m, J)
-    rep.add("lie_compatibility",
-            float(np.max(np.abs(lhs_c - rhs_c)) / max(1.0, np.max(np.abs(rhs_c)))))
+    rep.add("lie_compatibility", rel_max1(lhs_c - rhs_c, rhs_c))
 
     # the same identity with τ = ω ties the (1,1)-defect of dι(v)ω to the
     # self-adjointness defect of L_v J
@@ -306,15 +296,13 @@ def harmonic_lemma_suite(n: int, m: int, seed: int, amplitude: float = 0.1,
     w_mat = G.form_to_matrix(grid, omega)
     lhs_s = dm - P.mul(J.swapaxes(0, 1), dm, J)
     rhs_s = P.mul(J.swapaxes(0, 1), w_mat, jhat_v) + P.mul(jhat_v.swapaxes(0, 1), w_mat, J)
-    rep.add("self_adjoint_defect",
-            float(np.max(np.abs(lhs_s - rhs_s)) / max(1.0, np.max(np.abs(rhs_s)))))
+    rep.add("self_adjoint_defect", rel_max1(lhs_s - rhs_s, rhs_s))
     # gradient flows have self-adjoint Lie derivative
     F2 = G.random_band_limited(grid, "scalar", seed + 3, amplitude, band=band)
     gradF = P.contract("ij...,j...->i...", inst.ginv, G.exterior_d(grid, F2[None], 0))
     jhat_grad = G.lie_endo(grid, gradF, J)
     defect = jhat_grad - endo_adjoint(inst, jhat_grad)
-    rep.add("self_adjoint_gradient",
-            float(np.max(np.abs(defect)) / max(1.0, np.max(np.abs(jhat_grad)))))
+    rep.add("self_adjoint_gradient", rel_max1(defect, jhat_grad))
 
     # Λ(J, Ĵ) = −df∘J + dg via Poisson solves, for ∂̄-closed seeded Ĵ
     Cmat = np.zeros((grid.d, grid.d))
@@ -326,19 +314,16 @@ def harmonic_lemma_suite(n: int, m: int, seed: int, amplitude: float = 0.1,
     f, gsc = fg_split(grid, inst, lam)
     recon = -G.one_form_compose_j(G.exterior_d(grid, f[None], 0), J) \
         + G.exterior_d(grid, gsc[None], 0)
-    rep.add("lambda_fg_plugback",
-            float(np.max(np.abs(lam - recon)) / max(1.0, np.max(np.abs(lam)))))
+    rep.add("lambda_fg_plugback", rel_max1(lam - recon, lam))
     fv = G.divergence_frho(grid, v, rho)
     fJv = G.divergence_frho(grid, Jv, rho)
     rep.add("lambda_fg_lie_oracle",
-            float(max(np.max(np.abs(f - fv)), np.max(np.abs(gsc - fJv)))
-                  / max(1.0, np.max(np.abs(fv)))))
+            rel_max1(max(np.max(np.abs(f - fv)), np.max(np.abs(gsc - fJv))), fv))
 
     # coclosed projection kills Λ
-    jhat_cc = project_coclosed_q1(grid, jhat)
+    jhat_cc = project_coclosed_q1(inst, jhat)
     lam_cc = Ric.lambda_rho(grid, rho, J, jhat_cc)
-    rep.add("lambda_coclosed_zero",
-            float(np.max(np.abs(lam_cc)) / max(1.0, np.max(np.abs(jhat_cc)))))
+    rep.add("lambda_coclosed_zero", rel_max1(lam_cc, jhat_cc))
 
     # harmonic representatives stay harmonic under the metric adjoint
     jh_h = harmonic_mean_q1(grid, Ric.anticommute_project(
@@ -348,7 +333,7 @@ def harmonic_lemma_suite(n: int, m: int, seed: int, amplitude: float = 0.1,
         float(np.max(np.abs(dbar_q1(inst, jh_star)))),
         float(np.max(np.abs(dbar_adjoint_q1(inst, jh_star)))),
     )
-    rep.add("adjoint_harmonic", resid_h / max(1.0, float(np.max(np.abs(jh_h)))))
+    rep.add("adjoint_harmonic", rel_max1(resid_h, jh_h))
 
     # parallel norms for skew-adjoint Ĵ and its 2-form ŵ = g(Ĵ·, ·)
     raw = Ric.anticommute_project(J, G.random_band_limited(grid, "endo", seed + 5,
@@ -358,15 +343,13 @@ def harmonic_lemma_suite(n: int, m: int, seed: int, amplitude: float = 0.1,
     a0 = l2_inner_q0(inst, dbar_adjoint_q1(inst, skew), dbar_adjoint_q1(inst, skew))
     nskew = C.cov_endo(grid, inst.lc, skew)
     an = G.integrate_against_volume(grid, P.contract("kab...,kab...->...", nskew, nskew), rho)
-    rep.add("parallel_norms_endo", abs(a2 + a0 - 0.5 * an) / max(1.0, abs(an)))
+    rep.add("parallel_norms_endo", rel_max1(a2 + a0 - 0.5 * an, an))
     what_m = P.mul(inst.metric, skew)
     rep.add("skew_two_form_antisymmetric",
-            float(np.max(np.abs(what_m + np.swapaxes(what_m, 0, 1)))
-                  / max(1.0, np.max(np.abs(what_m)))))
+            rel_max1(what_m + np.swapaxes(what_m, 0, 1), what_m))
     what = G.form_from_matrix(grid, what_m)
     w11 = G.pq_project_f(grid, what, 2, J, 1, 1)
-    rep.add("skew_two_form_no_11_part",
-            float(np.max(np.abs(w11)) / max(1.0, np.max(np.abs(what)))))
+    rep.add("skew_two_form_no_11_part", rel_max1(w11, what))
     b_d = G.l2_inner_form(grid, G.exterior_d(grid, what, 2),
                           G.exterior_d(grid, what, 2), 3) if grid.d > 2 else 0.0
     cod = G.codiff_f(grid, what, 2)
@@ -374,7 +357,7 @@ def harmonic_lemma_suite(n: int, m: int, seed: int, amplitude: float = 0.1,
     nw = C.cov_bilinear(grid, inst.lc, what_m)
     b_n = 0.5 * G.integrate_against_volume(
         grid, P.contract("kij...,kij...->...", nw, nw), rho)
-    rep.add("parallel_norms_form", abs(b_d + b_c - b_n) / max(1.0, abs(b_n)))
+    rep.add("parallel_norms_form", rel_max1(b_d + b_c - b_n, b_n))
 
     # holomorphic direction: arrange div v = div Jv = 0 and verify Λ(J, L_vJ) = 0
     v_hol = divergence_free_pair_field(grid, seed + 6, amplitude)
@@ -383,9 +366,7 @@ def harmonic_lemma_suite(n: int, m: int, seed: int, amplitude: float = 0.1,
         np.max(np.abs(G.divergence_frho(
             grid, P.contract("ij...,j...->i...", J, v_hol), rho))))))
     lam_h = Ric.lambda_rho(grid, rho, J, G.lie_endo(grid, v_hol, J))
-    rep.add("holomorphic_lambda_zero",
-            float(np.max(np.abs(lam_h)) / max(1.0, np.max(np.abs(v_hol)))))
-    return rep.finalize()
+    rep.add("holomorphic_lambda_zero", rel_max1(lam_h, v_hol))
 
 
 def fg_split(grid: TorusGrid, inst: KahlerInstance, lam: np.ndarray):
@@ -398,15 +379,12 @@ def fg_split(grid: TorusGrid, inst: KahlerInstance, lam: np.ndarray):
     return f_sol, g_sol
 
 
-def bkn_suite(n: int, m: int, seed: int, amplitude: float = 0.1,
-              tol_scale: float = 1.0) -> CheckReport:
+def bkn_suite(rep: CheckReport, grid: TorusGrid, seed: int, amplitude: float) -> None:
     """Flat and curved Bochner-Kodaira-Nakano and Weitzenböck identities with
     adjointness checks and Laplacian positivity."""
-    grid = TorusGrid(n, m)
-    rep = CheckReport("bkn", {"n": n, "m": m, "seed": seed, "amplitude": amplitude,
-                              "tol_scale": tol_scale})
     from . import ricci as Ric
-    band = G.acs_band(m)
+    n = grid.n
+    band = G.acs_band(grid.m)
     x = grid.coords()
 
     instances = [("flat", flat_instance(grid))]
@@ -431,13 +409,13 @@ def bkn_suite(n: int, m: int, seed: int, amplitude: float = 0.1,
         vv = G.random_band_limited(grid, "vector", seed + 12, amplitude, band=band)
         lhs_a = l2_inner_q1(inst, dbar_q0_kahler(inst, vv), jhat)
         rhs_a = l2_inner_q0(inst, vv, dbar_adjoint_q1(inst, jhat))
-        rep.add(f"adjoint_q1[{tag}]", abs(lhs_a - rhs_a) / (abs(rhs_a) + 1.0))
+        rep.add(f"adjoint_q1[{tag}]", rel_plus1(lhs_a - rhs_a, rhs_a))
         tau = dbar_q1(inst, Ric.anticommute_project(
             inst.J, G.random_band_limited(grid, "endo", seed + 13, amplitude, band=band)))
         rep.add(f"anti_linearity_q2[{tag}]", anti_linearity_residual(inst.J, tau, 2))
         lhs_b = l2_inner_q2(inst, dbar_q1(inst, jhat), tau)
         rhs_b = l2_inner_q1(inst, jhat, dbar_adjoint_q2(inst, tau))
-        rep.add(f"adjoint_q2[{tag}]", abs(lhs_b - rhs_b) / (abs(rhs_b) + 1.0))
+        rep.add(f"adjoint_q2[{tag}]", rel_plus1(lhs_b - rhs_b, rhs_b))
 
         # Laplacian positivity
         lap = l2_inner_q2(inst, dbar_q1(inst, jhat), dbar_q1(inst, jhat)) \
@@ -448,7 +426,6 @@ def bkn_suite(n: int, m: int, seed: int, amplitude: float = 0.1,
         wkey = "weitzenbock_flat" if tag == "flat" else "weitzenbock_curved"
         what = G.random_band_limited(grid, "form:2", seed + 14, amplitude, band=band)
         rep.add(wkey, weitzenbock_residual(inst, what))
-    return rep.finalize()
 
 
 # ---------------------------------------------------------------------------
@@ -518,14 +495,12 @@ def dplus_kernel_ranks(grid: TorusGrid, kmax: int = 2) -> dict:
     return {"kappa1": kappa1, "min_gap": float(min_gap)}
 
 
-def bott_chern_suite(n: int, m: int, seed: int, amplitude: float = 0.1,
-                     tol_scale: float = 1.0) -> CheckReport:
+def bott_chern_suite(rep: CheckReport, grid: TorusGrid, seed: int,
+                     amplitude: float) -> None:
     """The Nijenhuis defect of d(df∘J), the trace operator L0, the d⁺ kernel
     ranks on the flat four-torus, and the self-dual pairing obstruction."""
-    grid = TorusGrid(n, m)
-    rep = CheckReport("bott-chern", {"n": n, "m": m, "seed": seed,
-                                     "amplitude": amplitude, "tol_scale": tol_scale})
-    band = G.acs_band(m)
+    n = grid.n
+    band = G.acs_band(grid.m)
     f = G.random_band_limited(grid, "scalar", seed, amplitude, band=band)
 
     # d(df∘J)(u,v) − d(df∘J)(Ju,Jv) = df(J N(u,v)), both sides independent
@@ -537,22 +512,20 @@ def bott_chern_suite(n: int, m: int, seed: int, amplitude: float = 0.1,
     N, _ = C.nijenhuis(grid, J_non)
     jn = P.contract("kl...,lij...->kij...", J_non, N)
     rhs = P.contract("k...,kij...->ij...", df, jn)
-    rep.add("ddc_nijenhuis", float(np.max(np.abs(lhs - rhs)) / max(1.0, np.max(np.abs(rhs)))))
+    rep.add("ddc_nijenhuis", rel_max1(lhs - rhs, rhs))
     # integrable structure: defect vanishes
     u = G.random_band_limited(grid, "vector", seed + 2, 0.05, band=1)
     J_int = G.pullback(grid, "endo", G.standard_j_field(grid), G.DisplacementMap(u))
     tau_i = G.exterior_d(grid, G.one_form_compose_j(df, J_int), 1)
     ti = G.form_to_matrix(grid, tau_i)
-    rep.add("ddc_integrable",
-            float(np.max(np.abs(ti - P.mul(J_int.swapaxes(0, 1), ti, J_int)))
-                  / max(1.0, np.max(np.abs(ti)))))
+    rep.add("ddc_integrable", rel_max1(ti - P.mul(J_int.swapaxes(0, 1), ti, J_int), ti))
 
     # L0 agrees with d*d on Kähler instances and the seeded problem solves
     inst = flat_instance(grid) if n > 1 else conformal_instance(
         grid, amplitude * np.sin(grid.coords()[0]))
     l0f = l0_operator(inst, f)
     lap = G.laplacian(grid, f, inst.metric)
-    rep.add("l0_vs_laplacian", float(np.max(np.abs(l0f - lap)) / max(1.0, np.max(np.abs(lap)))))
+    rep.add("l0_vs_laplacian", rel_max1(l0f - lap, lap))
     # solve L0 f = <dλ, ω> for an admissible seeded λ = a df∘J + dg
     g2 = G.random_band_limited(grid, "scalar", seed + 3, amplitude, band=band)
     lam_adm = 0.7 * G.one_form_compose_j(G.exterior_d(grid, f[None], 0), inst.J) \
@@ -562,9 +535,7 @@ def bott_chern_suite(n: int, m: int, seed: int, amplitude: float = 0.1,
         / G.integrate(grid, inst.rho)
     rep.add("l0_source_mean_zero", abs(mean_src))
     sol = G.poisson_solve(grid, src - mean_src, inst.metric if n == 1 else None)
-    rep.add("l0_solve_plugback",
-            float(np.max(np.abs(l0_operator(inst, sol) - src))
-                  / max(1.0, np.max(np.abs(src)))))
+    rep.add("l0_solve_plugback", rel_max1(l0_operator(inst, sol) - src, src))
 
     if n == 2:
         ranks = dplus_kernel_ranks(grid)
@@ -584,4 +555,3 @@ def bott_chern_suite(n: int, m: int, seed: int, amplitude: float = 0.1,
             sd.append((G.star_f(grid, w, 2) + w).reshape(6, -1)[:, 0] / 2.0)
         rank = int(np.linalg.matrix_rank(np.column_stack(sd), tol=1e-8))
         rep.add_flag("b2_plus_is_three", rank == 3)
-    return rep.finalize()

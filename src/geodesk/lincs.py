@@ -12,6 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, UsageError
+from .grid import TorusGrid
+from .report import CheckReport, rel_max1, rel_plus1
+from .ricci import richardson
 from .tensor import LinCS, standard_j, standard_omega_matrix
 
 ANTICOMMUTE_TOL = 1e-12
@@ -193,3 +196,78 @@ def random_siegel_point(rng: np.random.Generator, n: int, scale: float = 0.4) ->
     A = scale * rng.standard_normal((n, n))
     Y = np.eye(n) + A @ A.T
     return SiegelPoint(X + 1j * Y)
+
+
+def lincs_suite(rep: CheckReport, grid: TorusGrid, seed: int, amp: float) -> None:
+    """Moment-map, orbit-form, and Siegel checks for the linear model; the
+    grid only gives n."""
+    n = grid.n
+    cases = rep.params["cases"] = 30
+    rng = np.random.default_rng(seed)
+    worst_moment = 0.0
+    worst_tau = 0.0
+    for _ in range(cases):
+        J = random_lincs(rng, n, amp)
+        xi = project_traceless(rng.standard_normal((2 * n, 2 * n)))
+        jh = tangent_project(J, rng.standard_normal((2 * n, 2 * n)))
+        worst_moment = max(worst_moment, rel_max1(moment_residual(J, xi, jh), jh.jhat))
+        xi2 = project_traceless(rng.standard_normal((2 * n, 2 * n)))
+        lhs = tau(J, bracket_tangent(J, xi), bracket_tangent(J, xi2))
+        rhs = -np.trace((xi @ xi2 - xi2 @ xi) @ J.matrix)
+        worst_tau = max(worst_tau, rel_plus1(lhs - rhs, rhs))
+    rep.add("moment", worst_moment)
+    rep.add("tau_two_expressions", worst_tau)
+
+    worst_sg = 0.0
+    for _ in range(max(5, cases // 2)):
+        Z = random_siegel_point(rng, n)
+        g = random_symplectic(rng, n)
+        lhs = siegel_to_acs(symplectic_action(g, Z)).matrix
+        rhs = g @ siegel_to_acs(Z).matrix @ np.linalg.inv(g)
+        worst_sg = max(worst_sg, float(np.max(np.abs(lhs - rhs))))
+    rep.add("siegel_equivariance", worst_sg)
+
+    worst_iso = 0.0
+    for _ in range(5):
+        Z = random_siegel_point(rng, n)
+        Zh = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        Zh = 0.5 * (Zh + Zh.T)
+        jdot = siegel_pushforward_fd(Z, Zh)
+        val = 0.5 * float(np.trace(jdot @ jdot).real)
+        target = siegel_metric(Z, Zh)
+        worst_iso = max(worst_iso, rel_max1(val - target, target))
+    rep.add("siegel_isometry_fd", worst_iso)
+
+    # closedness of the orbit form through the conjugation action
+    h = 1e-3
+    worst_closed = 0.0
+    for _ in range(2):
+        J0 = random_lincs(rng, n, amp)
+        xis = [project_traceless(rng.standard_normal((2 * n, 2 * n))) for _ in range(3)]
+
+        def at(sv):
+            g = expm(sum(s * x for s, x in zip(sv, xis)))
+            return LinCS(g @ J0.matrix @ np.linalg.inv(g))
+
+        def tau_pair(sv, i, j):
+            J = at(sv)
+            return tau(J, bracket_tangent(J, xis[i]), bracket_tangent(J, xis[j]))
+
+        def dirderiv(i, f):
+            def along(t):
+                e = np.zeros(3)
+                e[i] = t
+                return f(e)
+            return richardson(along, h)
+
+        def lie_term(i, j, k):
+            com = xis[i] @ xis[j] - xis[j] @ xis[i]
+            J = at(np.zeros(3))
+            return tau(J, bracket_tangent(J, -com), bracket_tangent(J, xis[k]))
+
+        total = (dirderiv(0, lambda s: tau_pair(s, 1, 2))
+                 - dirderiv(1, lambda s: tau_pair(s, 0, 2))
+                 + dirderiv(2, lambda s: tau_pair(s, 0, 1))
+                 - lie_term(0, 1, 2) + lie_term(0, 2, 1) - lie_term(1, 2, 0))
+        worst_closed = max(worst_closed, rel_max1(total, tau_pair(np.zeros(3), 1, 2)))
+    rep.add("tau_closed_fd", worst_closed)

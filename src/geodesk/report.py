@@ -13,6 +13,8 @@ import math
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 TOLERANCE_TABLE_VERSION = 3
 
 # The shipped tolerance of every measured check, by suite and by check name
@@ -148,6 +150,16 @@ TOLERANCES: dict[str, dict[str, float | tuple[float, float]]] = {
 FLAG_TOL = 0.5
 
 
+def rel_max1(a, b) -> float:
+    """max|a| / max(1, max|b|): a residual against the scale of b, floored at 1."""
+    return float(np.max(np.abs(a))) / max(1.0, float(np.max(np.abs(b))))
+
+
+def rel_plus1(a, b) -> float:
+    """max|a| / (max|b| + 1): a residual against the scale of b plus 1."""
+    return float(np.max(np.abs(a))) / (float(np.max(np.abs(b))) + 1.0)
+
+
 @dataclass
 class CheckEntry:
     name: str
@@ -159,7 +171,10 @@ class CheckEntry:
         return self.residual <= self.tol
 
     def as_dict(self) -> dict:
-        return {"name": self.name, "residual": self.residual,
+        """A NaN or infinite residual is written as null (strict JSON); it
+        never passes."""
+        return {"name": self.name,
+                "residual": self.residual if math.isfinite(self.residual) else None,
                 "tol": self.tol, "pass": self.passed}
 
 
@@ -225,35 +240,57 @@ REPORT_SCHEMA = {
                 "required": ["name", "residual", "tol", "pass"],
                 "properties": {
                     "name": {"type": "string"},
-                    "residual": {"type": "number"},
+                    "residual": {"type": ["number", "null"]},
                     "tol": {"type": "number"},
                     "pass": {"type": "boolean"},
                 },
+                # a NaN or infinite residual is written as null and fails
+                "if": {"properties": {"residual": {"type": "null"}},
+                       "required": ["residual"]},
+                "then": {"properties": {"pass": {"const": False}}},
             },
         },
     },
 }
 
 
-def validate_report(doc: dict) -> list[str]:
-    """Minimal structural validation against REPORT_SCHEMA; returns problems."""
-    problems = []
-    for key in ("suite", "params", "checks", "wall_ms"):
-        if key not in doc:
-            problems.append(f"missing key {key!r}")
+def is_number(val) -> bool:
+    """A JSON number: an int or a float, not a bool."""
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
+def validate_report(doc) -> list[str]:
+    """Structural validation against REPORT_SCHEMA; returns the problems and
+    never raises."""
+    if not isinstance(doc, dict):
+        return ["report must be an object"]
+    problems = [f"missing key {key!r}" for key in REPORT_SCHEMA["required"]
+                if key not in doc]
     if not isinstance(doc.get("suite", ""), str):
         problems.append("suite must be a string")
     if not isinstance(doc.get("params", {}), dict):
         problems.append("params must be an object")
-    if not isinstance(doc.get("wall_ms", 0), int):
-        problems.append("wall_ms must be an integer")
-    for i, c in enumerate(doc.get("checks", [])):
-        for key in ("name", "residual", "tol", "pass"):
-            if key not in c:
-                problems.append(f"checks[{i}] missing {key!r}")
-        if "residual" in c and "tol" in c and "pass" in c:
-            if bool(c["residual"] <= c["tol"]) != bool(c["pass"]):
-                problems.append(f"checks[{i}] pass flag inconsistent")
+    wall_ms = doc.get("wall_ms", 0)
+    if isinstance(wall_ms, bool) or not isinstance(wall_ms, int) or wall_ms < 0:
+        problems.append("wall_ms must be a non-negative integer")
+    checks = doc.get("checks", [])
+    if not isinstance(checks, list):
+        return problems + ["checks must be an array"]
+    for i, c in enumerate(checks):
+        if not isinstance(c, dict):
+            problems.append(f"checks[{i}] must be an object")
+            continue
+        missing = [key for key in ("name", "residual", "tol", "pass") if key not in c]
+        problems += [f"checks[{i}] missing {key!r}" for key in missing]
+        if missing:
+            continue
+        res, tol, ok = c["residual"], c["tol"], c["pass"]
+        if not (isinstance(c["name"], str) and (res is None or is_number(res))
+                and is_number(tol) and isinstance(ok, bool)):
+            problems.append(f"checks[{i}] needs a string name, a numeric or null "
+                            "residual, a numeric tol and a boolean pass")
+        elif (res is not None and res <= tol) != ok:
+            problems.append(f"checks[{i}] pass flag inconsistent")
     return problems
 
 
@@ -263,11 +300,13 @@ def compare_to_baseline(reports: CheckReport | list[CheckReport], baseline: dict
     by more than `factor`, is NaN on either side, or the check vanished.
 
     Pass every report of a run together: a baseline check counts as vanished
-    only if no suite of the run produced it.
+    only if no suite of the run produced it.  A null baseline residual (a NaN
+    or infinity written as strict JSON) counts as NaN.
     """
     if isinstance(reports, CheckReport):
         reports = [reports]
-    base = {c["name"]: c["residual"] for c in baseline.get("checks", [])}
+    base = {c["name"]: math.nan if c["residual"] is None else c["residual"]
+            for c in baseline.get("checks", [])}
     checks = [c for r in reports for c in r.checks]
     floor = 1e-15
     grown = [c.name for c in checks if c.name in base and (

@@ -18,7 +18,7 @@ from . import pointwise as P
 from . import ricci as Ric
 from .errors import DomainError, UsageError
 from .grid import TorusGrid
-from .report import CheckReport
+from .report import CheckReport, rel_max1, rel_plus1
 from .tensor import standard_j, vol_sign
 
 
@@ -31,31 +31,12 @@ def c_const(n: int) -> complex:
 # base point and tangent data
 
 
-@dataclass(frozen=True)
-class FlatBase:
-    """The flat Ricci-flat Kähler base (ρ, J0, ω0) with volume (2π)^{2n}."""
-
-    grid: TorusGrid
-    inst: H.KahlerInstance = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "inst", H.flat_instance(self.grid))
-
-    @property
-    def J(self):
-        return self.inst.J
-
-    @property
-    def omega(self):
-        return self.inst.omega
-
-    @property
-    def rho(self):
-        return self.inst.rho
+# The base point of every tangent computation below is the flat Ricci-flat
+# Kähler instance (ρ, J0, ω0) of ``hodge.flat_instance``, volume (2π)^{2n}.
 
 
-def fg_decompose(base: FlatBase, jhat: np.ndarray, dbar_tol: float = 1e-7):
-    """Unique mean-zero (f, g) with Λ(J, Ĵ) = −df∘J + dg.
+def fg_decompose(base: H.KahlerInstance, jhat: np.ndarray, dbar_tol: float = 1e-7):
+    """Unique mean-zero (f, g) with Λ(J, Ĵ) = −df∘J + dg at the flat base.
 
     Requires ∂̄Ĵ ≈ 0; solved by Δg = d*Λ and Δf = d*(Λ∘J).
     """
@@ -63,11 +44,11 @@ def fg_decompose(base: FlatBase, jhat: np.ndarray, dbar_tol: float = 1e-7):
     if float(np.ptp(jhat.reshape(jhat.shape[0] * jhat.shape[1], -1), axis=-1).max()) == 0.0:
         # constant tangent directions have Λ = 0 and the unique split is (0, 0)
         return np.zeros(grid.shape), np.zeros(grid.shape)
-    dbar = float(np.max(np.abs(H.dbar_q1(base.inst, jhat))))
+    dbar = float(np.max(np.abs(H.dbar_q1(base, jhat))))
     if dbar > dbar_tol * max(1.0, float(np.max(np.abs(jhat)))):
         raise DomainError(f"fg_decompose: ∂̄Ĵ residual {dbar:.2e}")
     lam = Ric.lambda_rho(grid, base.rho, base.J, jhat)
-    f, g = H.fg_split(grid, base.inst, lam)
+    f, g = H.fg_split(grid, base, lam)
     recon = -G.one_form_compose_j(G.exterior_d(grid, f[None], 0), base.J) \
         + G.exterior_d(grid, g[None], 0)
     resid = float(np.max(np.abs(lam - recon)))
@@ -80,7 +61,7 @@ def fg_decompose(base: FlatBase, jhat: np.ndarray, dbar_tol: float = 1e-7):
 class WPVector:
     """Tangent data at the flat base: Ĵ with ∂̄Ĵ ≈ 0 and its (f, g) split."""
 
-    base: FlatBase
+    base: H.KahlerInstance
     jhat: np.ndarray
     f: np.ndarray = field(init=False)
     g: np.ndarray = field(init=False)
@@ -270,8 +251,8 @@ def hodge_decompose_closed_two_form(grid: TorusGrid, what: np.ndarray):
     return const, lam_hat
 
 
-def connection_A(base: FlatBase, what: np.ndarray, closed_tol: float = 1e-8):
-    """The horizontal lift Ĵ = L_v J + Ĵ0 of a closed 2-form ŵ.
+def connection_A(base: H.KahlerInstance, what: np.ndarray, closed_tol: float = 1e-8):
+    """The horizontal lift Ĵ = L_v J + Ĵ0 of a closed 2-form ŵ at the flat base.
 
     v solves ι(v)ω = λ̂ for the co-closed primitive λ̂ of the exact part;
     Ĵ0 realizes the skew half of the harmonic part.
@@ -292,7 +273,7 @@ def connection_A(base: FlatBase, what: np.ndarray, closed_tol: float = 1e-8):
     return jhat, v, lam_hat, jhat0
 
 
-def curvature_hamiltonian(base: FlatBase, w1: np.ndarray, w2: np.ndarray) -> dict:
+def curvature_hamiltonian(base: H.KahlerInstance, w1: np.ndarray, w2: np.ndarray) -> dict:
     """Both expressions of the curvature Hamiltonian: −Ω_J(𝒜(ŵ1), 𝒜(ŵ2)) and
     ½∫ ι(J)(ŵ1 − dλ̂1) ∧ ŵ2 ∧ ω^{n−2}/(n−2)!."""
     grid = base.grid
@@ -310,7 +291,7 @@ def curvature_hamiltonian(base: FlatBase, w1: np.ndarray, w2: np.ndarray) -> dic
                               4, grid.d - 4)
     second = 0.5 * G.integrate(grid, integrand)
     return {"symplectic": first, "integral": second,
-            "residual": abs(first - second) / (abs(second) + 1.0)}
+            "residual": rel_plus1(first - second, second)}
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +408,7 @@ def dbar_adjoint_complex_form(grid: TorusGrid, coef: np.ndarray, k: int,
 # suites
 
 
-def _closed_jhat(base: FlatBase, seed: int, amplitude: float) -> np.ndarray:
+def _closed_jhat(base: H.KahlerInstance, seed: int, amplitude: float) -> np.ndarray:
     """Constant + Lie-derivative representative of ker ∂̄."""
     grid = base.grid
     mats = anticommuting_basis(grid.n)
@@ -437,15 +418,12 @@ def _closed_jhat(base: FlatBase, seed: int, amplitude: float) -> np.ndarray:
     return G.constant_field(grid, amplitude * const) + G.lie_endo(grid, v, base.J)
 
 
-def wp_suite(n: int, m: int, seed: int, amplitude: float = 0.1,
-             tol_scale: float = 1.0) -> CheckReport:
+def wp_suite(rep: CheckReport, grid: TorusGrid, seed: int, amplitude: float) -> None:
     """Antisymmetry, reduction to the orbit form on constants, descent along
     Lie directions, mapping-class naturality, the signature split, Gram
     nondegeneracy, the (f, g) solver checks, and the dimension table."""
-    grid = TorusGrid(n, m)
-    rep = CheckReport("teich-wp", {"n": n, "m": m, "seed": seed,
-                                   "amplitude": amplitude, "tol_scale": tol_scale})
-    base = FlatBase(grid)
+    n = grid.n
+    base = H.flat_instance(grid)
     vol = (2.0 * np.pi) ** grid.d
 
     x1 = WPVector(base, _closed_jhat(base, seed, amplitude))
@@ -459,10 +437,10 @@ def wp_suite(n: int, m: int, seed: int, amplitude: float = 0.1,
     c2 = WPVector(base, G.constant_field(grid, mats[-1]))
     rep.add("constant_fg_zero", float(max(np.max(np.abs(c1.f)), np.max(np.abs(c1.g)))))
     orbit = 0.5 * float(np.trace(mats[0] @ standard_j(n) @ mats[-1]))
-    rep.add("constant_reduction", abs(wp_form(c1, c2) - vol * orbit) / (abs(vol * orbit) + 1.0))
+    rep.add("constant_reduction", rel_plus1(wp_form(c1, c2) - vol * orbit, vol * orbit))
 
     # descent: Lie directions pair to zero against every closed direction
-    v = G.random_band_limited(grid, "vector", seed + 11, amplitude, band=G.acs_band(m))
+    v = G.random_band_limited(grid, "vector", seed + 11, amplitude, band=G.acs_band(grid.m))
     lie = WPVector(base, G.lie_endo(grid, v, base.J))
     scale = max(1.0, float(np.max(np.abs(x1.jhat))) * float(np.max(np.abs(v))))
     rep.add("descent", abs(wp_form(x1, lie)) / scale)
@@ -475,7 +453,7 @@ def wp_suite(n: int, m: int, seed: int, amplitude: float = 0.1,
     Jp = Ainv @ J0 @ A
     m1, m2 = Ainv @ mats[0] @ A, Ainv @ mats[-1] @ A
     nat = 0.5 * float(np.trace(m1 @ Jp @ m2)) - orbit
-    rep.add("naturality_sl2z", abs(nat) / (abs(orbit) + 1.0))
+    rep.add("naturality_sl2z", rel_plus1(nat, orbit))
 
     # signature split and nondegeneracy on the constant tangent space
     sym = selfadjoint_compatible_basis(n)
@@ -501,15 +479,14 @@ def wp_suite(n: int, m: int, seed: int, amplitude: float = 0.1,
     fv = G.divergence_frho(grid, v, base.rho)
     Jv = P.contract("ij...,j...->i...", base.J, v)
     fJv = G.divergence_frho(grid, Jv, base.rho)
-    rep.add("fg_lie_oracle", float(max(np.max(np.abs(lie.f - fv)), np.max(np.abs(lie.g - fJv))))
-            / max(1.0, float(np.max(np.abs(fv)))))
+    rep.add("fg_lie_oracle",
+            rel_max1(max(np.max(np.abs(lie.f - fv)), np.max(np.abs(lie.g - fJv))), fv))
     lam = Ric.lambda_rho(grid, base.rho, base.J, x1.jhat)
     recon = -G.one_form_compose_j(G.exterior_d(grid, x1.f[None], 0), base.J) \
         + G.exterior_d(grid, x1.g[None], 0)
-    rep.add("fg_plugback", float(np.max(np.abs(lam - recon)))
-            / max(1.0, float(np.max(np.abs(lam)))))
-    jcc = H.project_coclosed_q1(grid, x1.jhat)
-    xcc = WPVector(base, harmonic_closure(grid, jcc))
+    rep.add("fg_plugback", rel_max1(lam - recon, lam))
+    jcc = H.project_coclosed_q1(base, x1.jhat)
+    xcc = WPVector(base, harmonic_closure(base, jcc))
     rep.add("fg_coclosed_zero", float(max(np.max(np.abs(xcc.f)), np.max(np.abs(xcc.g)))))
 
     dims = teich_dimensions(n)
@@ -519,24 +496,18 @@ def wp_suite(n: int, m: int, seed: int, amplitude: float = 0.1,
     for key, val in expected.items():
         rep.add_flag(f"dimension[{key}]", dims[key] == val)
     rep.add_flag("dimension_gap", dims["min_gap"] >= 0.5)
-    return rep.finalize()
 
 
-def harmonic_closure(grid: TorusGrid, jhat: np.ndarray) -> np.ndarray:
-    """Project onto ker ∂̄ by harmonic plus exact parts (flat torus)."""
-    const = H.harmonic_mean_q1(grid, jhat)
-    return const + H.dbar_exact_part(grid, jhat - const)
+def harmonic_closure(flat: H.KahlerInstance, jhat: np.ndarray) -> np.ndarray:
+    """Project onto ker ∂̄ by harmonic plus exact parts on the flat instance."""
+    const = H.harmonic_mean_q1(flat.grid, jhat)
+    return const + H.dbar_exact_part(flat, jhat - const)
 
 
-def connection_suite(m: int, seed: int, amplitude: float = 0.05,
-                     tol_scale: float = 1.0) -> CheckReport:
+def connection_suite(rep: CheckReport, grid: TorusGrid, seed: int, amplitude: float) -> None:
     """Horizontal-lift conditions and the two curvature-Hamiltonian
     expressions on the flat four-torus."""
-    grid = TorusGrid(2, m)
-    rep = CheckReport("teich-connection", {"n": 2, "m": m, "seed": seed,
-                                           "amplitude": amplitude,
-                                           "tol_scale": tol_scale})
-    base = FlatBase(grid)
+    base = H.flat_instance(grid)
     J0 = base.J
     w_mat0 = G.form_to_matrix(grid, base.omega)
 
@@ -556,7 +527,7 @@ def connection_suite(m: int, seed: int, amplitude: float = 0.05,
 
     # seeded closed forms: constants plus exact parts
     def seeded_closed(s):
-        beta = G.random_band_limited(grid, "form:1", s, amplitude, band=G.acs_band(m))
+        beta = G.random_band_limited(grid, "form:1", s, amplitude, band=G.acs_band(grid.m))
         return c1 * 0.3 + G.exterior_d(grid, beta, 1)
 
     w1 = seeded_closed(seed + 1) + c1
@@ -564,11 +535,10 @@ def connection_suite(m: int, seed: int, amplitude: float = 0.05,
     out = curvature_hamiltonian(base, w1, w2)
     rep.add("curvature_two_ways_seeded", out["residual"])
     dbeta = G.exterior_d(grid, G.random_band_limited(grid, "form:1", seed + 3,
-                                                     amplitude, band=G.acs_band(m)), 1)
+                                                     amplitude, band=G.acs_band(grid.m)), 1)
     out_shift = curvature_hamiltonian(base, w1, w2 + dbeta)
     rep.add("cohomology_invariance",
-            abs(out_shift["symplectic"] - out["symplectic"])
-            / (abs(out["symplectic"]) + 1.0))
+            rel_plus1(out_shift["symplectic"] - out["symplectic"], out["symplectic"]))
 
     # horizontal-lift conditions for a seeded closed form
     jhat, v, lam_hat, jh0 = connection_A(base, w1)
@@ -576,47 +546,38 @@ def connection_suite(m: int, seed: int, amplitude: float = 0.05,
     lhs1 = wm - P.contract("ki...,kl...,lj...->ij...", J0, wm, J0)
     rhs1 = P.contract("ki...,kl...,lj...->ij...", jhat, w_mat0, J0) \
         + P.contract("ki...,kl...,lj...->ij...", J0, w_mat0, jhat)
-    rep.add("condition_type", float(np.max(np.abs(lhs1 - rhs1)))
-            / max(1.0, float(np.max(np.abs(rhs1)))))
-    rep.add("condition_dbar",
-            float(np.max(np.abs(H.dbar_q1(base.inst, jhat))))
-            / max(1.0, float(np.max(np.abs(jhat)))))
+    rep.add("condition_type", rel_max1(lhs1 - rhs1, rhs1))
+    rep.add("condition_dbar", rel_max1(H.dbar_q1(base, jhat), jhat))
     lam_j = Ric.lambda_rho(grid, base.rho, J0, jhat)
-    pairing = H.two_form_omega_inner(base.inst, w1)
+    pairing = H.two_form_omega_inner(base, w1)
     target = -G.one_form_compose_j(G.exterior_d(grid, pairing[None], 0), J0)
-    rep.add("condition_lambda", float(np.max(np.abs(lam_j - target)))
-            / max(1.0, float(np.max(np.abs(target)))))
+    rep.add("condition_lambda", rel_max1(lam_j - target, target))
     x_lift = WPVector(base, jhat)
     worst = 0.0
     for B in selfadjoint_compatible_basis(2):
         xb = WPVector(base, G.constant_field(grid, B))
         worst = max(worst, abs(wp_form(x_lift, xb)))
-    rep.add("condition_horizontal", worst / max(1.0, float(np.max(np.abs(jhat)))))
+    rep.add("condition_horizontal", rel_max1(worst, jhat))
 
     # gradient directions reproduce their Lie derivative
-    F = G.random_band_limited(grid, "scalar", seed + 4, amplitude, band=G.acs_band(m))
+    F = G.random_band_limited(grid, "scalar", seed + 4, amplitude, band=G.acs_band(grid.m))
     gradF = G.exterior_d(grid, F[None], 0)
     w_exact = G.exterior_d(grid, G.interior_f(grid, gradF, base.omega, 2), 1)
     jh_a2, *_ = connection_A(base, w_exact)
     lie = G.lie_endo(grid, gradF, J0)
-    rep.add("lie_reproduction", float(np.max(np.abs(jh_a2 - lie)))
-            / max(1.0, float(np.max(np.abs(lie)))))
-    return rep.finalize()
+    rep.add("lie_reproduction", rel_max1(jh_a2 - lie, lie))
 
 
-def theta_suite(n: int, m: int, seed: int, amplitude: float = 0.1,
-                tol_scale: float = 1.0) -> CheckReport:
+def theta_suite(rep: CheckReport, grid: TorusGrid, seed: int, amplitude: float) -> None:
     """Round trips, star and wedge flags, pairing identities, the holomorphic
     derivative identities, the closed correction, the pairing against the
     Weil-Petersson form, and the integrability bridge."""
-    grid = TorusGrid(n, m)
-    rep = CheckReport("theta", {"n": n, "m": m, "seed": seed,
-                                "amplitude": amplitude, "tol_scale": tol_scale})
-    base = FlatBase(grid)
+    n = grid.n
+    base = H.flat_instance(grid)
     J0 = base.J
     theta = standard_theta(grid)
     cn = c_const(n)
-    band = G.acs_band(m)
+    band = G.acs_band(grid.m)
 
     rep.add("rho_from_theta", float(np.max(np.abs(rho_from_theta(grid, theta) - base.rho))))
 
@@ -671,14 +632,11 @@ def theta_suite(n: int, m: int, seed: int, amplitude: float = 0.1,
     # holomorphic-derivative flags for closed and coclosed representatives
     jh_cl = _closed_jhat(base, seed + 3, amplitude)
     b_cl = theta_beta(grid, jh_cl, theta)
-    rep.add("closed_flag", float(np.max(np.abs(
-        dbar_complex_form(grid, b_cl, n, J0, n - 1, 1))))
-        / max(1.0, float(np.max(np.abs(b_cl)))))
-    jh_cc = H.project_coclosed_q1(grid, jh)
+    rep.add("closed_flag", rel_max1(dbar_complex_form(grid, b_cl, n, J0, n - 1, 1), b_cl))
+    jh_cc = H.project_coclosed_q1(base, jh)
     b_cc = theta_beta(grid, jh_cc, theta)
-    rep.add("coclosed_flag", float(np.max(np.abs(
-        dbar_adjoint_complex_form(grid, b_cc, n, J0, n - 1, 1))))
-        / max(1.0, float(np.max(np.abs(b_cc)))))
+    rep.add("coclosed_flag",
+            rel_max1(dbar_adjoint_complex_form(grid, b_cc, n, J0, n - 1, 1), b_cc))
     # adjointness of the complex-form codifferential used above
     sigma = G.pq_project_f(grid, G.random_band_limited(
         grid, f"form:{n - 1}", seed + 4, amplitude, band=band).astype(complex),
@@ -688,14 +646,13 @@ def theta_suite(n: int, m: int, seed: int, amplitude: float = 0.1,
     rhs_adj = G.l2_inner_form(grid, beta,
                               dbar_complex_form(grid, sigma, n - 1, J0, n - 1, 0),
                               n, rho=base.rho)
-    rep.add("dbar_star_adjointness", abs(lhs_adj - rhs_adj) / (abs(rhs_adj) + 1.0))
+    rep.add("dbar_star_adjointness", rel_plus1(lhs_adj - rhs_adj, rhs_adj))
 
     # i ∂β + ½ Λ ∧ θ = 0
     lam = Ric.lambda_rho(grid, base.rho, J0, jh)
     del_b = del_complex_form(grid, beta, n, J0, n - 1, 1)
     resid_bl = 1j * del_b + 0.5 * G.wedge_f(grid, lam.astype(complex), theta, 1, n)
-    rep.add("del_lambda", float(np.max(np.abs(resid_bl)))
-            / max(1.0, float(np.max(np.abs(del_b)))))
+    rep.add("del_lambda", rel_max1(resid_bl, del_b))
 
     # closed correction: d(β + hθ) = 0 with h = ½(f − i g), mean zero
     x_cl = WPVector(base, jh_cl)
@@ -718,12 +675,12 @@ def theta_suite(n: int, m: int, seed: int, amplitude: float = 0.1,
         grid, P.contract("ik...,kl...,li...->...", x_cl.jhat, J0, x2_cl.jhat),
         base.rho) / 8.0
         + G.integrate_against_volume(grid, (h_cl.conj() * h2_cl).imag, base.rho))
-    rep.add("pairing_re", abs(pair.real - re_expected) / (abs(re_expected) + 1.0))
-    rep.add("pairing_im", abs(pair.imag - im_expected) / (abs(im_expected) + 1.0))
+    rep.add("pairing_re", rel_plus1(pair.real - re_expected, re_expected))
+    rep.add("pairing_im", rel_plus1(pair.imag - im_expected, im_expected))
     wp_val = wp_form(x_cl, x2_cl)
     rep.params["measured_pairing_ratio"] = (
         float(pair.imag / wp_val) if abs(wp_val) > 1e-9 else None)
-    rep.add("pairing_vs_wp", abs(pair.imag - 0.25 * wp_val) / (abs(wp_val) + 1.0))
+    rep.add("pairing_vs_wp", rel_plus1(pair.imag - 0.25 * wp_val, wp_val))
 
     # integrability bridge: (dθ_J)^{n−1,2} = ¼ ι(N_J)θ_J
     J_non = G.random_band_limited(grid, "acs", seed + 6, amplitude, band=1)
@@ -746,10 +703,8 @@ def theta_suite(n: int, m: int, seed: int, amplitude: float = 0.1,
     J_int = G.pullback(grid, "endo", J0, phi)
     th_int = G.pullback(grid, f"form:{n}", theta, phi)
     d_int = G.exterior_d(grid, th_int, n)
-    rep.add("integrable_theta_closed", float(np.max(np.abs(d_int)))
-            / max(1.0, float(np.max(np.abs(th_int)))))
+    rep.add("integrable_theta_closed", rel_max1(d_int, th_int))
     rho_int = rho_from_theta(grid, th_int)
     ric = Ric.ricci_form(grid, rho_int, J_int,
-                         volume_tol=1e-7 if m <= 16 else 1e-9)
+                         volume_tol=1e-7 if grid.m <= 16 else 1e-9)
     rep.add("flat_bundle_ricci_zero", float(np.max(np.abs(ric.ric))))
-    return rep.finalize()

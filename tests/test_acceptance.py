@@ -5,17 +5,20 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 
 from geodesk import cli
 from geodesk import connection as C
 from geodesk import grid as G
-from geodesk import hodge as H
 from geodesk import lincs as L
+from geodesk import report
 from geodesk import ricci as Ric
 from geodesk import teich as T
 from geodesk.grid import TorusGrid
+
+INVENTORY = Path(__file__).resolve().parents[1] / "perfbench" / "inventory.json"
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str) -> None:
@@ -64,11 +67,16 @@ def test_criterion_2_moment_identities():
     t0 = time.perf_counter()
     worst = {1: 0.0, 2: 0.0}
     for n, m, tol in ((1, 64, 1e-6), (2, 16, 1e-5)):
+        grid = TorusGrid(n, m)
+        amp = 0.1 if n == 1 else 0.05
         for s in range(20):
-            rep = Ric.verify_moment_identities(
-                n, m, seed=1000 + 37 * s, amplitude=0.1 if n == 1 else 0.05,
-                cases=1, only=("lambda_pairing", "moment_map_fd"))
-            worst[n] = max(worst[n], max(c.residual for c in rep.checks))
+            seed = 1000 + 37 * s
+            rho, J, K, v = Ric.seeded_instance(grid, seed, amp)
+            conn = Ric.default_volume_connection(grid, rho)
+            alpha = G.random_band_limited(grid, f"form:{grid.d - 2}", seed + 5, amp,
+                                          band=G.acs_band(m))
+            worst[n] = max(worst[n], Ric.lambda_pairing(grid, rho, J, K, v, conn),
+                           Ric.moment_map_fd(grid, rho, J, K, conn, alpha))
     wall = time.perf_counter() - t0
     ok = worst[1] <= 1e-6 and worst[2] <= 1e-5 and wall < 120
     _verdict(2, "moment-map identities", ok,
@@ -98,7 +106,7 @@ def test_criterion_3_connection_independence():
 
 
 def test_criterion_4_transformation_laws():
-    rep1 = Ric.verify_transformation_laws(1, 64, seed=41, amplitude=0.1, cases=2)
+    rep1 = cli.run_suite("ricci-laws", 1, 64, seed=41, amplitude=0.1, tol_scale=1.0)
     by_name = {c.name: c.residual for c in rep1.checks}
     conf = max(v for k, v in by_name.items() if k.startswith("conformal_shift")
                or k.startswith("lambda_conformal_shift"))
@@ -115,8 +123,8 @@ def test_criterion_4_transformation_laws():
 
 def test_criterion_5_bkn():
     t0 = time.perf_counter()
-    rep1 = H.bkn_suite(1, 64, seed=51, amplitude=0.1)
-    rep2 = H.bkn_suite(2, 16, seed=52, amplitude=0.05)
+    rep1 = cli.run_suite("bkn", 1, 64, seed=51, amplitude=0.1, tol_scale=1.0)
+    rep2 = cli.run_suite("bkn", 2, 16, seed=52, amplitude=0.05, tol_scale=1.0)
     r1 = {c.name: c.residual for c in rep1.checks}
     r2 = {c.name: c.residual for c in rep2.checks}
     flat = max(r1["flat_identity"], r2["flat_identity"])
@@ -159,8 +167,8 @@ def test_criterion_7_dimension_table():
 
 
 def test_criterion_8_weil_petersson():
-    rep1 = T.wp_suite(1, 32, seed=81, amplitude=0.1)
-    rep2 = T.wp_suite(2, 16, seed=82, amplitude=0.05)
+    rep1 = cli.run_suite("teich-wp", 1, 32, seed=81, amplitude=0.1, tol_scale=1.0)
+    rep2 = cli.run_suite("teich-wp", 2, 16, seed=82, amplitude=0.05, tol_scale=1.0)
     names = {}
     for rep in (rep1, rep2):
         for c in rep.checks:
@@ -178,7 +186,7 @@ def test_criterion_8_weil_petersson():
 
 
 def test_criterion_9_connection_and_curvature():
-    rep = T.connection_suite(16, seed=91, amplitude=0.05)
+    rep = cli.run_suite("teich-connection", 2, 16, seed=91, amplitude=0.05, tol_scale=1.0)
     r = {c.name: c.residual for c in rep.checks}
     cond = max(v for k, v in r.items() if k.startswith("condition_"))
     ok = (r["curvature_two_ways_constant"] <= 1e-8
@@ -214,8 +222,8 @@ def test_criterion_10_theta_beta():
         b_skew = T.theta_beta(grid, skew, theta)
         worst_flag = max(worst_flag,
                          float(np.max(np.abs(G.star_f(grid, b_skew, 2) - cn * b_skew))))
-    rep1 = T.theta_suite(1, 64, seed=103, amplitude=0.1)
-    rep2 = T.theta_suite(2, 16, seed=104, amplitude=0.05)
+    rep1 = cli.run_suite("theta", 1, 64, seed=103, amplitude=0.1, tol_scale=1.0)
+    rep2 = cli.run_suite("theta", 2, 16, seed=104, amplitude=0.05, tol_scale=1.0)
     r = {}
     for rep in (rep1, rep2):
         for c in rep.checks:
@@ -245,8 +253,11 @@ def test_criterion_10_theta_beta():
 
 
 def test_criterion_11_verify_all(tmp_path):
+    # the shipped check names and tolerances, per config, in suite order
+    inventory = json.loads(INVENTORY.read_text())
     t0 = time.perf_counter()
     ok_runs = True
+    shipped = True
     docs = []
     for trial in range(2):
         trial_docs = {}
@@ -256,11 +267,20 @@ def test_criterion_11_verify_all(tmp_path):
                            "--seed", "1", "--report", str(path)])
             ok_runs = ok_runs and rc == 0
             doc = json.loads(path.read_text())
+            listed = [(name, tol) for checks in inventory[f"n{n}-m{m}"].values()
+                      for name, tol in checks.items()]
+            # The inventory still lists the n >= 2 flag dimension_gap at 5.0, its
+            # tolerance from before flags stopped scaling; FLAG_TOL is tighter.
+            shipped = shipped and [c["name"] for c in doc["checks"]] == [
+                name for name, _ in listed] and all(
+                c["tol"] == tol or c["tol"] == report.FLAG_TOL < tol
+                for c, (_, tol) in zip(doc["checks"], listed))
             doc.pop("wall_ms")
             trial_docs[n] = doc
         docs.append(trial_docs)
     wall = time.perf_counter() - t0
     identical = docs[0] == docs[1]
-    ok = ok_runs and identical and wall < 600
+    ok = ok_runs and identical and shipped and wall < 600
     _verdict(11, "verify all", ok,
-             f"exit ok {ok_runs}, bit-identical {identical}, {wall:.0f}s for two runs")
+             f"exit ok {ok_runs}, bit-identical {identical}, shipped checks {shipped}, "
+             f"{wall:.0f}s for two runs")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from geodesk import cli
 from geodesk import grid as G
 from geodesk import hodge as H
 from geodesk import ricci as Ric
@@ -57,29 +58,29 @@ def test_dbar_cochain_on_integrable():
 
 
 def test_bkn_suite_n1():
-    rep = H.bkn_suite(1, 64, seed=3, amplitude=0.1)
+    rep = cli.run_suite("bkn", 1, 64, seed=3, amplitude=0.1, tol_scale=1.0)
     assert rep.passed, rep.to_json()
 
 
 def test_bkn_suite_n2():
-    rep = H.bkn_suite(2, 16, seed=5, amplitude=0.05)
+    rep = cli.run_suite("bkn", 2, 16, seed=5, amplitude=0.05, tol_scale=1.0)
     assert rep.passed, rep.to_json()
 
 
 def test_harmonic_suite_n1():
-    rep = H.harmonic_lemma_suite(1, 64, seed=3, amplitude=0.1)
+    rep = cli.run_suite("harmonic", 1, 64, seed=3, amplitude=0.1, tol_scale=1.0)
     assert rep.passed, rep.to_json()
 
 
 def test_harmonic_suite_n2():
-    rep = H.harmonic_lemma_suite(2, 16, seed=5, amplitude=0.05)
+    rep = cli.run_suite("harmonic", 2, 16, seed=5, amplitude=0.05, tol_scale=1.0)
     assert rep.passed, rep.to_json()
 
 
 def test_bott_chern_suite():
-    rep = H.bott_chern_suite(1, 32, seed=7, amplitude=0.1)
+    rep = cli.run_suite("bott-chern", 1, 32, seed=7, amplitude=0.1, tol_scale=1.0)
     assert rep.passed, rep.to_json()
-    rep4 = H.bott_chern_suite(2, 16, seed=9, amplitude=0.05)
+    rep4 = cli.run_suite("bott-chern", 2, 16, seed=9, amplitude=0.05, tol_scale=1.0)
     assert rep4.passed, rep4.to_json()
 
 
@@ -87,7 +88,7 @@ def test_coclosed_projection_flat():
     g = TorusGrid(1, 32)
     inst = H.flat_instance(g)
     raw = Ric.anticommute_project(inst.J, G.random_band_limited(g, "endo", 11, 0.1))
-    proj = H.project_coclosed_q1(g, raw)
+    proj = H.project_coclosed_q1(inst, raw)
     assert np.max(np.abs(H.dbar_adjoint_q1(inst, proj))) <= 1e-10
-    again = H.project_coclosed_q1(g, proj)
+    again = H.project_coclosed_q1(inst, proj)
     np.testing.assert_allclose(again, proj, atol=1e-10)

@@ -1,4 +1,6 @@
 import ast
+import dataclasses
+import inspect
 import json
 import os
 import re
@@ -36,6 +38,26 @@ def test_validate_report_catches_problems():
     bad = {"suite": "s", "params": {}, "wall_ms": 0,
            "checks": [{"name": "x", "residual": 2.0, "tol": 1.0, "pass": True}]}
     assert any("inconsistent" in p for p in validate_report(bad))
+    # a null residual (NaN or infinity in strict JSON) must fail
+    for ok in (False, True):
+        doc = dict(bad, checks=[{"name": "x", "residual": None, "tol": 1.0, "pass": ok}])
+        assert (validate_report(doc) == []) is not ok
+
+
+_CHECK = {"name": "x", "residual": 0.0, "tol": 1.0, "pass": True}
+
+
+@pytest.mark.parametrize("doc", [
+    [], "report", 5, None, {"checks": [1]}, {"checks": 5}, {"checks": {"x": 1.0}},
+    {"checks": [dict(_CHECK, residual="small")]}, {"checks": [dict(_CHECK, tol=None)]},
+    {"checks": [dict(_CHECK, name=3)]}, {"checks": [dict(_CHECK, **{"pass": 1})]},
+    {"checks": [dict(_CHECK, residual=[0.0])]}, {"wall_ms": True}, {"wall_ms": -1},
+    {"wall_ms": 1.5}])
+def test_validate_report_lists_problems_and_never_raises(doc):
+    full = dict({"suite": "s", "params": {}, "checks": [], "wall_ms": 0}, **doc) \
+        if isinstance(doc, dict) else doc
+    problems = validate_report(full)
+    assert problems and all(isinstance(p, str) for p in problems), full
 
 
 def test_baseline_comparison():
@@ -63,7 +85,7 @@ def test_baseline_comparison():
 
 
 def test_lincs_suite_passes():
-    rep = cli.lincs_suite(2, 8, seed=3, cases=10)
+    rep = cli.run_suite("lincs", 2, 8, seed=3, amplitude=None, tol_scale=1.0)
     assert rep.passed, rep.to_json()
 
 
@@ -260,7 +282,8 @@ def test_baseline_params_must_match_the_run(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("cfg", [{"n": 5}, {"n": 0}, {"n": "2"}, {"n": 1.5}, {"n": True},
                                  {"grid": "16"}, {"grid": 16.5}, {"seed": "x"},
                                  {"tol-scale": "big"}, {"amp": [0.1]}, {"report": 5},
-                                 {"baseline": ["a.json"]}, [1, 2]])
+                                 {"baseline": ["a.json"]}, [1, 2], {"amp": float("nan")},
+                                 {"tol-scale": float("inf")}])
 def test_bad_config_values_exit_2(tmp_path, capsys, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -304,7 +327,7 @@ def test_numeric_failure_is_recorded(tmp_path, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise DomainError("metric must be positive definite")
 
-    monkeypatch.setattr(cli.hodge, "bkn_suite", boom)
+    monkeypatch.setitem(cli.SUITES, "bkn", dataclasses.replace(cli.SUITES["bkn"], body=boom))
     path = tmp_path / "all.json"
     rc = cli.main(["verify", "all", "--n", "1", "--grid", "32", "--seed", "1",
                    "--report", str(path)])
@@ -339,3 +362,90 @@ def test_verify_all_n2_m10_writes_report_on_exit_1(tmp_path, capsys):
     for suite in set(cli.SUITES) - set(failed):
         alone = cli.run_suite(suite, 2, 10, 1, None, 1.0).as_dict()["checks"]
         assert suites[suite] == alone, suite
+
+
+def test_checks_before_a_numeric_failure_stay(monkeypatch, capsys):
+    def body(rep, grid, seed, amp):
+        rep.add("moment", 1e-15)
+        raise DomainError("late failure")
+
+    monkeypatch.setitem(cli.SUITES, "lincs", dataclasses.replace(cli.SUITES["lincs"],
+                                                                 body=body))
+    rep = cli.run_suite("lincs", 1, 8, 1, None, 1.0)
+    assert [(c.name, c.passed) for c in rep.checks] == [("moment", True),
+                                                        ("numeric_failure", False)]
+    assert rep.params["amplitude"] == 0.3
+    assert "numeric failure: lincs: late failure" in capsys.readouterr().err
+
+
+def _no_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_nonfinite_residual_is_written_as_null(tmp_path, monkeypatch, capsys, bad):
+    def body(rep, grid, seed, amp):
+        rep.add("moment", bad)
+        rep.add("siegel_equivariance", 0.0)
+
+    monkeypatch.setitem(cli.SUITES, "lincs", dataclasses.replace(cli.SUITES["lincs"],
+                                                                 body=body))
+    path = tmp_path / "r.json"
+    assert cli.main(["verify", "lincs", "--seed", "3", "--report", str(path)]) == 1
+    doc = json.loads(path.read_text(), parse_constant=_no_constant)
+    assert validate_report(doc) == []
+    assert doc["checks"][0] == {"name": "moment", "residual": None, "tol": 1e-12,
+                                "pass": False}
+    # the null residual is flagged when the report is the baseline of a clean run
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert cli.main(["verify", "lincs", "--seed", "3", "--baseline", str(path)]) == 1
+    assert capsys.readouterr().err.strip().endswith("check vanished): moment")
+
+
+def _no_suite(*args, **kwargs):
+    raise AssertionError("a suite ran before the usage checks")
+
+
+@pytest.mark.parametrize("args", [["lincs", "--grid", "7"], ["all", "--grid", "7"],
+                                  ["all", "--grid", "6"], ["all", "--n", "3"],
+                                  ["bkn", "--n", "3"], ["teich-connection", "--n", "1"]])
+def test_inadmissible_run_rejected_before_any_suite(monkeypatch, capsys, args):
+    monkeypatch.setattr(cli, "run_suite", _no_suite)
+    assert cli.main(["verify", *args]) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-1", "two", "1.5", ""])
+def test_bad_thread_count_rejected_before_any_suite(monkeypatch, capsys, threads):
+    monkeypatch.setattr(cli, "run_suite", _no_suite)
+    monkeypatch.setenv("GEODESK_THREADS", threads)
+    assert cli.main(["verify", "lincs"]) == 2
+    assert "usage error: GEODESK_THREADS" in capsys.readouterr().err
+
+
+def test_thread_count_default_and_value(monkeypatch):
+    monkeypatch.delenv("GEODESK_THREADS", raising=False)
+    assert cli.max_threads() == 1
+    monkeypatch.setenv("GEODESK_THREADS", "3")
+    assert cli.max_threads() == 3
+
+
+def test_suite_bodies_build_no_report_or_grid():
+    offenders = []
+    for suite, spec in cli.SUITES.items():
+        tree = ast.parse(inspect.getsource(spec.body))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in ("CheckReport", "TorusGrid"):
+                    offenders.append(f"{suite}:{node.lineno}: {name}(")
+    assert offenders == []
+
+
+@pytest.mark.parametrize("args", [["--amp", "nan"], ["--amp=-inf"],
+                                  ["--tol-scale", "inf"], ["--tol-scale", "nan"]])
+def test_nonfinite_amp_or_tol_scale_rejected_before_any_suite(monkeypatch, capsys, args):
+    monkeypatch.setattr(cli, "run_suite", _no_suite)
+    assert cli.main(["verify", "lincs", *args]) == 2
+    assert "must be a finite number" in capsys.readouterr().err

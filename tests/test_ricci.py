@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from geodesk import cli
 from geodesk import connection as C
 from geodesk import grid as G
 from geodesk import ricci as R
@@ -86,12 +87,12 @@ def test_vector_from_alpha():
 
 
 def test_moment_identities_suite_n1():
-    rep = R.verify_moment_identities(1, 32, seed=7, amplitude=0.1, cases=2)
+    rep = cli.run_suite("ricci-moment", 1, 32, seed=7, amplitude=0.1, tol_scale=1.0)
     assert rep.passed, rep.to_json()
 
 
 def test_transformation_laws_suite_n1():
-    rep = R.verify_transformation_laws(1, 32, seed=7, amplitude=0.1, cases=1)
+    rep = cli.run_suite("ricci-laws", 1, 32, seed=7, amplitude=0.1, tol_scale=1.0)
     assert rep.passed, rep.to_json()
 
 

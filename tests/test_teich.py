@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from geodesk import cli
 from geodesk import grid as G
+from geodesk import hodge as H
 from geodesk import ricci as Ric
 from geodesk import teich as T
 from geodesk.errors import DomainError
@@ -49,7 +51,7 @@ def test_roundtrip_with_adapted_theta():
 
 def test_fg_decompose_rejects_nonclosed():
     g = TorusGrid(2, 8)
-    base = T.FlatBase(g)
+    base = H.flat_instance(g)
     raw = G.random_band_limited(g, "endo", 7, 0.1, band=1)
     jh = Ric.anticommute_project(base.J, raw)
     with pytest.raises(DomainError):
@@ -58,7 +60,7 @@ def test_fg_decompose_rejects_nonclosed():
 
 def test_wp_form_constant_reduction():
     g = TorusGrid(2, 8)
-    base = T.FlatBase(g)
+    base = H.flat_instance(g)
     mats = T.anticommuting_basis(2)
     x1 = T.WPVector(base, G.constant_field(g, mats[1]))
     x2 = T.WPVector(base, G.constant_field(g, mats[4]))
@@ -79,33 +81,33 @@ def test_dimension_table_rows():
 
 
 def test_wp_suite_n1():
-    rep = T.wp_suite(1, 32, seed=3, amplitude=0.1)
+    rep = cli.run_suite("teich-wp", 1, 32, seed=3, amplitude=0.1, tol_scale=1.0)
     assert rep.passed, rep.to_json()
 
 
 def test_wp_suite_n2():
-    rep = T.wp_suite(2, 16, seed=5, amplitude=0.05)
+    rep = cli.run_suite("teich-wp", 2, 16, seed=5, amplitude=0.05, tol_scale=1.0)
     assert rep.passed, rep.to_json()
 
 
 def test_connection_suite():
-    rep = T.connection_suite(16, seed=7, amplitude=0.05)
+    rep = cli.run_suite("teich-connection", 2, 16, seed=7, amplitude=0.05, tol_scale=1.0)
     assert rep.passed, rep.to_json()
 
 
 def test_theta_suite_n1():
-    rep = T.theta_suite(1, 32, seed=9, amplitude=0.1)
+    rep = cli.run_suite("theta", 1, 32, seed=9, amplitude=0.1, tol_scale=1.0)
     assert rep.passed, rep.to_json()
 
 
 def test_theta_suite_n2():
-    rep = T.theta_suite(2, 16, seed=11, amplitude=0.05)
+    rep = cli.run_suite("theta", 2, 16, seed=11, amplitude=0.05, tol_scale=1.0)
     assert rep.passed, rep.to_json()
 
 
 def test_curvature_hamiltonian_requires_n2():
     g = TorusGrid(1, 16)
-    base = T.FlatBase(g)
+    base = H.flat_instance(g)
     with pytest.raises(DomainError):
         T.curvature_hamiltonian(base, G.standard_omega_field(g), G.standard_omega_field(g))
 
@@ -113,7 +115,7 @@ def test_curvature_hamiltonian_requires_n2():
 def test_failed_dimension_gap_fails_at_tol_scale_4(monkeypatch):
     real = T.teich_dimensions
     monkeypatch.setattr(T, "teich_dimensions", lambda n: dict(real(n), min_gap=0.0))
-    rep = T.wp_suite(1, 16, seed=3, amplitude=0.1, tol_scale=4.0)
+    rep = cli.run_suite("teich-wp", 1, 16, seed=3, amplitude=0.1, tol_scale=4.0)
     gap = [(c.residual, c.tol, c.passed) for c in rep.checks if c.name == "dimension_gap"]
     assert gap == [(1.0, 0.5, False)]
     assert not rep.passed
@@ -121,6 +123,6 @@ def test_failed_dimension_gap_fails_at_tol_scale_4(monkeypatch):
 
 def test_theta_report_is_strict_json_when_wp_vanishes(monkeypatch):
     monkeypatch.setattr(T, "wp_form", lambda a, b: 0.0)
-    rep = T.theta_suite(1, 16, seed=9, amplitude=0.1)
+    rep = cli.run_suite("theta", 1, 16, seed=9, amplitude=0.1, tol_scale=1.0)
     assert rep.params["measured_pairing_ratio"] is None
     json.dumps(rep.as_dict(), allow_nan=False)
