@@ -1,10 +1,10 @@
 """geodesk: numerical differential geometry on linear spaces and flat tori."""
 
 from .grid import Field, TorusGrid, load_field, save_field
+from .lincs import LinCS
 from .report import CheckReport
-from .tensor import AltFormPt, LinCS, SquareMatrix
 
 __version__ = "0.1.0"
 
-__all__ = ["AltFormPt", "CheckReport", "Field", "LinCS", "SquareMatrix",
-           "TorusGrid", "load_field", "save_field", "__version__"]
+__all__ = ["CheckReport", "Field", "LinCS", "TorusGrid", "load_field", "save_field",
+           "__version__"]

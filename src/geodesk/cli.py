@@ -11,6 +11,8 @@ from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import hodge, lincs, report, ricci, teich
 from .errors import DomainError, NumericError, UsageError
 from .grid import TorusGrid
@@ -85,9 +87,10 @@ def admit(suite: str, n: int, m: int) -> tuple[Suite, TorusGrid]:
 
 def run_suite(suite: str, n: int, m: int, seed: int, amplitude: float | None,
               tol_scale: float) -> CheckReport:
-    """One suite's report.  A DomainError or NumericError inside its body is
-    recorded after the checks already added, as the failed flag check
-    ``numeric_failure``, and printed to stderr; a UsageError propagates."""
+    """One suite's report.  A DomainError, NumericError or numpy LinAlgError
+    inside its body is recorded after the checks already added, as the failed
+    flag check ``numeric_failure``, and printed to stderr; a UsageError
+    propagates."""
     rep = CheckReport(suite, {"n": n, "m": m, "seed": seed, "tol_scale": tol_scale})
     spec, grid = admit(suite, n, m)
     if amplitude is None:
@@ -95,7 +98,7 @@ def run_suite(suite: str, n: int, m: int, seed: int, amplitude: float | None,
     rep.params["amplitude"] = amplitude
     try:
         spec.body(rep, grid, seed, amplitude)
-    except (DomainError, NumericError) as exc:
+    except (DomainError, NumericError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {suite}: {exc}", file=sys.stderr)
         rep.add_flag("numeric_failure", False)
     return rep.finalize()

@@ -5,6 +5,10 @@ over the lexicographically ordered strictly increasing k-tuples of
 ``range(dim)``, with ``a[idx(I)] = a(e_{I_0}, ..., e_{I_{k-1}})``.  All kernels
 broadcast over arbitrary trailing axes, so the same code serves pointwise
 values (no trailing axes) and sampled fields (grid trailing axes).
+
+Coordinates are ordered (x_1, .., x_n, y_1, .., y_n); the positive orientation
+is dx_1∧dy_1∧…∧dx_n∧dy_n, which differs from the lexicographic top basis form
+by the sign ``vol_sign(n)``.
 """
 
 from __future__ import annotations
@@ -15,6 +19,25 @@ from itertools import combinations
 import numpy as np
 
 from . import pointwise as P
+
+
+def vol_sign(n: int) -> int:
+    """Sign s with dx_1∧dy_1∧…∧dx_n∧dy_n = s · e_0∧e_1∧…∧e_{2n−1}."""
+    return -1 if (n * (n - 1) // 2) % 2 else 1
+
+
+def standard_j(n: int) -> np.ndarray:
+    """J_0 with J_0(x, y) = (−y, x) in block coordinates."""
+    z = np.zeros((n, n))
+    eye = np.eye(n)
+    return np.block([[z, -eye], [eye, z]])
+
+
+def standard_omega_matrix(n: int) -> np.ndarray:
+    """Matrix Ω of ω_0 = Σ dx_i∧dy_i, i.e. ω_0(u, v) = uᵀ Ω v."""
+    z = np.zeros((n, n))
+    eye = np.eye(n)
+    return np.block([[z, eye], [-eye, z]])
 
 
 @lru_cache(maxsize=None)
@@ -176,17 +199,6 @@ def derivation_coef(E: np.ndarray, a: np.ndarray, dim: int, k: int) -> np.ndarra
                    dtype=np.result_type(a.dtype, E.dtype))
     for r in range(len(i_out)):
         out[i_out[r]] += sign[r] * E[j[r], col[r]] * a[i_src[r]]
-    return out
-
-
-def eval_form_coef(a: np.ndarray, dim: int, k: int, vectors: list[np.ndarray]) -> np.ndarray:
-    """Evaluate a k-form on k vectors: sum_I a_I det(rows I of [v_1 .. v_k])."""
-    if k == 0:
-        return a[0]
-    U = np.stack(vectors, axis=1)  # (dim, k) + batch
-    out = 0.0
-    for ii, I in enumerate(combos(dim, k)):
-        out = out + a[ii] * det_batched(U[list(I)])
     return out
 
 

@@ -9,10 +9,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pointwise as P
+from .combi import vol_sign
 from .errors import DomainError
 from .grid import (TorusGrid, constant_field, form_from_matrix, metric_sqrt_det,
                    standard_volume_field)
-from .tensor import vol_sign
+from .report import rel_max1
 
 
 def j_star_metric(g0: np.ndarray, J: np.ndarray) -> np.ndarray:
@@ -77,7 +78,7 @@ class CurvatureField:
     def first_bianchi_residual(self) -> float:
         cyc = self.riem + P.contract("lijk...->lkij...", self.riem) \
             + P.contract("ljki...->lkij...", self.riem)
-        return float(np.max(np.abs(cyc)) / max(1.0, np.max(np.abs(self.riem))))
+        return rel_max1(cyc, self.riem)
 
 
 def _check_spd(g: np.ndarray, what: str) -> None:
@@ -164,12 +165,11 @@ def cov_tm_two_form(grid: TorusGrid, conn: ConnectionField, tau: np.ndarray) -> 
 def cov_volume_residual(grid: TorusGrid, conn: ConnectionField, rho: np.ndarray) -> float:
     r = rho[0]
     out = grid.derivs(r) - r * P.contract("aka...->k...", conn.gamma)
-    return float(np.max(np.abs(out)) / max(1.0, np.max(np.abs(r))))
+    return rel_max1(out, r)
 
 
 def nabla_metric_residual(grid: TorusGrid, conn: ConnectionField, g: np.ndarray) -> float:
-    return float(np.max(np.abs(cov_bilinear(grid, conn, g)))
-                 / max(1.0, np.max(np.abs(g))))
+    return rel_max1(cov_bilinear(grid, conn, g), g)
 
 
 def second_cov_endo(grid: TorusGrid, conn: ConnectionField, E: np.ndarray):
@@ -220,8 +220,7 @@ def nijenhuis(grid: TorusGrid, J: np.ndarray, conn: ConnectionField | None = Non
               + P.contract("mi...,mkj...->kij...", J, nJ)
               - P.contract("jkm...,mi...->kij...", nJ, J)
               - P.contract("mj...,mki...->kij...", J, nJ))
-    resid = float(np.max(np.abs(n_bracket - n_conn)) / max(1.0, np.max(np.abs(n_bracket))))
-    return n_bracket, resid
+    return n_bracket, rel_max1(n_bracket - n_conn, n_bracket)
 
 
 def special_connections(grid: TorusGrid, rho: np.ndarray, J: np.ndarray,
@@ -257,12 +256,10 @@ def special_connections(grid: TorusGrid, rho: np.ndarray, J: np.ndarray,
                + corr)
     hat = ConnectionField(grid, gamma_h)
     n_tensor, _ = nijenhuis(grid, J, lc)
-    tor = hat.torsion()
-    scale = max(1.0, float(np.max(np.abs(n_tensor))))
     hat = ConnectionField(grid, gamma_h, {
         "nabla_rho": cov_volume_residual(grid, hat, rho),
         "nabla_J": _endo_cov_residual(grid, gamma_h, J),
-        "torsion_vs_nijenhuis": float(np.max(np.abs(tor + 0.25 * n_tensor)) / scale),
+        "torsion_vs_nijenhuis": rel_max1(hat.torsion() + 0.25 * n_tensor, n_tensor),
     })
 
     # symplectic correction: torsion-free, preserves ω when dω = 0
@@ -273,15 +270,14 @@ def special_connections(grid: TorusGrid, rho: np.ndarray, J: np.ndarray,
     w_mat = form_to_matrix(grid, omega)
     ring = ConnectionField(grid, gamma_o, {
         "torsion": float(np.max(np.abs(ring.torsion()))),
-        "nabla_omega": float(np.max(np.abs(cov_bilinear(grid, ring, w_mat)))
-                             / max(1.0, np.max(np.abs(w_mat)))),
+        "nabla_omega": rel_max1(cov_bilinear(grid, ring, w_mat), w_mat),
     })
     return {"lc": lc, "hermitian": tilde, "volume": hat, "symplectic": ring}
 
 
 def _endo_cov_residual(grid: TorusGrid, gamma: np.ndarray, E: np.ndarray) -> float:
     conn = ConnectionField(grid, gamma)
-    return float(np.max(np.abs(cov_endo(grid, conn, E))) / max(1.0, np.max(np.abs(E))))
+    return rel_max1(cov_endo(grid, conn, E), E)
 
 
 def conformally_flat_volume_connection(grid: TorusGrid, rho: np.ndarray) -> ConnectionField:

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import combi
 from . import pointwise as P
+from .combi import standard_j, standard_omega_matrix, vol_sign
 from .errors import DomainError, NumericError, UsageError
-from .tensor import standard_j, standard_omega_matrix, vol_sign
 
 _MAGIC = b"GDSK1\x00"
 _CACHE: dict[tuple[int, int], dict] = {}
@@ -316,13 +316,6 @@ def lie_scalar(grid: TorusGrid, v: np.ndarray, f: np.ndarray) -> np.ndarray:
     return P.contract("j...,j...->...", v, grid.derivs(f))
 
 
-def lie_vector(grid: TorusGrid, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    dv = grid.derivs(v)  # dv[j, i] = ∂_j v^i
-    dw = grid.derivs(w)
-    return (P.contract("k...,ki...->i...", v, dw)
-            - P.contract("k...,ki...->i...", w, dv))
-
-
 def lie_endo(grid: TorusGrid, v: np.ndarray, E: np.ndarray) -> np.ndarray:
     dv = grid.derivs(v)  # dv[k, i] = ∂_k v^i
     dE = grid.derivs(E)  # dE[k, i, j]
@@ -564,15 +557,8 @@ def random_acs_symplectic(grid: TorusGrid, seed: int, amplitude: float = 0.1,
         raise UsageError("amplitude capped at 0.2")
     if not amplitude:
         return standard_j_field(grid)
-    rng = np.random.default_rng(seed)
-    S = _smooth_channels(grid, rng, (grid.d, grid.d), amplitude,
-                         acs_band(grid.m) if band is None else band)
-    S = 0.5 * (S + np.swapaxes(S, 0, 1))
-    Winv = np.linalg.inv(standard_omega_matrix(grid.n))
-    xi = P.contract("ik,kj...->ij...", Winv, S)
-    E = matrix_exp_field(xi)
-    Einv = P.inv(E)
-    return P.mul(E, standard_j_field(grid), Einv)
+    E = matrix_exp_field(random_hamiltonian_matrix_field(grid, seed, amplitude, band))
+    return P.mul(E, standard_j_field(grid), P.inv(E))
 
 
 def random_hamiltonian_matrix_field(grid: TorusGrid, seed: int, amplitude: float = 0.1,

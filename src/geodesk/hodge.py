@@ -450,15 +450,6 @@ def two_form_omega_inner(inst: KahlerInstance, two: np.ndarray) -> np.ndarray:
     return G.wedge_f(grid, two, wn1, 2, grid.d - 2)[0] / inst.rho[0]
 
 
-def dplus(inst: KahlerInstance, lam: np.ndarray) -> np.ndarray:
-    """d⁺λ = dλ + *(dλ ∧ ω^{n−2}/(n−2)!) on four-dimensional instances."""
-    grid = inst.grid
-    if grid.n != 2:
-        raise DomainError("dplus is defined on four-dimensional tori")
-    dlam = G.exterior_d(grid, lam, 1)
-    return dlam + G.star_f(grid, dlam, 2, inst.metric)
-
-
 def dplus_kernel_ranks(grid: TorusGrid, kmax: int = 2) -> dict:
     """Fourier-block ranks of d⁺ on the flat four-torus, via mode symbols.
 

@@ -11,13 +11,61 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .combi import standard_j, standard_omega_matrix, vol_sign
 from .errors import DomainError, UsageError
 from .grid import TorusGrid
 from .report import CheckReport, rel_max1, rel_plus1
 from .ricci import richardson
-from .tensor import LinCS, standard_j, standard_omega_matrix
 
+MATRIX_TOL = 1e-12
 ANTICOMMUTE_TOL = 1e-12
+
+
+def orientation_frame_det(J: np.ndarray) -> float:
+    """Determinant of the greedy frame (e_1, J e_1, .., e_n, J e_n).
+
+    Basis vectors are picked greedily from the standard basis so that each new
+    pair is independent of the span built so far.
+    """
+    d = J.shape[0]
+    cols: list[np.ndarray] = []
+    for i in range(d):
+        e = np.zeros(d)
+        e[i] = 1.0
+        trial = cols + [e, J @ e]
+        if np.linalg.matrix_rank(np.column_stack(trial), tol=1e-9) == len(trial):
+            cols = trial
+        if len(cols) == d:
+            break
+    if len(cols) != d:
+        raise DomainError("could not complete a (e, Je) frame")
+    frame = np.column_stack(cols)
+    # Columns are ordered (e, Je, ...): positive det == standard orientation.
+    return float(np.linalg.det(frame)) * vol_sign(d // 2)
+
+
+@dataclass(frozen=True)
+class LinCS:
+    """Linear complex structure: J² = −1, compatible with the orientation."""
+
+    matrix: np.ndarray
+    n: int = field(init=False)
+
+    def __post_init__(self):
+        J = np.asarray(self.matrix, dtype=float)
+        object.__setattr__(self, "matrix", J)
+        object.__setattr__(self, "n", J.shape[0] // 2)
+        if not np.all(np.isfinite(J)):
+            raise DomainError("J has non-finite entries")
+        resid = np.max(np.abs(J @ J + np.eye(J.shape[0])))
+        if resid > MATRIX_TOL:
+            raise DomainError(f"J² + 1 residual {resid:.3e}")
+        if orientation_frame_det(J) <= 0:
+            raise DomainError("J is not compatible with the orientation")
+
+    @classmethod
+    def standard(cls, n: int) -> "LinCS":
+        return cls(standard_j(n))
 
 
 def expm(a: np.ndarray, order: int = 18) -> np.ndarray:

@@ -6,7 +6,6 @@ structures and (n−1,1)-forms against a holomorphic volume form."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -16,10 +15,10 @@ from . import grid as G
 from . import hodge as H
 from . import pointwise as P
 from . import ricci as Ric
+from .combi import standard_j
 from .errors import DomainError, UsageError
 from .grid import TorusGrid
 from .report import CheckReport, rel_max1, rel_plus1
-from .tensor import standard_j, vol_sign
 
 
 def c_const(n: int) -> complex:
@@ -96,45 +95,33 @@ def wp_inner(x1: WPVector, x2: WPVector) -> float:
 # constant bases of tangent spaces
 
 
+def _anticommuting_blocks(base: list[np.ndarray]) -> list[np.ndarray]:
+    """[[P, 0], [0, −P]] and [[0, P], [P, 0]] for each n×n matrix P of base, in order."""
+    out = []
+    for P in base:
+        Z = np.zeros_like(P)
+        out += [np.block([[P, Z], [Z, -P]]), np.block([[Z, P], [P, Z]])]
+    return out
+
+
 def anticommuting_basis(n: int) -> list[np.ndarray]:
     """Real basis of matrices anticommuting with J0: blocks [[P, Q], [Q, −P]]."""
-    out = []
-    for (r, c) in np.ndindex(n, n):
-        P = np.zeros((n, n))
-        P[r, c] = 1.0
-        out.append(np.block([[P, np.zeros((n, n))], [np.zeros((n, n)), -P]]))
-        Q = np.zeros((n, n))
-        Q[r, c] = 1.0
-        out.append(np.block([[np.zeros((n, n)), Q], [Q, np.zeros((n, n))]]))
-    return out
+    E = np.eye(n)
+    return _anticommuting_blocks([np.outer(E[r], E[c]) for r, c in np.ndindex(n, n)])
 
 
 def selfadjoint_compatible_basis(n: int) -> list[np.ndarray]:
     """Symmetric anticommuting matrices: dimension n² + n."""
-    out = []
-    for r in range(n):
-        for c in range(r, n):
-            P = np.zeros((n, n))
-            P[r, c] = P[c, r] = 1.0
-            out.append(np.block([[P, np.zeros((n, n))], [np.zeros((n, n)), -P]]))
-            Q = np.zeros((n, n))
-            Q[r, c] = Q[c, r] = 1.0
-            out.append(np.block([[np.zeros((n, n)), Q], [Q, np.zeros((n, n))]]))
-    return out
+    E = np.eye(n)
+    return _anticommuting_blocks([np.outer(E[r], E[c]) + (r != c) * np.outer(E[c], E[r])
+                                  for r in range(n) for c in range(r, n)])
 
 
 def skew_anticommuting_basis(n: int) -> list[np.ndarray]:
     """Skew anticommuting matrices: dimension n² − n."""
-    out = []
-    for r in range(n):
-        for c in range(r + 1, n):
-            P = np.zeros((n, n))
-            P[r, c], P[c, r] = 1.0, -1.0
-            out.append(np.block([[P, np.zeros((n, n))], [np.zeros((n, n)), -P]]))
-            Q = np.zeros((n, n))
-            Q[r, c], Q[c, r] = 1.0, -1.0
-            out.append(np.block([[np.zeros((n, n)), Q], [Q, np.zeros((n, n))]]))
-    return out
+    E = np.eye(n)
+    return _anticommuting_blocks([np.outer(E[r], E[c]) - np.outer(E[c], E[r])
+                                  for r in range(n) for c in range(r + 1, n)])
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,10 @@ from geodesk import grid as G
 from geodesk.errors import DomainError, UsageError
 from geodesk.grid import (AffineMap, DisplacementMap, Field, TorusGrid, band_limit_residual,
                           codiff_f, constant_field, divergence_frho, exterior_d,
-                          flat_green, flow_rk4, form_from_matrix, fourier_interpolate,
+                          flat_green, flow_rk4, fourier_interpolate,
                           integrate, integrate_against_volume, interior_f,
                           inverse_displacement, laplacian, lie_derivative_J, lie_endo,
-                          lie_form, lie_scalar, lie_vector, load_field, poisson_solve,
+                          lie_form, load_field, poisson_solve,
                           pullback, pq_project_f, random_band_limited, save_field,
                           standard_j_field, standard_omega_field, standard_volume_field,
                           star_f, vector_from_contraction, wedge_f)
@@ -473,15 +473,3 @@ def test_affine_map_requires_det_one():
     from geodesk.errors import DomainError as _DE
     with _pytest.raises(_DE):
         AffineMap(np.diag([-1, 1]))
-
-
-def test_bidegree_tag():
-    import pytest as _pytest
-    from geodesk import tensor as TT
-    from geodesk.errors import DomainError as _DE
-    J = TT.LinCS.standard(1)
-    w = TT.standard_omega(1)
-    tagged = TT.AltFormPt(1, 2, w.coef, bidegree=(1, 1, J))
-    assert tagged.bidegree[0] == 1
-    with _pytest.raises(_DE):
-        TT.AltFormPt(1, 2, w.coef, bidegree=(2, 0, J))

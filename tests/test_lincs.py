@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from geodesk import lincs
+from geodesk.combi import standard_j, standard_omega_matrix
 from geodesk.errors import DomainError, UsageError
-from geodesk.lincs import (SiegelPoint, TangentJ, bracket_tangent, expm,
+from geodesk.lincs import (LinCS, SiegelPoint, TangentJ, bracket_tangent, expm,
                            moment_residual, pairing, random_lincs, random_siegel_point,
                            random_sl_element, random_symplectic, siegel_metric,
                            siegel_pushforward_fd, siegel_to_acs, symplectic_action,
                            tangent_project, tau)
-from geodesk.tensor import LinCS, standard_j, standard_omega_matrix
 
 
 def test_expm_against_series_identity():
@@ -19,6 +19,11 @@ def test_expm_against_series_identity():
     np.testing.assert_allclose(e1 @ e2, np.eye(4), atol=1e-12)
     np.testing.assert_allclose(np.linalg.det(expm(lincs.project_traceless(a))), 1.0,
                                rtol=1e-12)
+
+
+def test_lincs_rejects_non_finite_matrix():
+    with pytest.raises(DomainError, match="non-finite"):
+        LinCS(np.full((2, 2), np.nan))
 
 
 def test_tangent_project_properties():

@@ -1,3 +1,4 @@
+import ast
 import re
 from pathlib import Path
 
@@ -130,3 +131,20 @@ def test_only_pointwise_calls_einsum_or_batched_inv():
             if idiom in text:
                 offenders.append(f"{path.name}: {idiom}")
     assert offenders == []
+
+
+def test_every_top_level_definition_is_used():
+    # a function or class of src/geodesk that no module or test names (beyond
+    # importing it) is dead code
+    defined, used = [], set()
+    for path in [*SRC.glob("*.py"), *Path(__file__).parent.glob("*.py")]:
+        tree = ast.parse(path.read_text())
+        if path.parent == SRC:
+            defined += [(path.name, node.name) for node in tree.body if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert [f"{module}: {name}" for module, name in defined if name not in used] == []

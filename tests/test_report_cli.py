@@ -364,6 +364,20 @@ def test_verify_all_n2_m10_writes_report_on_exit_1(tmp_path, capsys):
         assert suites[suite] == alone, suite
 
 
+@pytest.mark.parametrize("amp", ["50", "1e6"])
+def test_lincs_blowup_is_recorded(tmp_path, capsys, amp):
+    # a singular conjugating matrix (50) and a non-finite J (1e6) inside the body
+    path = tmp_path / "lincs.json"
+    with np.errstate(all="ignore"):
+        rc = cli.main(["verify", "lincs", "--amp", amp, "--report", str(path)])
+    assert rc == 1
+    assert "numeric failure: lincs:" in capsys.readouterr().err
+    doc = json.loads(path.read_text())
+    assert validate_report(doc) == []
+    assert doc["checks"][-1] == {"name": "numeric_failure", "residual": 1.0, "tol": 0.5,
+                                 "pass": False}
+
+
 def test_checks_before_a_numeric_failure_stay(monkeypatch, capsys):
     def body(rep, grid, seed, amp):
         rep.add("moment", 1e-15)
