@@ -34,9 +34,16 @@ def max_threads() -> int:
     return workers
 
 
-def estimate_curvature_bytes(n: int, m: int) -> int:
+def estimate_peak_bytes(n: int, m: int) -> int:
+    """Upper bound on the peak RSS of one guarded suite run alone: 80 MB for
+    the interpreter, numpy and fixed tables, plus 5·d⁴ + 256 float64 values
+    per grid point.  The five 4-index fields are bkn's ∇²Ĵ, the curvature
+    and their temporaries, the heaviest of any suite at n = 2; the 256 cover
+    the lower-rank fields that dominate at n = 1.  Calibrated on the peak
+    RSS of each suite alone in a fresh process at n = 2, m = 8…18 and
+    n = 1, m = 64…720."""
     d = 2 * n
-    return d ** 4 * m ** d * 8 * 4  # curvature array plus working copies
+    return 80_000_000 + 8 * m ** d * (5 * d ** 4 + 256)
 
 
 @dataclass(frozen=True)
@@ -78,10 +85,10 @@ def admit(suite: str, n: int, m: int) -> tuple[Suite, TorusGrid]:
     if n not in spec.ns:
         raise UsageError(f"{suite} runs on n = {' or '.join(map(str, spec.ns))}")
     grid = TorusGrid(n, m)
-    if spec.guarded and estimate_curvature_bytes(n, m) > MEMORY_CAP_BYTES:
+    if spec.guarded and estimate_peak_bytes(n, m) > MEMORY_CAP_BYTES:
         raise UsageError(
             f"suite {suite!r} at n={n}, m={m} needs about "
-            f"{estimate_curvature_bytes(n, m) / 1e9:.1f} GB, over the configured cap")
+            f"{estimate_peak_bytes(n, m) / 1e9:.1f} GB, over the configured cap")
     return spec, grid
 
 

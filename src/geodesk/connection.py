@@ -111,14 +111,9 @@ def _sym_sum(dg: np.ndarray) -> np.ndarray:
 
 
 def curvature(grid: TorusGrid, conn: ConnectionField) -> CurvatureField:
-    cached = getattr(conn, "_curvature", None)
-    if cached is not None:
-        return cached
     gamma = conn.gamma
     if float(np.max(np.abs(gamma))) == 0.0:
-        out = CurvatureField(grid, np.zeros((grid.d,) * 4 + grid.shape))
-        object.__setattr__(conn, "_curvature", out)
-        return out
+        return CurvatureField(grid, np.zeros((grid.d,) * 4 + grid.shape))
     d = grid.d
     dgamma = grid.derivs(gamma).reshape((d, d, d, d, -1))  # [a, k, i, j]
     gam = gamma.reshape((d, d, d, -1))
@@ -127,9 +122,7 @@ def curvature(grid: TorusGrid, conn: ConnectionField) -> CurvatureField:
     riem -= dgamma.transpose(1, 3, 2, 0, 4)
     riem += gg
     riem -= gg.transpose(0, 1, 3, 2, 4)
-    out = CurvatureField(grid, riem.reshape((d, d, d, d) + grid.shape))
-    object.__setattr__(conn, "_curvature", out)
-    return out
+    return CurvatureField(grid, riem.reshape((d, d, d, d) + grid.shape))
 
 
 # --- covariant derivatives (derivative index first) ---

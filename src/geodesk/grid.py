@@ -123,12 +123,16 @@ class TorusGrid:
     def deriv(self, arr: np.ndarray, j: int) -> np.ndarray:
         return self._deriv_on(self._spectral(arr), arr, j)
 
+    def derivs_by_axis(self, arr: np.ndarray):
+        """∂_0 arr, …, ∂_{d−1} arr, one at a time from one forward transform."""
+        route = self._spectral(arr)
+        return (self._deriv_on(route, arr, j) for j in range(self.d))
+
     def derivs(self, arr: np.ndarray) -> np.ndarray:
         """All coordinate derivatives, stacked on a new leading axis."""
-        route = self._spectral(arr)
         out = np.empty((self.d,) + arr.shape, dtype=float if np.isrealobj(arr) else complex)
-        for j in range(self.d):
-            out[j] = self._deriv_on(route, arr, j)
+        for j, dj in enumerate(self.derivs_by_axis(arr)):
+            out[j] = dj
         return out
 
     def integrate_scalar(self, f: np.ndarray) -> float | complex:
@@ -251,28 +255,32 @@ def metric_sqrt_det(g: np.ndarray) -> np.ndarray:
     return np.sqrt(det)
 
 
+def _star_metric(grid: TorusGrid, g: np.ndarray | None):
+    """(g⁻¹, √det g) for the Hodge star; the flat metric when g is None."""
+    if g is None:
+        return np.eye(grid.d), 1.0
+    return P.inv(g), metric_sqrt_det(g)
+
+
 def star_f(grid: TorusGrid, coef: np.ndarray, k: int | None = None,
            g: np.ndarray | None = None) -> np.ndarray:
     """Hodge star; flat metric when g is None."""
     if k is None:
         k = form_degree(grid, coef)
-    if g is None:
-        ginv = np.eye(grid.d)
-        sq = 1.0
-    else:
-        ginv = P.inv(g)
-        sq = metric_sqrt_det(g)
-    return combi.star_coef(coef, grid.d, k, ginv, sq, vol_sign(grid.n))
+    return combi.star_coef(coef, grid.d, k, *_star_metric(grid, g), vol_sign(grid.n))
 
 
 def codiff_f(grid: TorusGrid, coef: np.ndarray, k: int | None = None,
              g: np.ndarray | None = None) -> np.ndarray:
-    """d* = −*d* (even-dimensional convention, all degrees)."""
+    """d* = −*d* (even-dimensional convention, all degrees); g⁻¹ and √det g
+    are computed once for both stars."""
     if k is None:
         k = form_degree(grid, coef)
     if k < 1:
         raise UsageError("codiff_f: degree must be >= 1")
-    return -star_f(grid, exterior_d(grid, star_f(grid, coef, k, g), grid.d - k), grid.d - k + 1, g)
+    d, metric, sign = grid.d, _star_metric(grid, g), vol_sign(grid.n)
+    star = combi.star_coef(coef, d, k, *metric, sign)
+    return -combi.star_coef(exterior_d(grid, star, d - k), d, d - k + 1, *metric, sign)
 
 
 def form_inner_f(grid: TorusGrid, a: np.ndarray, b: np.ndarray, k: int,

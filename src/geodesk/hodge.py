@@ -4,6 +4,8 @@ Ricci-flat Kähler tori, and the degree-(1,1) Bott-Chern rank computations."""
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from . import connection as C
@@ -42,8 +44,9 @@ class KahlerInstance:
         if self.nabla_j_residual > kahler_tol:
             raise DomainError(f"∇J residual {self.nabla_j_residual:.2e}: not Kähler")
 
-    @property
+    @cached_property
     def curvature(self) -> np.ndarray:
+        """R^l_{kij} of the Levi-Civita connection, built on first read."""
         return C.curvature(self.grid, self.lc).riem
 
     def frame(self) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .combi import standard_j, standard_omega_matrix, vol_sign
-from .errors import DomainError, UsageError
+from .errors import DomainError, NumericError, UsageError
 from .grid import TorusGrid
 from .report import CheckReport, rel_max1, rel_plus1
 from .ricci import richardson
@@ -69,18 +69,25 @@ class LinCS:
 
 
 def expm(a: np.ndarray, order: int = 18) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring Taylor series."""
+    """Matrix exponential by scaling-and-squaring Taylor series.  A result
+    that would not be finite raises NumericError, with no warning printed."""
     a = np.asarray(a, dtype=float)
     norm = np.linalg.norm(a, ord=np.inf)
+    if not np.isfinite(norm):
+        raise NumericError("expm: matrix has non-finite entries")
     squarings = max(0, int(np.ceil(np.log2(max(norm, 1e-300) / 0.25))))
     b = a / (2.0 ** squarings)
     out = np.eye(a.shape[0])
     term = np.eye(a.shape[0])
-    for k in range(1, order + 1):
-        term = term @ b / k
-        out = out + term
-    for _ in range(squarings):
-        out = out @ out
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for k in range(1, order + 1):
+                term = term @ b / k
+                out = out + term
+            for _ in range(squarings):
+                out = out @ out
+    except FloatingPointError:
+        raise NumericError(f"expm: the exponential overflows (‖a‖∞ = {norm:.3g})") from None
     return out
 
 

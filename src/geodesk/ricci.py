@@ -56,17 +56,27 @@ def lambda_one_form(grid: TorusGrid, conn: C.ConnectionField, J: np.ndarray,
 
 def tau_two_form(grid: TorusGrid, conn: C.ConnectionField, J: np.ndarray,
                  nJ: np.ndarray | None = None) -> np.ndarray:
-    """τ_{ij} = ½ tr((∇_i J) J (∇_j J)) + tr(J R(∂_i, ∂_j))."""
+    """τ_{ij} = ½ tr((∇_i J) J (∇_j J)) + tr(J R(∂_i, ∂_j)).
+
+    The curvature trace J^k_l R^l_{kij} is (A + B)_{ij} − (A + B)_{ji}, with
+    A_{ij} = J^k_l ∂_i Γ^l_{jk} and B_{ij} = (J^k_l Γ^l_{im}) Γ^m_{jk}
+    (Kobayashi–Nomizu I, ch. III).  A is assembled one derivative axis i at
+    a time, so the 4-index R^l_{kij} is never built; Γ = 0 has none."""
     d = grid.d
     if nJ is None:
         nJ = C.cov_endo(grid, conn, J)
     nJ = nJ.reshape((d, d, d, -1))
     Jf = J.reshape((d, d, -1))
-    riem = C.curvature(grid, conn).riem.reshape((d, d, d, d, -1))
     jn = P.contract("bcx,jcax->jbax", Jf, nJ)
-    quad = 0.5 * P.contract("iabx,jbax->ijx", nJ, jn)
-    curv = P.contract("klx,lkijx->ijx", Jf, riem)
-    return G.form_from_matrix(grid, (quad + curv).reshape((d, d) + grid.shape))
+    tau = 0.5 * P.contract("iabx,jbax->ijx", nJ, jn)
+    del jn
+    if np.any(conn.gamma):
+        gam = conn.gamma.reshape((d, d, d, -1))
+        ab = P.contract("kimx,mjkx->ijx", P.contract("klx,limx->kimx", Jf, gam), gam)
+        for i, dgam in enumerate(grid.derivs_by_axis(conn.gamma)):
+            ab[i] += P.contract("klx,ljkx->jx", Jf, dgam.reshape((d, d, d, -1)))
+        tau += ab - ab.swapaxes(0, 1)
+    return G.form_from_matrix(grid, tau.reshape((d, d) + grid.shape))
 
 
 @dataclass(frozen=True)

@@ -386,9 +386,7 @@ def dbar_adjoint_complex_form(grid: TorusGrid, coef: np.ndarray, k: int,
                               J: np.ndarray, p: int, q: int) -> np.ndarray:
     """Adjoint of the (0,1)-derivative on (p, q)-forms: the (p, q−1)-part of
     −⋆d⋆; satisfies <∂̄*β, σ> = <β, ∂̄σ> exactly on flat Kähler tori."""
-    star = G.star_f(grid, coef, k)
-    out = -G.star_f(grid, G.exterior_d(grid, star, grid.d - k), grid.d - k + 1)
-    return G.pq_project_f(grid, out, k - 1, J, p, q - 1)
+    return G.pq_project_f(grid, G.codiff_f(grid, coef, k), k - 1, J, p, q - 1)
 
 
 # ---------------------------------------------------------------------------

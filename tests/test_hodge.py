@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from geodesk import cli
+from geodesk import connection as C
 from geodesk import grid as G
 from geodesk import hodge as H
 from geodesk import ricci as Ric
@@ -55,6 +56,19 @@ def test_dbar_cochain_on_integrable():
     v = G.random_band_limited(g, "vector", 6, 0.1, band=1)
     tau = H.dbar_q1(inst, H.dbar_q0(g, inst.J, v))
     assert np.max(np.abs(tau)) <= 1e-7 * max(1.0, np.max(np.abs(v)))
+
+
+def test_kahler_curvature_built_once_per_instance(monkeypatch):
+    calls = []
+    build = C.curvature
+    monkeypatch.setattr(C, "curvature", lambda *args: calls.append(args) or build(*args))
+    g = TorusGrid(1, 16)
+    x = g.coords()
+    inst = H.conformal_instance(g, 0.1 * np.sin(x[0]) * np.cos(x[1]))
+    jhat = Ric.anticommute_project(inst.J, G.random_band_limited(g, "endo", 4, 0.1))
+    H.bkn_residual(inst, jhat)
+    H.weitzenbock_residual(inst, G.random_band_limited(g, "form:2", 5, 0.1))
+    assert len(calls) == 1
 
 
 def test_bkn_suite_n1():

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from geodesk import lincs
 from geodesk.combi import standard_j, standard_omega_matrix
-from geodesk.errors import DomainError, UsageError
+from geodesk.errors import DomainError, NumericError, UsageError
 from geodesk.lincs import (LinCS, SiegelPoint, TangentJ, bracket_tangent, expm,
                            moment_residual, pairing, random_lincs, random_siegel_point,
                            random_sl_element, random_symplectic, siegel_metric,
@@ -19,6 +21,15 @@ def test_expm_against_series_identity():
     np.testing.assert_allclose(e1 @ e2, np.eye(4), atol=1e-12)
     np.testing.assert_allclose(np.linalg.det(expm(lincs.project_traceless(a))), 1.0,
                                rtol=1e-12)
+
+
+def test_expm_overflow_raises_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="overflows"):
+            expm(1e6 * np.array([[1.0, 2.0], [-3.0, 1.0]]))
+        with pytest.raises(NumericError, match="non-finite"):
+            expm(np.full((2, 2), np.inf))
 
 
 def test_lincs_rejects_non_finite_matrix():

@@ -89,10 +89,42 @@ def test_lincs_suite_passes():
     assert rep.passed, rep.to_json()
 
 
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    """`python *args` in a fresh process importing the package under test."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=120, env=env)
+
+
 def test_memory_guard():
-    assert cli.estimate_curvature_bytes(3, 8) > cli.MEMORY_CAP_BYTES
+    assert cli.estimate_peak_bytes(3, 8) > cli.MEMORY_CAP_BYTES
     rc = cli.main(["verify", "bkn", "--n", "3", "--seed", "1"])
     assert rc == 2
+
+
+def test_memory_guard_bounds_the_heaviest_suite():
+    # bkn (∇²Ĵ and the curvature) has the largest peak of the guarded suites.
+    # The peak is VmHWM, the high-water RSS of the new process image: Linux
+    # carries ru_maxrss over fork and exec, so a child of this test process
+    # would report the test process's own RSS.
+    proc = _run_python("-c", "from geodesk import cli; "
+                             "cli.run_suite('bkn', 2, 12, 1, None, 1.0); "
+                             "print(open('/proc/self/status').read())")
+    assert proc.returncode == 0, proc.stderr
+    peak = int(re.search(r"VmHWM:\s+(\d+) kB", proc.stdout).group(1)) * 1024
+    assert peak <= cli.estimate_peak_bytes(2, 12)
+
+
+def test_lincs_overflow_is_recorded_without_warnings(tmp_path):
+    path = tmp_path / "r.json"
+    proc = _run_python("-m", "geodesk", "verify", "lincs", "--amp", "1e6",
+                       "--report", str(path))
+    assert proc.returncode == 1, proc.stderr
+    checks = json.loads(path.read_text())["checks"]
+    assert [(c["name"], c["pass"]) for c in checks] == [("numeric_failure", False)]
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_cli_schema_and_verify(tmp_path, capsys):
@@ -302,11 +334,7 @@ def test_unwritable_report_rejected_before_any_suite(tmp_path, monkeypatch, caps
 
 
 def test_python_dash_m_geodesk_runs():
-    src = str(Path(cli.__file__).resolve().parents[1])  # the package under test
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "geodesk", "schema"],
-                          capture_output=True, text=True, timeout=120, env=env)
+    proc = _run_python("-m", "geodesk", "schema")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["title"].startswith("geodesk")
 

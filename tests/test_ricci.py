@@ -1,9 +1,14 @@
+import re
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from geodesk import cli
 from geodesk import connection as C
 from geodesk import grid as G
+from geodesk import pointwise as P
 from geodesk import ricci as R
 from geodesk.errors import DomainError
 from geodesk.grid import TorusGrid
@@ -106,3 +111,46 @@ def test_connection_independence_explicit():
     # τ and λ differ between connections but the assembled form agrees
     assert np.max(np.abs(a.tau - b.tau)) > 1e-6
     assert np.max(np.abs(a.ric - b.ric)) <= 1e-7 * max(1.0, np.max(np.abs(a.ric)))
+
+
+def _tau_from_full_curvature(g, conn, J):
+    """J^k_l R^l_{kij} + ½ tr((∇_i J) J (∇_j J)) from the 4-index curvature."""
+    nJ = C.cov_endo(g, conn, J)
+    quad = 0.5 * P.contract("iab...,bc...,jca...->ij...", nJ, J, nJ)
+    curv = P.contract("kl...,lkij...->ij...", J, C.curvature(g, conn).riem)
+    return G.form_from_matrix(g, quad + curv)
+
+
+@pytest.mark.parametrize("volume", ["seeded", "flat"])
+@pytest.mark.parametrize("n, m", [(1, 32), (2, 8), (2, 12)])
+def test_tau_contracted_route_matches_full_curvature(n, m, volume):
+    g = TorusGrid(n, m)
+    rho, J, _, _ = R.seeded_instance(g, 3, 0.1 if n == 1 else 0.05)
+    if volume == "flat":
+        rho = G.standard_volume_field(g)  # Γ = 0: only the quadratic term is left
+    conn = R.default_volume_connection(g, rho)
+    assert (np.max(np.abs(conn.gamma)) == 0.0) == (volume == "flat")
+    ref = _tau_from_full_curvature(g, conn, J)
+    tau = R.tau_two_form(g, conn, J)
+    assert np.max(np.abs(tau - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_tau_peak_memory_below_one_curvature_array():
+    g = TorusGrid(2, 12)
+    rho, J, _, _ = R.seeded_instance(g, 1, 0.05)
+    conn = R.default_volume_connection(g, rho)
+    nJ = C.cov_endo(g, conn, J)
+    tracemalloc.start()
+    try:
+        R.tau_two_form(g, conn, J, nJ)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < g.d ** 4 * g.npoints * 8  # one (d, d, d, d) + grid float array
+
+
+def test_ricci_module_never_builds_the_curvature_array():
+    # the Ricci form contracts the curvature axis by axis; the 4-index
+    # connection.curvature stays with the suites that need all of R
+    text = Path(R.__file__).read_text()
+    assert re.findall(r"(?<!\w)curvature\(", text) == []
