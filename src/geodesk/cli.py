@@ -50,16 +50,17 @@ def estimate_peak_bytes(n: int, m: int) -> int:
 class Suite:
     """A suite's check body ``(rep, grid, seed, amp) -> None``, its default
     amplitude at (n = 1, n >= 2), the n it admits, and whether the memory
-    guard applies."""
+    guard applies.  The torus suites admit n = 1 and 2: at n = 3 one d⁴
+    field alone takes 2.7 GB at the smallest grid, m = 8."""
 
     body: Callable
     amp: tuple[float, float] = (0.1, 0.05)
-    ns: tuple[int, ...] = tuple(DEFAULT_GRID)
+    ns: tuple[int, ...] = (1, 2)
     guarded: bool = True
 
 
 SUITES = {
-    "lincs": Suite(lincs.lincs_suite, (0.3, 0.3), guarded=False),
+    "lincs": Suite(lincs.lincs_suite, (0.3, 0.3), ns=tuple(DEFAULT_GRID), guarded=False),
     "ricci-moment": Suite(ricci.verify_moment_identities),
     "ricci-laws": Suite(ricci.verify_transformation_laws),
     "bkn": Suite(hodge.bkn_suite),

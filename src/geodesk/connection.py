@@ -5,6 +5,7 @@ connections used by the Ricci-form machinery."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -54,7 +55,10 @@ def compatible_pair(grid: TorusGrid, rho: np.ndarray, J: np.ndarray,
 
 @dataclass(frozen=True)
 class ConnectionField:
-    """Christoffel data Γ^k_{ij} with residuals recorded at construction."""
+    """Christoffel data Γ^k_{ij}.  ``flags`` holds the residuals that
+    ``special_connections`` records for its connections; ``levi_civita``
+    records none.  Γ is never written after construction, so ``zero`` and
+    ``torsion_free`` are computed on first read and kept."""
 
     grid: TorusGrid
     gamma: np.ndarray
@@ -63,9 +67,14 @@ class ConnectionField:
     def torsion(self) -> np.ndarray:
         return self.gamma - np.swapaxes(self.gamma, 1, 2)
 
-    @property
+    @cached_property
     def torsion_free(self) -> bool:
         return float(np.max(np.abs(self.torsion()))) <= 1e-9
+
+    @cached_property
+    def zero(self) -> bool:
+        """Γ ≡ 0: every covariant derivative is the plain spectral derivative."""
+        return not np.any(self.gamma)
 
 
 @dataclass(frozen=True)
@@ -92,15 +101,11 @@ def _check_spd(g: np.ndarray, what: str) -> None:
 def levi_civita(grid: TorusGrid, g: np.ndarray) -> ConnectionField:
     _check_spd(g, "levi_civita")
     if float(np.ptp(g.reshape(g.shape[:2] + (-1,)), axis=-1).max()) == 0.0:
-        zero = np.zeros((grid.d,) * 3 + grid.shape)
-        return ConnectionField(grid, zero, {"nabla_g": 0.0, "torsion": 0.0})
+        return ConnectionField(grid, np.zeros((grid.d,) * 3 + grid.shape))
     ginv = P.inv(g)
     dg = grid.derivs(g)  # dg[l, i, j] = ∂_l g_{ij}
     gamma = 0.5 * P.contract("kl...,ijl...->kij...", ginv, _sym_sum(dg))
-    conn = ConnectionField(grid, gamma)
-    resid = nabla_metric_residual(grid, conn, g)
-    flags = {"nabla_g": resid, "torsion": float(np.max(np.abs(conn.torsion())))}
-    return ConnectionField(grid, gamma, flags)
+    return ConnectionField(grid, gamma)
 
 
 def _sym_sum(dg: np.ndarray) -> np.ndarray:
@@ -111,12 +116,11 @@ def _sym_sum(dg: np.ndarray) -> np.ndarray:
 
 
 def curvature(grid: TorusGrid, conn: ConnectionField) -> CurvatureField:
-    gamma = conn.gamma
-    if float(np.max(np.abs(gamma))) == 0.0:
+    if conn.zero:
         return CurvatureField(grid, np.zeros((grid.d,) * 4 + grid.shape))
     d = grid.d
-    dgamma = grid.derivs(gamma).reshape((d, d, d, d, -1))  # [a, k, i, j]
-    gam = gamma.reshape((d, d, d, -1))
+    dgamma = grid.derivs(conn.gamma).reshape((d, d, d, d, -1))  # [a, k, i, j]
+    gam = conn.gamma.reshape((d, d, d, -1))
     gg = np.ascontiguousarray(P.contract("limx,mjkx->lkijx", gam, gam))
     riem = np.ascontiguousarray(dgamma.transpose(1, 3, 0, 2, 4))
     riem -= dgamma.transpose(1, 3, 2, 0, 4)
@@ -126,15 +130,21 @@ def curvature(grid: TorusGrid, conn: ConnectionField) -> CurvatureField:
 
 
 # --- covariant derivatives (derivative index first) ---
+# A connection with Γ ≡ 0 (``conn.zero``) skips the Γ terms and returns the
+# plain spectral derivative: the same values, up to the sign of a zero.
 
 
 def cov_vector(grid: TorusGrid, conn: ConnectionField, v: np.ndarray) -> np.ndarray:
     """out[k, i] = (∇_k v)^i."""
+    if conn.zero:
+        return grid.derivs(v)
     return grid.derivs(v) + P.contract("ikm...,m...->ki...", conn.gamma, v)
 
 
 def cov_endo(grid: TorusGrid, conn: ConnectionField, E: np.ndarray) -> np.ndarray:
     """out[k, i, j] = (∇_k E)^i_j."""
+    if conn.zero:
+        return grid.derivs(E)
     return (grid.derivs(E)
             + P.contract("ikm...,mj...->kij...", conn.gamma, E)
             - P.contract("mkj...,im...->kij...", conn.gamma, E))
@@ -142,6 +152,8 @@ def cov_endo(grid: TorusGrid, conn: ConnectionField, E: np.ndarray) -> np.ndarra
 
 def cov_bilinear(grid: TorusGrid, conn: ConnectionField, b: np.ndarray) -> np.ndarray:
     """out[k, i, j] = (∇_k b)_{ij} for a (0,2)-tensor."""
+    if conn.zero:
+        return grid.derivs(b)
     return (grid.derivs(b)
             - P.contract("mki...,mj...->kij...", conn.gamma, b)
             - P.contract("mkj...,im...->kij...", conn.gamma, b))
@@ -149,6 +161,8 @@ def cov_bilinear(grid: TorusGrid, conn: ConnectionField, b: np.ndarray) -> np.nd
 
 def cov_tm_two_form(grid: TorusGrid, conn: ConnectionField, tau: np.ndarray) -> np.ndarray:
     """out[k, a, i, j] = (∇_k τ)^a_{ij} for TM-valued 2-forms τ[a, i, j]."""
+    if conn.zero:
+        return grid.derivs(tau)
     return (grid.derivs(tau)
             + P.contract("akm...,mij...->kaij...", conn.gamma, tau)
             - P.contract("mki...,amj...->kaij...", conn.gamma, tau)
@@ -157,7 +171,9 @@ def cov_tm_two_form(grid: TorusGrid, conn: ConnectionField, tau: np.ndarray) -> 
 
 def cov_volume_residual(grid: TorusGrid, conn: ConnectionField, rho: np.ndarray) -> float:
     r = rho[0]
-    out = grid.derivs(r) - r * P.contract("aka...->k...", conn.gamma)
+    out = grid.derivs(r)
+    if not conn.zero:
+        out = out - r * P.contract("aka...->k...", conn.gamma)
     return rel_max1(out, r)
 
 
@@ -168,11 +184,25 @@ def nabla_metric_residual(grid: TorusGrid, conn: ConnectionField, g: np.ndarray)
 def second_cov_endo(grid: TorusGrid, conn: ConnectionField, E: np.ndarray):
     """(∇²E)[l, k, i, j] = (∇_l ∇ E)_k{}^i{}_j, with ∇E treated as a tensor."""
     dE = cov_endo(grid, conn, E)  # [k, i, j]
+    if conn.zero:
+        return dE, grid.derivs(dE)
     ddE = (grid.derivs(dE)
            + P.contract("ilm...,kmj...->lkij...", conn.gamma, dE)
            - P.contract("mlk...,mij...->lkij...", conn.gamma, dE)
            - P.contract("mlj...,kim...->lkij...", conn.gamma, dE))
     return dE, ddE
+
+
+def second_cov_bilinear(grid: TorusGrid, conn: ConnectionField, b: np.ndarray):
+    """(∇²b)[l, k, i, j] = (∇_l ∇ b)_{kij} for a (0,2)-tensor b."""
+    db = cov_bilinear(grid, conn, b)  # [k, i, j]
+    if conn.zero:
+        return db, grid.derivs(db)
+    ddb = (grid.derivs(db)
+           - P.contract("mlk...,mij...->lkij...", conn.gamma, db)
+           - P.contract("mli...,kmj...->lkij...", conn.gamma, db)
+           - P.contract("mlj...,kim...->lkij...", conn.gamma, db))
+    return db, ddb
 
 
 def rough_laplacian_endo(grid: TorusGrid, conn: ConnectionField, g: np.ndarray,
@@ -279,7 +309,6 @@ def conformally_flat_volume_connection(grid: TorusGrid, rho: np.ndarray) -> Conn
     if np.any(density <= 0):
         raise DomainError("volume form must be positive")
     if float(np.ptp(density)) == 0.0:
-        zero = np.zeros((grid.d,) * 3 + grid.shape)
-        return ConnectionField(grid, zero, {"nabla_g": 0.0, "torsion": 0.0})
+        return ConnectionField(grid, np.zeros((grid.d,) * 3 + grid.shape))
     g = constant_field(grid, np.eye(grid.d)) * density ** (1.0 / grid.n)
     return levi_civita(grid, g)

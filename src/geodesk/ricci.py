@@ -70,7 +70,7 @@ def tau_two_form(grid: TorusGrid, conn: C.ConnectionField, J: np.ndarray,
     jn = P.contract("bcx,jcax->jbax", Jf, nJ)
     tau = 0.5 * P.contract("iabx,jbax->ijx", nJ, jn)
     del jn
-    if np.any(conn.gamma):
+    if not conn.zero:
         gam = conn.gamma.reshape((d, d, d, -1))
         ab = P.contract("kimx,mjkx->ijx", P.contract("klx,limx->kimx", Jf, gam), gam)
         for i, dgam in enumerate(grid.derivs_by_axis(conn.gamma)):

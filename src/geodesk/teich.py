@@ -128,11 +128,10 @@ def skew_anticommuting_basis(n: int) -> list[np.ndarray]:
 # dimension table by Fourier-block ranks
 
 
-def _mode_list(d: int, kmax: int):
-    for k in np.ndindex(*(2 * kmax + 1,) * d):
-        kv = np.array(k) - kmax
-        if np.any(kv):
-            yield kv
+def _modes(d: int, kmax: int) -> np.ndarray:
+    """The nonzero integer modes k ∈ [−kmax, kmax]^d as rows, in np.ndindex order."""
+    k = np.indices((2 * kmax + 1,) * d).reshape(d, -1).T - kmax
+    return k[np.any(k, axis=1)].astype(float)
 
 
 def teich_dimensions(n: int, kmax: int = 2) -> dict:
@@ -141,72 +140,58 @@ def teich_dimensions(n: int, kmax: int = 2) -> dict:
     Returns the tangent dimension of the structure space, the Kähler cone
     dimension, the two assembled rows, the compatible-fiber dimension, and the
     smallest nonzero singular value seen across blocks.
+
+    Every symbol below is i times a real integer matrix, so the factor i is
+    dropped: it changes no rank and no singular value.  The blocks of all
+    (2 kmax + 1)^d − 1 nonzero modes are stacked along a leading mode axis
+    and decomposed by one batched SVD per block kind.
     """
     d = 2 * n
     J0 = standard_j(n)
-    basis = anticommuting_basis(n)  # real dim 2n²; complexified per mode
-    t0 = len(basis)
-    min_gap = np.inf
+    basis = np.array(anticommuting_basis(n))  # [t, a, b]; real dim 2n²
+    t = len(basis)
+    K = _modes(d, kmax)  # [M, u] = k_u
+    JK = K @ J0  # [M, u] = k_{J∂_u} = (J0ᵀk)_u
+    M = len(K)
 
-    # nonzero modes contribute nothing to ker ∂̄ / im ∂̄
-    for kv in _mode_list(d, kmax):
-        k = kv.astype(float)
+    # nonzero modes contribute nothing to ker ∂̄ / im ∂̄.
+    # 2(∂̄C)(u,v)/i = k_u C v − k_v C u − k_{Ju} C J v + k_{Jv} C J u; the
+    # factor 2 is rank-irrelevant and keeps gaps clear of 0.5
+    CJ = basis @ J0
+    half = (K[:, None, :, None, None] * basis.transpose(1, 2, 0)[None, :, None]
+            - JK[:, None, :, None, None] * CJ.transpose(1, 2, 0)[None, :, None])
+    B1 = (half - half.swapaxes(2, 3)).reshape(M, d ** 3, t)  # rows [a, u, v]
+    del half
+    sv1 = np.linalg.svd(B1, compute_uv=False)  # [M, t]
+    # image of ∂̄ from vector symbols: e_a ↦ k(u) e_a + k(Ju) J e_a, in the basis
+    img = (np.eye(d)[None, :, :, None] * K[:, None, None, :]
+           + J0.T[None, :, :, None] * JK[:, None, None, :])  # [M, a, b, u]
+    rhs = img.transpose(2, 3, 0, 1).reshape(d * d, M * d)
+    coef, *_ = np.linalg.lstsq(basis.reshape(t, d * d).T, rhs, rcond=None)
+    D0 = coef.reshape(t, M, d).transpose(1, 0, 2)  # [M, t, a]
+    ker_dim = np.sum(sv1 < 0.5, axis=1)
+    rank_d0 = np.sum(np.linalg.svd(D0, compute_uv=False) >= 0.5, axis=1)
+    t0 = t + 2 * int(np.sum(np.maximum(0, ker_dim - rank_d0)))  # ×2: real and imaginary parts
+    min_gap = float(np.min(sv1[sv1 >= 0.5], initial=np.inf))
 
-        def dbar_symbol(Cm):
-            # 2(∂̄Ĵ)(u,v) = i(k_u C v − k_v C u − k_{Ju} C J v + k_{Jv} C J u);
-            # the factor 2 is rank-irrelevant and keeps gaps clear of 0.5
-            out = np.zeros((d, d, d), dtype=complex)
-            CJ = Cm @ J0
-            for u in range(d):
-                for v in range(d):
-                    out[:, u, v] = 1j * (k[u] * Cm[:, v] - k[v] * Cm[:, u]
-                                         - (J0.T @ k)[u] * CJ[:, v]
-                                         + (J0.T @ k)[v] * CJ[:, u])
-            return out
-
-        rows = [dbar_symbol(B.astype(complex)).ravel() for B in basis]
-        B1 = np.column_stack(rows)
-        # image of ∂̄ from vector symbols: a ↦ ½ i (k(u) a + k(Ju) J a)
-        cols = []
-        for a_idx in range(d):
-            a = np.zeros(d, dtype=complex)
-            a[a_idx] = 1.0
-            col = np.zeros((d, d), dtype=complex)
-            for u in range(d):
-                col[:, u] = 1j * (k[u] * a + (J0.T @ k)[u] * (J0 @ a))
-            coef, *_ = np.linalg.lstsq(np.column_stack([B.ravel() for B in basis]),
-                                       col.ravel(), rcond=None)
-            cols.append(coef)
-        D0 = np.column_stack(cols)
-        sv1 = np.linalg.svd(B1, compute_uv=False)
-        ker_dim = int(np.sum(sv1 < 0.5))
-        rank_d0 = int(np.sum(np.linalg.svd(D0, compute_uv=False) >= 0.5))
-        t0 += 2 * max(0, ker_dim - rank_d0)  # ×2: real and imaginary parts
-        gaps = sv1[sv1 >= 0.5]
-        if gaps.size:
-            min_gap = min(min_gap, float(gaps.min()))
-        # harmonic 2-forms at k ≠ 0: kernel of (d, d*) must vanish
-        pairs = combi.combos(d, 2)
-        Dk = np.zeros((combi.n_combos(d, 3) if d > 2 else 1, len(pairs)), dtype=complex)
-        if d > 2:
-            table = combi._interior_table(d, 3)
-            for r in range(len(table[0])):
-                i_hi, j, i_lo, sign = (table[0][r], table[1][r], table[2][r], table[3][r])
-                Dk[i_hi, i_lo] += sign * 1j * k[j]
-        Ck = np.zeros((d, len(pairs)), dtype=complex)
-        for idx, (i, j) in enumerate(pairs):
-            Ck[j, idx] += 1j * k[i]
-            Ck[i, idx] -= 1j * k[j]
-        block = np.vstack([Dk, Ck]) if d > 2 else Ck
-        svh = np.linalg.svd(block, compute_uv=False)
-        if int(np.sum(svh < 0.5)):
-            raise DomainError("unexpected harmonic 2-form at a nonzero mode")
-        gaps = svh[svh >= 0.5]
-        if gaps.size:
-            min_gap = min(min_gap, float(gaps.min()))
+    # harmonic 2-forms at k ≠ 0: kernel of (d, d*) must vanish
+    pairs = combi.combos(d, 2)
+    Ck = np.zeros((M, d, len(pairs)))
+    for idx, (i, j) in enumerate(pairs):
+        Ck[:, j, idx] += K[:, i]
+        Ck[:, i, idx] -= K[:, j]
+    block = Ck
+    if d > 2:
+        Dk = np.zeros((M, combi.n_combos(d, 3), len(pairs)))
+        for i_hi, j, i_lo, sign in zip(*combi._interior_table(d, 3)):
+            Dk[:, i_hi, i_lo] += sign * K[:, j]
+        block = np.concatenate([Dk, Ck], axis=1)
+    svh = np.linalg.svd(block, compute_uv=False)
+    if np.any(svh < 0.5):
+        raise DomainError("unexpected harmonic 2-form at a nonzero mode")
+    min_gap = min(min_gap, float(svh.min()))
 
     # constant-mode ranks
-    pairs = combi.combos(d, 2)
     eye = np.eye(len(pairs))
     J0f = J0.reshape((d, d))
     p11 = np.column_stack([
@@ -260,19 +245,32 @@ def connection_A(base: H.KahlerInstance, what: np.ndarray, closed_tol: float = 1
     return jhat, v, lam_hat, jhat0
 
 
-def curvature_hamiltonian(base: H.KahlerInstance, w1: np.ndarray, w2: np.ndarray) -> dict:
+@dataclass(frozen=True)
+class Lift:
+    """A closed 2-form ŵ, its horizontal lift 𝒜(ŵ) as tangent data, and the
+    co-closed primitive λ̂ of its exact part."""
+
+    what: np.ndarray
+    x: WPVector
+    lam_hat: np.ndarray
+
+
+def horizontal_lift(base: H.KahlerInstance, what: np.ndarray) -> Lift:
+    """𝒜(ŵ) with its (f, g) split, built once for every check that reads it."""
+    jhat, _, lam_hat, _ = connection_A(base, what)
+    return Lift(what, WPVector(base, jhat), lam_hat)
+
+
+def curvature_hamiltonian(l1: Lift, l2: Lift) -> dict:
     """Both expressions of the curvature Hamiltonian: −Ω_J(𝒜(ŵ1), 𝒜(ŵ2)) and
     ½∫ ι(J)(ŵ1 − dλ̂1) ∧ ŵ2 ∧ ω^{n−2}/(n−2)!."""
+    base = l1.x.base
     grid = base.grid
     if grid.n < 2:
         raise DomainError("curvature_hamiltonian needs n >= 2")
-    j1, v1, lam1, _ = connection_A(base, w1)
-    j2, v2, lam2, _ = connection_A(base, w2)
-    x1 = WPVector(base, j1)
-    x2 = WPVector(base, j2)
-    first = -wp_form(x1, x2)
-    red = w1 - G.exterior_d(grid, lam1, 1)
-    integrand = G.wedge_f(grid, G.insert_j_form(grid, red, 2, base.J), w2, 2, 2)
+    first = -wp_form(l1.x, l2.x)
+    red = l1.what - G.exterior_d(grid, l1.lam_hat, 1)
+    integrand = G.wedge_f(grid, G.insert_j_form(grid, red, 2, base.J), l2.what, 2, 2)
     if grid.n > 2:
         integrand = G.wedge_f(grid, integrand, Ric.omega_power(grid, base.omega, grid.n - 2),
                               4, grid.d - 4)
@@ -505,9 +503,10 @@ def connection_suite(rep: CheckReport, grid: TorusGrid, seed: int, amplitude: fl
                          (len(pairs),) + grid.shape).copy()
     c1 = c1 - G.pq_project_f(grid, c1, 2, J0, 1, 1).real
     c2 = c2 - G.pq_project_f(grid, c2, 2, J0, 1, 1).real
-    out_cc = curvature_hamiltonian(base, c1, c2)
+    lift_c1 = horizontal_lift(base, c1)
+    out_cc = curvature_hamiltonian(lift_c1, horizontal_lift(base, c2))
     rep.add("curvature_two_ways_constant", out_cc["residual"])
-    same = curvature_hamiltonian(base, c1, c1)
+    same = curvature_hamiltonian(lift_c1, lift_c1)
     rep.add("curvature_diagonal_zero", abs(same["symplectic"]) + abs(same["integral"]))
 
     # seeded closed forms: constants plus exact parts
@@ -517,16 +516,18 @@ def connection_suite(rep: CheckReport, grid: TorusGrid, seed: int, amplitude: fl
 
     w1 = seeded_closed(seed + 1) + c1
     w2 = seeded_closed(seed + 2) + c2
-    out = curvature_hamiltonian(base, w1, w2)
+    lift1 = horizontal_lift(base, w1)
+    out = curvature_hamiltonian(lift1, horizontal_lift(base, w2))
     rep.add("curvature_two_ways_seeded", out["residual"])
     dbeta = G.exterior_d(grid, G.random_band_limited(grid, "form:1", seed + 3,
                                                      amplitude, band=G.acs_band(grid.m)), 1)
-    out_shift = curvature_hamiltonian(base, w1, w2 + dbeta)
+    out_shift = curvature_hamiltonian(lift1, horizontal_lift(base, w2 + dbeta))
     rep.add("cohomology_invariance",
             rel_plus1(out_shift["symplectic"] - out["symplectic"], out["symplectic"]))
 
     # horizontal-lift conditions for a seeded closed form
-    jhat, v, lam_hat, jh0 = connection_A(base, w1)
+    x_lift = lift1.x
+    jhat = x_lift.jhat
     wm = G.form_to_matrix(grid, w1)
     lhs1 = wm - P.contract("ki...,kl...,lj...->ij...", J0, wm, J0)
     rhs1 = P.contract("ki...,kl...,lj...->ij...", jhat, w_mat0, J0) \
@@ -537,7 +538,6 @@ def connection_suite(rep: CheckReport, grid: TorusGrid, seed: int, amplitude: fl
     pairing = H.two_form_omega_inner(base, w1)
     target = -G.one_form_compose_j(G.exterior_d(grid, pairing[None], 0), J0)
     rep.add("condition_lambda", rel_max1(lam_j - target, target))
-    x_lift = WPVector(base, jhat)
     worst = 0.0
     for B in selfadjoint_compatible_basis(2):
         xb = WPVector(base, G.constant_field(grid, B))

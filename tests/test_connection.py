@@ -3,6 +3,7 @@ import pytest
 
 from geodesk import connection as C
 from geodesk import grid as G
+from geodesk import pointwise as P
 from geodesk.errors import DomainError
 from geodesk.grid import DisplacementMap, TorusGrid, pullback, random_band_limited
 
@@ -35,8 +36,72 @@ def test_conformal_gaussian_curvature_oracle():
     K_exact = np.exp(-2 * phi) * G.laplacian(g, phi)
     assert np.max(np.abs(K - K_exact)) <= 1e-8
     lc = C.levi_civita(g, metric)
-    assert lc.flags["nabla_g"] <= 1e-9
+    assert C.nabla_metric_residual(g, lc, metric) <= 1e-9
+    assert lc.torsion_free
     assert C.cov_volume_residual(g, lc, C.metric_volume_form(g, metric)) <= 1e-9
+
+
+def _field(g, shape, seed):
+    return np.random.default_rng(seed).standard_normal(shape + g.shape)
+
+
+# every covariant derivative with its argument's component shape
+ZERO_PATH_CASES = {
+    "cov_vector": (C.cov_vector, 1),
+    "cov_endo": (C.cov_endo, 2),
+    "cov_bilinear": (C.cov_bilinear, 2),
+    "cov_tm_two_form": (C.cov_tm_two_form, 3),
+    "second_cov_endo": (C.second_cov_endo, 2),
+    "second_cov_bilinear": (C.second_cov_bilinear, 2),
+}
+
+
+def _full_formula(conn):
+    """The same Γ with the zero path switched off, so every Γ term is evaluated."""
+    full = C.ConnectionField(conn.grid, conn.gamma)
+    full.__dict__["zero"] = False
+    return full
+
+
+@pytest.mark.parametrize("n, m", [(1, 16), (2, 8)])
+@pytest.mark.parametrize("name", sorted(ZERO_PATH_CASES))
+def test_zero_connection_path_equals_full_formula(name, n, m):
+    fn, rank = ZERO_PATH_CASES[name]
+    g = TorusGrid(n, m)
+    conn = C.ConnectionField(g, np.zeros((g.d,) * 3 + g.shape))
+    assert conn.zero
+    x = _field(g, (g.d,) * rank, 3)
+    fast, full = fn(g, conn, x), fn(g, _full_formula(conn), x)
+    for a, b in zip(*((fast, full) if isinstance(fast, tuple) else ((fast,), (full,)))):
+        assert a.shape == b.shape
+        assert np.all(a == b)
+    rho = G.standard_volume_field(g) * np.exp(0.1 * _field(g, (), 4))
+    assert C.cov_volume_residual(g, conn, rho) == C.cov_volume_residual(
+        g, _full_formula(conn), rho)
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_PATH_CASES))
+def test_zero_connection_path_makes_no_contraction(monkeypatch, name):
+    fn, rank = ZERO_PATH_CASES[name]
+    g = TorusGrid(2, 8)
+    conn = C.ConnectionField(g, np.zeros((g.d,) * 3 + g.shape))
+    x = _field(g, (g.d,) * rank, 5)
+    calls = []
+    contract = P.contract
+    monkeypatch.setattr(P, "contract", lambda *a: calls.append(a[0]) or contract(*a))
+    fn(g, conn, x)
+    C.cov_volume_residual(g, conn, G.standard_volume_field(g))
+    assert calls == []
+    fn(g, _full_formula(conn), x)
+    assert calls  # the counter sees the full formula's contractions
+
+
+def test_one_nonzero_christoffel_entry_is_not_zero():
+    g = TorusGrid(1, 16)
+    gamma = np.zeros((g.d,) * 3 + g.shape)
+    assert C.ConnectionField(g, gamma).zero
+    gamma[1, 0, 1, 3, 5] = 1e-300  # the test is exact, not a tolerance
+    assert not C.ConnectionField(g, gamma).zero
 
 
 def test_first_bianchi_curved():

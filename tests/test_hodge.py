@@ -66,7 +66,9 @@ def test_kahler_curvature_built_once_per_instance(monkeypatch):
     x = g.coords()
     inst = H.conformal_instance(g, 0.1 * np.sin(x[0]) * np.cos(x[1]))
     jhat = Ric.anticommute_project(inst.J, G.random_band_limited(g, "endo", 4, 0.1))
-    H.bkn_residual(inst, jhat)
+    lhs = H.dbar_adjoint_q2(inst, H.dbar_q1(inst, jhat)) \
+        + H.dbar_q0_kahler(inst, H.dbar_adjoint_q1(inst, jhat))
+    H.bkn_residual(inst, jhat, lhs)
     H.weitzenbock_residual(inst, G.random_band_limited(g, "form:2", 5, 0.1))
     assert len(calls) == 1
 

@@ -450,12 +450,23 @@ def _no_suite(*args, **kwargs):
 
 
 @pytest.mark.parametrize("args", [["lincs", "--grid", "7"], ["all", "--grid", "7"],
-                                  ["all", "--grid", "6"], ["all", "--n", "3"],
+                                  ["all", "--grid", "6"],
                                   ["bkn", "--n", "3"], ["teich-connection", "--n", "1"]])
 def test_inadmissible_run_rejected_before_any_suite(monkeypatch, capsys, args):
     monkeypatch.setattr(cli, "run_suite", _no_suite)
     assert cli.main(["verify", *args]) == 2
     assert "usage error" in capsys.readouterr().err
+
+
+def test_all_at_n3_runs_the_one_suite_n3_admits(capsys, tmp_path):
+    path = tmp_path / "r.json"
+    assert cli.main(["verify", "all", "--n", "3", "--report", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    assert validate_report(doc) == []
+    assert doc["suite"] == "lincs" and doc["params"]["n"] == 3
+    assert capsys.readouterr().out.startswith("[pass] lincs n=3 ")
+    assert cli.main(["verify", "bkn", "--n", "3"]) == 2
+    assert "bkn runs on n = 1 or 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("threads", ["0", "-1", "two", "1.5", ""])

@@ -7,6 +7,7 @@ from geodesk import cli
 from geodesk import grid as G
 from geodesk import hodge as H
 from geodesk import ricci as Ric
+from geodesk import combi
 from geodesk import teich as T
 from geodesk.errors import DomainError
 from geodesk.grid import TorusGrid
@@ -80,6 +81,75 @@ def test_dimension_table_rows():
         assert dims["min_gap"] >= 0.5
 
 
+def _per_mode_sweep(n, kmax):
+    """The nonzero-mode part of the dimension table, one mode at a time with
+    complex symbols: (structure tangent dimension, smallest gap)."""
+    d = 2 * n
+    J0 = T.standard_j(n)
+    basis = T.anticommuting_basis(n)
+    t0 = len(basis)
+    min_gap = np.inf
+    for kt in np.ndindex(*(2 * kmax + 1,) * d):
+        k = (np.array(kt) - kmax).astype(float)
+        if not np.any(k):
+            continue
+
+        def dbar_symbol(Cm):
+            out = np.zeros((d, d, d), dtype=complex)
+            CJ = Cm @ J0
+            for u in range(d):
+                for v in range(d):
+                    out[:, u, v] = 1j * (k[u] * Cm[:, v] - k[v] * Cm[:, u]
+                                         - (J0.T @ k)[u] * CJ[:, v]
+                                         + (J0.T @ k)[v] * CJ[:, u])
+            return out
+
+        B1 = np.column_stack([dbar_symbol(B.astype(complex)).ravel() for B in basis])
+        cols = []
+        for a_idx in range(d):
+            a = np.zeros(d, dtype=complex)
+            a[a_idx] = 1.0
+            col = np.zeros((d, d), dtype=complex)
+            for u in range(d):
+                col[:, u] = 1j * (k[u] * a + (J0.T @ k)[u] * (J0 @ a))
+            coef, *_ = np.linalg.lstsq(np.column_stack([B.ravel() for B in basis]),
+                                       col.ravel(), rcond=None)
+            cols.append(coef)
+        D0 = np.column_stack(cols)
+        sv1 = np.linalg.svd(B1, compute_uv=False)
+        ker_dim = int(np.sum(sv1 < 0.5))
+        rank_d0 = int(np.sum(np.linalg.svd(D0, compute_uv=False) >= 0.5))
+        t0 += 2 * max(0, ker_dim - rank_d0)
+        gaps = sv1[sv1 >= 0.5]
+        if gaps.size:
+            min_gap = min(min_gap, float(gaps.min()))
+        pairs = combi.combos(d, 2)
+        Dk = np.zeros((combi.n_combos(d, 3) if d > 2 else 1, len(pairs)), dtype=complex)
+        if d > 2:
+            table = combi._interior_table(d, 3)
+            for r in range(len(table[0])):
+                i_hi, j, i_lo, sign = (table[0][r], table[1][r], table[2][r], table[3][r])
+                Dk[i_hi, i_lo] += sign * 1j * k[j]
+        Ck = np.zeros((d, len(pairs)), dtype=complex)
+        for idx, (i, j) in enumerate(pairs):
+            Ck[j, idx] += 1j * k[i]
+            Ck[i, idx] -= 1j * k[j]
+        block = np.vstack([Dk, Ck]) if d > 2 else Ck
+        svh = np.linalg.svd(block, compute_uv=False)
+        assert not np.any(svh < 0.5)
+        min_gap = min(min_gap, float(svh.min()))
+    return t0, min_gap
+
+
+@pytest.mark.parametrize("n, kmax", [(1, 2), (1, 3), (2, 1), (2, 2), (3, 1)])
+def test_batched_mode_sweep_matches_per_mode_loop(n, kmax):
+    dims = T.teich_dimensions(n, kmax)
+    t0, min_gap = _per_mode_sweep(n, kmax)
+    assert dims["structure_tangent"] == t0
+    assert dims["assembled_total"] == dims["kahler_cone"] + t0
+    assert abs(dims["min_gap"] - min_gap) <= 1e-12 * min_gap
+
+
 def test_wp_suite_n1():
     rep = cli.run_suite("teich-wp", 1, 32, seed=3, amplitude=0.1, tol_scale=1.0)
     assert rep.passed, rep.to_json()
@@ -109,7 +179,8 @@ def test_curvature_hamiltonian_requires_n2():
     g = TorusGrid(1, 16)
     base = H.flat_instance(g)
     with pytest.raises(DomainError):
-        T.curvature_hamiltonian(base, G.standard_omega_field(g), G.standard_omega_field(g))
+        lift = T.horizontal_lift(base, G.standard_omega_field(g))
+        T.curvature_hamiltonian(lift, lift)
 
 
 def test_failed_dimension_gap_fails_at_tol_scale_4(monkeypatch):
