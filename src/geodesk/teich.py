@@ -134,6 +134,27 @@ def _modes(d: int, kmax: int) -> np.ndarray:
     return k[np.any(k, axis=1)].astype(float)
 
 
+# modes per batched ∂̄ SVD: at n=3 each [chunk, d³, t] array is 32 MB
+_MODE_CHUNK = 1024
+
+
+def _dbar_singular_values(K: np.ndarray, basis: np.ndarray, J0: np.ndarray) -> np.ndarray:
+    """Singular values [M, t] of the ∂̄ symbol on the basis, one row per mode in K.
+
+    2(∂̄C)(u,v)/i = k_u C v − k_v C u − k_{Ju} C J v + k_{Jv} C J u; the
+    factor 2 is rank-irrelevant and keeps gaps clear of 0.5.
+    """
+    M, d = K.shape
+    t = len(basis)
+    JK = K @ J0
+    CJ = basis @ J0
+    half = (K[:, None, :, None, None] * basis.transpose(1, 2, 0)[None, :, None]
+            - JK[:, None, :, None, None] * CJ.transpose(1, 2, 0)[None, :, None])
+    B1 = (half - half.swapaxes(2, 3)).reshape(M, d ** 3, t)  # rows [a, u, v]
+    del half
+    return np.linalg.svd(B1, compute_uv=False)
+
+
 def teich_dimensions(n: int, kmax: int = 2) -> dict:
     """Integer dimensions on the flat 2n-torus via exact mode-symbol ranks.
 
@@ -144,7 +165,8 @@ def teich_dimensions(n: int, kmax: int = 2) -> dict:
     Every symbol below is i times a real integer matrix, so the factor i is
     dropped: it changes no rank and no singular value.  The blocks of all
     (2 kmax + 1)^d − 1 nonzero modes are stacked along a leading mode axis
-    and decomposed by one batched SVD per block kind.
+    and decomposed by one batched SVD per block kind; the ∂̄ blocks go in
+    chunks of _MODE_CHUNK modes, which bounds their memory at n >= 3.
     """
     d = 2 * n
     J0 = standard_j(n)
@@ -155,14 +177,8 @@ def teich_dimensions(n: int, kmax: int = 2) -> dict:
     M = len(K)
 
     # nonzero modes contribute nothing to ker ∂̄ / im ∂̄.
-    # 2(∂̄C)(u,v)/i = k_u C v − k_v C u − k_{Ju} C J v + k_{Jv} C J u; the
-    # factor 2 is rank-irrelevant and keeps gaps clear of 0.5
-    CJ = basis @ J0
-    half = (K[:, None, :, None, None] * basis.transpose(1, 2, 0)[None, :, None]
-            - JK[:, None, :, None, None] * CJ.transpose(1, 2, 0)[None, :, None])
-    B1 = (half - half.swapaxes(2, 3)).reshape(M, d ** 3, t)  # rows [a, u, v]
-    del half
-    sv1 = np.linalg.svd(B1, compute_uv=False)  # [M, t]
+    sv1 = np.concatenate([_dbar_singular_values(k, basis, J0)
+                          for k in np.array_split(K, -(-M // _MODE_CHUNK))])  # [M, t]
     # image of ∂̄ from vector symbols: e_a ↦ k(u) e_a + k(Ju) J e_a, in the basis
     img = (np.eye(d)[None, :, :, None] * K[:, None, None, :]
            + J0.T[None, :, :, None] * JK[:, None, None, :])  # [M, a, b, u]

@@ -98,10 +98,12 @@ def _run_python(*args: str) -> subprocess.CompletedProcess:
                           timeout=120, env=env)
 
 
-def test_memory_guard():
-    assert cli.estimate_peak_bytes(3, 8) > cli.MEMORY_CAP_BYTES
-    rc = cli.main(["verify", "bkn", "--n", "3", "--seed", "1"])
-    assert rc == 2
+def test_memory_guard(monkeypatch, capsys):
+    # n=2 is admitted by bkn, so only the guard can refuse this grid
+    assert cli.estimate_peak_bytes(2, 20) > cli.MEMORY_CAP_BYTES
+    monkeypatch.setattr(cli, "run_suite", _no_suite)
+    assert cli.main(["verify", "bkn", "--n", "2", "--grid", "20", "--seed", "1"]) == 2
+    assert "over the configured cap" in capsys.readouterr().err
 
 
 def test_memory_guard_bounds_the_heaviest_suite():

@@ -150,6 +150,13 @@ def test_batched_mode_sweep_matches_per_mode_loop(n, kmax):
     assert abs(dims["min_gap"] - min_gap) <= 1e-12 * min_gap
 
 
+@pytest.mark.parametrize("n, kmax", [(2, 2), (3, 1)])
+def test_chunked_mode_sweep_matches_one_batch(monkeypatch, n, kmax):
+    whole = T.teich_dimensions(n, kmax)
+    monkeypatch.setattr(T, "_MODE_CHUNK", 100)
+    assert T.teich_dimensions(n, kmax) == whole
+
+
 def test_wp_suite_n1():
     rep = cli.run_suite("teich-wp", 1, 32, seed=3, amplitude=0.1, tol_scale=1.0)
     assert rep.passed, rep.to_json()

@@ -32,6 +32,8 @@ import numpy as np
 
 # perfbench's end-to-end metrics (BENCHMARK.json); lower is better for each
 METRICS = ("wall_s", "peak_rss_mb", "setup_s")
+# the benchmark's fixed run length (BENCHMARK.json)
+SECONDS = 20
 
 
 def perfbench_workloads(root: Path) -> dict:
@@ -42,10 +44,10 @@ def perfbench_workloads(root: Path) -> dict:
     return mod.WORKLOADS
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
+def run_once(root: Path, workload: str, seed: int) -> dict:
     out = subprocess.run(
         [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
         cwd=root, capture_output=True, text=True, check=True)
     doc = json.loads(out.stdout.strip().splitlines()[-1])
     if not doc["correct"] or doc["failed"]:
@@ -72,24 +74,21 @@ def main(argv=None) -> int:
     p.add_argument("--change", type=Path, required=True)
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--first-seed", type=int, default=101)
-    p.add_argument("--seconds", type=int, default=20)
-    p.add_argument("--workload", action="append")
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
+    if args.pairs < 10:
+        p.error("a BENCH point needs at least 10 pairs")
     workloads = perfbench_workloads(args.change)
-    unknown = set(args.workload or ()) - set(workloads)
-    if unknown:
-        p.error(f"unknown workload(s): {', '.join(sorted(unknown))}")
     seeds = [args.first_seed + i for i in range(args.pairs)]
-    doc = {"command": f"perfbench/run.py --seconds {args.seconds} --trace 0",
+    doc = {"command": f"perfbench/run.py --seconds {SECONDS} --trace 0",
            "seeds": seeds, "pairs": args.pairs, "host": host(workloads), "workloads": {}}
-    for workload in args.workload or workloads:
+    for workload in workloads:
         runs = {"parent": [], "change": []}
         for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 root = args.parent if side == "parent" else args.change
-                runs[side].append(run_once(root.resolve(), workload, seed, args.seconds))
+                runs[side].append(run_once(root.resolve(), workload, seed))
                 print(f"{workload} seed {seed} {side}: {runs[side][-1]}", file=sys.stderr)
         doc["workloads"][workload] = {
             metric: {
