@@ -339,8 +339,13 @@ def harmonic_lemma_suite(rep: CheckReport, grid: TorusGrid, seed: int,
     raw = Ric.anticommute_project(J, G.random_band_limited(grid, "endo", seed + 5,
                                                            amplitude, band=band))
     skew = 0.5 * (raw - endo_adjoint(inst, raw))
-    a2 = l2_inner_q2(inst, dbar_q1(inst, skew), dbar_q1(inst, skew))
-    a0 = l2_inner_q0(inst, dbar_adjoint_q1(inst, skew), dbar_adjoint_q1(inst, skew))
+    # ∂̄Ĵ and ∂̄*Ĵ once each, each dropped before the next large field
+    dq = dbar_q1(inst, skew)
+    a2 = l2_inner_q2(inst, dq, dq)
+    del dq
+    da = dbar_adjoint_q1(inst, skew)
+    a0 = l2_inner_q0(inst, da, da)
+    del da
     nskew = C.cov_endo(grid, inst.lc, skew)
     an = G.integrate_against_volume(grid, P.contract("kab...,kab...->...", nskew, nskew), rho)
     rep.add("parallel_norms_endo", rel_max1(a2 + a0 - 0.5 * an, an))

@@ -135,24 +135,25 @@ def _band_limited(g, kind, seed, cplx):
 
 @pytest.mark.parametrize("cplx", [False, True])
 def test_derivative_routes_agree(cplx):
-    # m = 40 takes the FFT routes; the dense matrix is pinned against both
-    g = TorusGrid(1, 40)
+    # m = 72, above the dense cap, takes the FFT routes; the
+    # dense matrix is pinned against both
+    g = TorusGrid(1, 72)
     assert g._spectral(np.zeros(g.shape)) is not None
-    assert TorusGrid(1, 32)._spectral(np.zeros((1, 1))) is None
+    assert TorusGrid(1, 64)._spectral(np.zeros((1, 1))) is None
     for kind in ("scalar", "vector", "endo"):
         a = _band_limited(g, kind, 3, cplx)
         da = g.derivs(a)
         assert da.dtype == (np.complex128 if cplx else np.float64)
         scale = np.max(np.abs(da))
         for j in range(g.d):
-            dense = g._deriv_matmul(a, j)
+            dense = g._deriv_dense(a, j)
             assert np.max(np.abs(dense - da[j])) <= 1e-12 * scale
             assert np.max(np.abs(g.deriv(a, j) - da[j])) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("cplx", [False, True])
 def test_exterior_d_fourier_combination_matches_derivs(cplx):
-    g = TorusGrid(1, 40)
+    g = TorusGrid(1, 72)
     for k in range(g.d):
         a = _band_limited(g, f"form:{k}", 5 + k, cplx)
         i_hi, j, i_lo, sign = combi._interior_table(g.d, k + 1)
@@ -163,6 +164,72 @@ def test_exterior_d_fourier_combination_matches_derivs(cplx):
         da = exterior_d(g, a, k)
         assert da.dtype == ref.dtype
         assert np.max(np.abs(da - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _real_complex_strided(g, kind, seed):
+    """A real and a complex field of the given kind, each also as a strided
+    view with its first and last grid axes transposed."""
+    a = _band_limited(g, kind, seed, False)
+    c = _band_limited(g, kind, seed, True)
+    return a, c, np.swapaxes(a, -g.d, -1), np.swapaxes(c, -g.d, -1)
+
+
+@pytest.mark.parametrize("kind", ["scalar", "vector", "endo"])
+def test_dense_kernel_matches_moveaxis_form(kind):
+    # the batched (P, m, Q) matmul is bit-identical to moving axis j last,
+    # applying Dᵀ and moving it back
+    g = TorusGrid(2, 16)
+    D = g._cache()["dmat"]
+    for a in _real_complex_strided(g, kind, 21):
+        da = g.derivs(a)
+        assert da.dtype == (np.float64 if np.isrealobj(a) else np.complex128)
+        for j in range(g.d):
+            ax = a.ndim - g.d + j
+            ref = np.moveaxis(np.moveaxis(a, ax, -1) @ D.T, -1, ax)
+            assert np.array_equal(da[j], ref)
+            assert np.array_equal(g.deriv(a, j), ref)
+
+
+@pytest.mark.parametrize("g", [TorusGrid(2, 16), TorusGrid(1, 72)], ids=["dense", "fft"])
+def test_derivs_stack_matches_deriv_and_by_axis(g):
+    for a in _real_complex_strided(g, "endo", 23):
+        da = g.derivs(a)
+        assert da.flags.c_contiguous and da.shape == (g.d,) + a.shape
+        by_axis = list(g.derivs_by_axis(a))
+        for j in range(g.d):
+            assert np.array_equal(da[j], g.deriv(a, j))
+            assert np.array_equal(da[j], by_axis[j])
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_dense_route_agrees_with_fft_at_cap(cplx):
+    # m = 64 is the largest dense grid; the FFT route it replaces agrees
+    g = TorusGrid(1, 64)
+    tables = g._cache()
+    for kind in ("scalar", "vector", "endo"):
+        a = _band_limited(g, kind, 9, cplx)
+        assert g._spectral(a) is None
+        da = g.derivs(a)
+        scale = np.max(np.abs(da))
+        for j in range(g.d):
+            fft = (g.ifft(tables["dmul"][j] * g.fft(a)) if cplx
+                   else g.irfft(tables["dmul_r"][j] * g.rfft(a)))
+            assert np.max(np.abs(fft - da[j])) <= 1e-12 * scale
+
+
+def test_derivs_peak_memory_is_its_output():
+    import tracemalloc
+    g = TorusGrid(2, 12)
+    gamma = np.random.default_rng(4).standard_normal((g.d,) * 3 + g.shape)
+    g._cache()  # the derivative matrix is built before tracing
+    out_bytes = g.d * gamma.nbytes
+    tracemalloc.start()
+    try:
+        g.derivs(gamma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * out_bytes, (peak, out_bytes)
 
 
 @pytest.mark.parametrize("g", [TorusGrid(1, 16), TorusGrid(2, 8), TorusGrid(1, 40)])
