@@ -12,8 +12,8 @@ import numpy as np
 from . import pointwise as P
 from .combi import vol_sign
 from .errors import DomainError
-from .grid import (TorusGrid, constant_field, form_from_matrix, metric_sqrt_det,
-                   standard_volume_field)
+from .grid import (TorusGrid, constant_field, form_from_matrix, form_to_matrix,
+                   metric_sqrt_det, standard_volume_field)
 from .report import rel_max1
 
 
@@ -56,13 +56,18 @@ def compatible_pair(grid: TorusGrid, rho: np.ndarray, J: np.ndarray,
 @dataclass(frozen=True)
 class ConnectionField:
     """Christoffel data Γ^k_{ij}.  ``flags`` holds the residuals that
-    ``special_connections`` records for its connections; ``levi_civita``
-    records none.  Γ is never written after construction, so ``zero`` and
-    ``torsion_free`` are computed on first read and kept."""
+    ``special_connections`` records into its connections once built;
+    ``levi_civita`` records none.  Γ is never written after construction,
+    so ``zero`` and ``torsion_free`` are computed on first read and kept."""
 
     grid: TorusGrid
     gamma: np.ndarray
     flags: dict = field(default_factory=dict)
+
+    @classmethod
+    def flat(cls, grid: TorusGrid) -> ConnectionField:
+        """Γ ≡ 0."""
+        return cls(grid, np.zeros((grid.d,) * 3 + grid.shape))
 
     def torsion(self) -> np.ndarray:
         return self.gamma - np.swapaxes(self.gamma, 1, 2)
@@ -101,7 +106,7 @@ def _check_spd(g: np.ndarray, what: str) -> None:
 def levi_civita(grid: TorusGrid, g: np.ndarray) -> ConnectionField:
     _check_spd(g, "levi_civita")
     if float(np.ptp(g.reshape(g.shape[:2] + (-1,)), axis=-1).max()) == 0.0:
-        return ConnectionField(grid, np.zeros((grid.d,) * 3 + grid.shape))
+        return ConnectionField.flat(grid)
     ginv = P.inv(g)
     dg = grid.derivs(g)  # dg[l, i, j] = ∂_l g_{ij}
     gamma = 0.5 * P.contract("kl...,ijl...->kij...", ginv, _sym_sum(dg))
@@ -130,43 +135,34 @@ def curvature(grid: TorusGrid, conn: ConnectionField) -> CurvatureField:
 
 
 # --- covariant derivatives (derivative index first) ---
-# A connection with Γ ≡ 0 (``conn.zero``) skips the Γ terms and returns the
-# plain spectral derivative: the same values, up to the sign of a zero.
 
 
-def cov_vector(grid: TorusGrid, conn: ConnectionField, v: np.ndarray) -> np.ndarray:
-    """out[k, i] = (∇_k v)^i."""
+def cov(grid: TorusGrid, conn: ConnectionField, T: np.ndarray, slots: str) -> np.ndarray:
+    """out[k, ...] = (∇_k T)[...]; ``slots`` names each leading component axis
+    of T "u" (up, contravariant) or "d" (down), e.g. "ud" for an endomorphism.
+
+    ∂_k T, plus Γ^a_{km} T^{..m..} for each up slot, then minus Γ^m_{ka}
+    T_{..m..} for each down slot, each group in slot order, accumulated in
+    place.  Γ ≡ 0 (``conn.zero``) returns ∂_k T: the Γ terms are skipped.
+    ∇²E is ``cov(grid, conn, cov(grid, conn, E, "ud"), "dud")``."""
+    if T.ndim != len(slots) + grid.d or set(slots) - set("ud"):
+        raise ValueError(f"cov: slots {slots!r} do not name the component axes of {T.shape}")
+    out = grid.derivs(T)
     if conn.zero:
-        return grid.derivs(v)
-    return grid.derivs(v) + P.contract("ikm...,m...->ki...", conn.gamma, v)
+        return out
+    names = "abcdefghij"[:len(slots)]
+    for p, a in sorted(enumerate(names), key=lambda pa: slots[pa[0]] == "d"):
+        t = names[:p] + "m" + names[p + 1:]  # T with slot p contracted
+        if slots[p] == "u":
+            out += P.contract(f"{a}km...,{t}...->k{names}...", conn.gamma, T)
+        else:
+            out -= P.contract(f"mk{a}...,{t}...->k{names}...", conn.gamma, T)
+    return out
 
 
 def cov_endo(grid: TorusGrid, conn: ConnectionField, E: np.ndarray) -> np.ndarray:
     """out[k, i, j] = (∇_k E)^i_j."""
-    if conn.zero:
-        return grid.derivs(E)
-    return (grid.derivs(E)
-            + P.contract("ikm...,mj...->kij...", conn.gamma, E)
-            - P.contract("mkj...,im...->kij...", conn.gamma, E))
-
-
-def cov_bilinear(grid: TorusGrid, conn: ConnectionField, b: np.ndarray) -> np.ndarray:
-    """out[k, i, j] = (∇_k b)_{ij} for a (0,2)-tensor."""
-    if conn.zero:
-        return grid.derivs(b)
-    return (grid.derivs(b)
-            - P.contract("mki...,mj...->kij...", conn.gamma, b)
-            - P.contract("mkj...,im...->kij...", conn.gamma, b))
-
-
-def cov_tm_two_form(grid: TorusGrid, conn: ConnectionField, tau: np.ndarray) -> np.ndarray:
-    """out[k, a, i, j] = (∇_k τ)^a_{ij} for TM-valued 2-forms τ[a, i, j]."""
-    if conn.zero:
-        return grid.derivs(tau)
-    return (grid.derivs(tau)
-            + P.contract("akm...,mij...->kaij...", conn.gamma, tau)
-            - P.contract("mki...,amj...->kaij...", conn.gamma, tau)
-            - P.contract("mkj...,aim...->kaij...", conn.gamma, tau))
+    return cov(grid, conn, E, "ud")
 
 
 def cov_volume_residual(grid: TorusGrid, conn: ConnectionField, rho: np.ndarray) -> float:
@@ -178,38 +174,18 @@ def cov_volume_residual(grid: TorusGrid, conn: ConnectionField, rho: np.ndarray)
 
 
 def nabla_metric_residual(grid: TorusGrid, conn: ConnectionField, g: np.ndarray) -> float:
-    return rel_max1(cov_bilinear(grid, conn, g), g)
+    return rel_max1(cov(grid, conn, g, "dd"), g)
 
 
-def second_cov_endo(grid: TorusGrid, conn: ConnectionField, E: np.ndarray):
-    """(∇²E)[l, k, i, j] = (∇_l ∇ E)_k{}^i{}_j, with ∇E treated as a tensor."""
-    dE = cov_endo(grid, conn, E)  # [k, i, j]
-    if conn.zero:
-        return dE, grid.derivs(dE)
-    ddE = (grid.derivs(dE)
-           + P.contract("ilm...,kmj...->lkij...", conn.gamma, dE)
-           - P.contract("mlk...,mij...->lkij...", conn.gamma, dE)
-           - P.contract("mlj...,kim...->lkij...", conn.gamma, dE))
-    return dE, ddE
-
-
-def second_cov_bilinear(grid: TorusGrid, conn: ConnectionField, b: np.ndarray):
-    """(∇²b)[l, k, i, j] = (∇_l ∇ b)_{kij} for a (0,2)-tensor b."""
-    db = cov_bilinear(grid, conn, b)  # [k, i, j]
-    if conn.zero:
-        return db, grid.derivs(db)
-    ddb = (grid.derivs(db)
-           - P.contract("mlk...,mij...->lkij...", conn.gamma, db)
-           - P.contract("mli...,kmj...->lkij...", conn.gamma, db)
-           - P.contract("mlj...,kim...->lkij...", conn.gamma, db))
-    return db, ddb
-
-
-def rough_laplacian_endo(grid: TorusGrid, conn: ConnectionField, g: np.ndarray,
-                         E: np.ndarray) -> np.ndarray:
-    """∇*∇E = −g^{lk}(∇²E)_{lk} (nonnegative convention)."""
-    _, ddE = second_cov_endo(grid, conn, E)
-    return -P.contract("lk...,lkij...->ij...", P.inv(g), ddE)
+def lie_derivative_J(grid: TorusGrid, v: np.ndarray, J: np.ndarray,
+                     conn: ConnectionField) -> np.ndarray:
+    """(L_v J)u = J ∇_u v − ∇_{Ju} v + (∇_v J)u for a torsion-free connection."""
+    if not conn.torsion_free:
+        raise DomainError("lie_derivative_J requires a torsion-free connection")
+    nabla_v = P.contract("ji...->ij...", cov(grid, conn, v, "u"))  # [i, j] = ∇_j v^i
+    return (P.mul(J, nabla_v)
+            - P.contract("kj...,ik...->ij...", J, nabla_v)
+            + P.contract("k...,kij...->ij...", v, cov_endo(grid, conn, J)))
 
 
 def gaussian_curvature(grid: TorusGrid, g: np.ndarray) -> np.ndarray:
@@ -235,7 +211,7 @@ def nijenhuis(grid: TorusGrid, J: np.ndarray, conn: ConnectionField | None = Non
                  + P.contract("km...,jmi...->kij...", J, dJ)
                  - P.contract("km...,imj...->kij...", J, dJ))
     if conn is None:
-        conn = ConnectionField(grid, np.zeros((grid.d,) * 3 + grid.shape))
+        conn = ConnectionField.flat(grid)
     if not conn.torsion_free:
         raise DomainError("nijenhuis: connection must be torsion-free")
     nJ = cov_endo(grid, conn, J)  # [m, k, j] = (∇_m J)^k_j
@@ -259,9 +235,8 @@ def special_connections(grid: TorusGrid, rho: np.ndarray, J: np.ndarray,
 
     # hermitian tilt: Γ̃ = Γ − ½ J (∇J)
     gamma_t = lc.gamma - 0.5 * P.contract("km...,imj...->kij...", J, nJ)
-    tilde = ConnectionField(grid, gamma_t, {
-        "nabla_J": _endo_cov_residual(grid, gamma_t, J),
-    })
+    tilde = ConnectionField(grid, gamma_t)
+    tilde.flags["nabla_J"] = rel_max1(cov_endo(grid, tilde, J), J)
 
     # volume connection: preserves ρ and J, torsion −¼ N_J
     alpha = 0.5 * P.contract("km...,kmj...->j...", J, nJ)
@@ -279,9 +254,9 @@ def special_connections(grid: TorusGrid, rho: np.ndarray, J: np.ndarray,
                + corr)
     hat = ConnectionField(grid, gamma_h)
     n_tensor, _ = nijenhuis(grid, J, lc)
-    hat = ConnectionField(grid, gamma_h, {
+    hat.flags.update({
         "nabla_rho": cov_volume_residual(grid, hat, rho),
-        "nabla_J": _endo_cov_residual(grid, gamma_h, J),
+        "nabla_J": rel_max1(cov_endo(grid, hat, J), J),
         "torsion_vs_nijenhuis": rel_max1(hat.torsion() + 0.25 * n_tensor, n_tensor),
     })
 
@@ -289,18 +264,12 @@ def special_connections(grid: TorusGrid, rho: np.ndarray, J: np.ndarray,
     gamma_o = lc.gamma - (1.0 / 3.0) * P.contract("km...,imj...->kij...", J, nJ) \
         - (1.0 / 3.0) * P.contract("km...,jmi...->kij...", J, nJ)
     ring = ConnectionField(grid, gamma_o)
-    from .grid import form_to_matrix
     w_mat = form_to_matrix(grid, omega)
-    ring = ConnectionField(grid, gamma_o, {
+    ring.flags.update({
         "torsion": float(np.max(np.abs(ring.torsion()))),
-        "nabla_omega": rel_max1(cov_bilinear(grid, ring, w_mat), w_mat),
+        "nabla_omega": rel_max1(cov(grid, ring, w_mat, "dd"), w_mat),
     })
     return {"lc": lc, "hermitian": tilde, "volume": hat, "symplectic": ring}
-
-
-def _endo_cov_residual(grid: TorusGrid, gamma: np.ndarray, E: np.ndarray) -> float:
-    conn = ConnectionField(grid, gamma)
-    return rel_max1(cov_endo(grid, conn, E), E)
 
 
 def conformally_flat_volume_connection(grid: TorusGrid, rho: np.ndarray) -> ConnectionField:
@@ -309,6 +278,6 @@ def conformally_flat_volume_connection(grid: TorusGrid, rho: np.ndarray) -> Conn
     if np.any(density <= 0):
         raise DomainError("volume form must be positive")
     if float(np.ptp(density)) == 0.0:
-        return ConnectionField(grid, np.zeros((grid.d,) * 3 + grid.shape))
+        return ConnectionField.flat(grid)
     g = constant_field(grid, np.eye(grid.d)) * density ** (1.0 / grid.n)
     return levi_civita(grid, g)

@@ -376,24 +376,6 @@ def lie_form(grid: TorusGrid, v: np.ndarray, a: np.ndarray, k: int | None = None
     return out
 
 
-def lie_derivative_J(grid: TorusGrid, v: np.ndarray, J: np.ndarray,
-                     gamma: np.ndarray, torsion_tol: float = 1e-9) -> np.ndarray:
-    """(L_v J)u = J ∇_u v − ∇_{Ju} v + (∇_v J)u for a torsion-free connection."""
-    tor = np.max(np.abs(gamma - np.swapaxes(gamma, 1, 2)))
-    if tor > torsion_tol:
-        raise DomainError(f"lie_derivative_J requires a torsion-free connection (torsion {tor:.2e})")
-    dv = grid.derivs(v)
-    nabla_v = P.contract("ji...->ij...", dv) + P.contract("ijl...,l...->ij...", gamma, v)
-    # nabla_v[i, j] = ∇_j v^i
-    dJ = grid.derivs(J)
-    nabla_J = dJ + P.contract("ikl...,lj...->kij...", gamma, J) \
-        - P.contract("lkj...,il...->kij...", gamma, J)
-    # nabla_J[k, i, j] = (∇_k J)^i_j
-    return (P.mul(J, nabla_v)
-            - P.contract("kj...,ik...->ij...", J, nabla_v)
-            + P.contract("k...,kij...->ij...", v, nabla_J))
-
-
 def divergence_frho(grid: TorusGrid, v: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """f_v with f_v ρ = dι(v)ρ, for a positive volume form ρ."""
     if np.any(vol_sign(grid.n) * rho[0] <= 0):
@@ -524,8 +506,10 @@ def band_limit_residual(grid: TorusGrid, arr: np.ndarray, kmax: int | None = Non
 
 
 def acs_band(m: int) -> int:
-    """Default conjugator band: narrow, so Neumann tails stay at machine level."""
-    return max(1, m // 20)
+    """Default band of seeded fields: narrow, so Neumann tails stay at machine
+    level, and at most 3: second derivatives grow as band², and band 6 left
+    the seeded Kähler potential of ``ricci-laws`` indefinite at m = 128."""
+    return min(3, max(1, m // 20))
 
 
 def _smooth_channels(grid: TorusGrid, rng: np.random.Generator,

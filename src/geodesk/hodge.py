@@ -100,14 +100,17 @@ def dbar_q0(grid: TorusGrid, J: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def dbar_q0_kahler(inst: KahlerInstance, v: np.ndarray) -> np.ndarray:
     """(∂̄X)(u) = ½(∇_u X + J ∇_{Ju} X); equals dbar_q0 when ∇J = 0."""
-    nv = P.contract("ji...->ij...", C.cov_vector(inst.grid, inst.lc, v))  # [i, j] = ∇_j v^i
+    nv = P.contract("ji...->ij...", C.cov(inst.grid, inst.lc, v, "u"))  # [i, j] = ∇_j v^i
     return 0.5 * (nv + P.mul(inst.J, nv, inst.J))
 
 
-def dbar_q1(inst: KahlerInstance, jhat: np.ndarray) -> np.ndarray:
-    """(∂̄Ĵ)(u,v) = ½((∇_u Ĵ)v − (∇_v Ĵ)u − (∇_{Ju} Ĵ)Jv + (∇_{Jv} Ĵ)Ju)."""
-    grid, J = inst.grid, inst.J
-    nJh = C.cov_endo(grid, inst.lc, jhat)  # [k, a, b] = (∇_k Ĵ)^a_b
+def dbar_q1(inst: KahlerInstance, jhat: np.ndarray,
+            nJh: np.ndarray | None = None) -> np.ndarray:
+    """(∂̄Ĵ)(u,v) = ½((∇_u Ĵ)v − (∇_v Ĵ)u − (∇_{Ju} Ĵ)Jv + (∇_{Jv} Ĵ)Ju);
+    ``nJh`` is ∇Ĵ when the caller already holds it."""
+    J = inst.J
+    if nJh is None:
+        nJh = C.cov_endo(inst.grid, inst.lc, jhat)  # [k, a, b] = (∇_k Ĵ)^a_b
     t1 = P.contract("iaj...->aij...", nJh)
     jn = P.contract("ki...,kab...->iab...", J, nJh)  # (∇_{J∂_i} Ĵ)^a_b
     t3 = P.contract("iam...,mj...->aij...", jn, J)
@@ -115,15 +118,17 @@ def dbar_q1(inst: KahlerInstance, jhat: np.ndarray) -> np.ndarray:
     return 0.5 * out
 
 
-def dbar_adjoint_q1(inst: KahlerInstance, jhat: np.ndarray) -> np.ndarray:
-    """∂̄*Ĵ = −Σ (∇_{e_i} Ĵ) e_i as a vector field."""
-    nJh = C.cov_endo(inst.grid, inst.lc, jhat)
+def dbar_adjoint_q1(inst: KahlerInstance, jhat: np.ndarray,
+                    nJh: np.ndarray | None = None) -> np.ndarray:
+    """∂̄*Ĵ = −Σ (∇_{e_i} Ĵ) e_i as a vector field; ``nJh`` as in ``dbar_q1``."""
+    if nJh is None:
+        nJh = C.cov_endo(inst.grid, inst.lc, jhat)
     return -P.contract("ij...,iaj...->a...", inst.ginv, nJh)
 
 
 def dbar_adjoint_q2(inst: KahlerInstance, tau: np.ndarray) -> np.ndarray:
     """(∂̄*τ)(u) = −Σ (∇_{e_i} τ)(e_i, u)."""
-    ntau = C.cov_tm_two_form(inst.grid, inst.lc, tau)  # [k, a, i, j]
+    ntau = C.cov(inst.grid, inst.lc, tau, "udd")  # [k, a, i, j]
     return -P.contract("ki...,kaij...->aj...", inst.ginv, ntau)
 
 
@@ -167,21 +172,19 @@ def curvature_contraction(inst: KahlerInstance, jhat: np.ndarray) -> np.ndarray:
     return P.contract("lkij...,km...,im...->lj...", inst.curvature, jhat, inst.ginv)
 
 
-def rough_laplacian_q1(inst: KahlerInstance, jhat: np.ndarray) -> np.ndarray:
-    return C.rough_laplacian_endo(inst.grid, inst.lc, inst.metric, jhat)
-
-
 def bkn_residual(inst: KahlerInstance, jhat: np.ndarray, lhs: np.ndarray) -> dict:
     """Residual of ∂̄*∂̄Ĵ + ∂̄∂̄*Ĵ = ½∇*∇Ĵ + ½[JQ, Ĵ] + 𝒯(Ĵ), normalized by
     ‖Ĵ‖∞, with the two-expression agreement for the Ricci endomorphism.
 
     ``lhs`` is ∂̄*∂̄Ĵ + ∂̄∂̄*Ĵ, assembled by the caller from the ∂̄Ĵ and ∂̄*Ĵ
     that its other checks read too (``bkn_suite``)."""
-    J = inst.J
+    grid, lc, J = inst.grid, inst.lc, inst.J
     Q = ricci_endomorphism(inst)
     Qf = ricci_endomorphism_frame(inst)
     jq = P.mul(J, Q)
-    rhs = (0.5 * rough_laplacian_q1(inst, jhat)
+    rough = -P.contract("lk...,lkij...->ij...", inst.ginv,  # ∇*∇Ĵ, nonnegative
+                        C.cov(grid, lc, C.cov_endo(grid, lc, jhat), "dud"))
+    rhs = (0.5 * rough
            + 0.5 * (P.mul(jq, jhat) - P.mul(jhat, jq))
            + curvature_contraction(inst, jhat))
     return {"identity": rel_max1(lhs - rhs, jhat), "q_two_ways": rel_max1(Q - Qf, Q)}
@@ -195,7 +198,7 @@ def weitzenbock_residual(inst: KahlerInstance, what: np.ndarray) -> float:
     if grid.d > 2:
         hodge = hodge + G.codiff_f(grid, G.exterior_d(grid, what, 2), 3, g)
     w_mat = G.form_to_matrix(grid, what)
-    ddw = C.second_cov_bilinear(grid, inst.lc, w_mat)[1]
+    ddw = C.cov(grid, inst.lc, C.cov(grid, inst.lc, w_mat, "dd"), "ddd")
     rough = -P.contract("lk...,lkij...->ij...", ginv, ddw)
     riem = inst.curvature
     t1 = P.contract("pq...,pk...,qkij...->ij...", w_mat, ginv, riem)
@@ -329,24 +332,26 @@ def harmonic_lemma_suite(rep: CheckReport, grid: TorusGrid, seed: int,
     jh_h = harmonic_mean_q1(grid, Ric.anticommute_project(
         J, G.random_band_limited(grid, "endo", seed + 4, amplitude, band=band)))
     jh_star = endo_adjoint(inst, jh_h)
+    n_star = C.cov_endo(grid, inst.lc, jh_star)
     resid_h = max(
-        float(np.max(np.abs(dbar_q1(inst, jh_star)))),
-        float(np.max(np.abs(dbar_adjoint_q1(inst, jh_star)))),
+        float(np.max(np.abs(dbar_q1(inst, jh_star, n_star)))),
+        float(np.max(np.abs(dbar_adjoint_q1(inst, jh_star, n_star)))),
     )
+    del n_star
     rep.add("adjoint_harmonic", rel_max1(resid_h, jh_h))
 
     # parallel norms for skew-adjoint Ĵ and its 2-form ŵ = g(Ĵ·, ·)
     raw = Ric.anticommute_project(J, G.random_band_limited(grid, "endo", seed + 5,
                                                            amplitude, band=band))
     skew = 0.5 * (raw - endo_adjoint(inst, raw))
-    # ∂̄Ĵ and ∂̄*Ĵ once each, each dropped before the next large field
-    dq = dbar_q1(inst, skew)
+    # ∇Ĵ once; ∂̄Ĵ and ∂̄*Ĵ from it, each dropped before the next large field
+    nskew = C.cov_endo(grid, inst.lc, skew)
+    dq = dbar_q1(inst, skew, nskew)
     a2 = l2_inner_q2(inst, dq, dq)
     del dq
-    da = dbar_adjoint_q1(inst, skew)
+    da = dbar_adjoint_q1(inst, skew, nskew)
     a0 = l2_inner_q0(inst, da, da)
     del da
-    nskew = C.cov_endo(grid, inst.lc, skew)
     an = G.integrate_against_volume(grid, P.contract("kab...,kab...->...", nskew, nskew), rho)
     rep.add("parallel_norms_endo", rel_max1(a2 + a0 - 0.5 * an, an))
     what_m = P.mul(inst.metric, skew)
@@ -359,7 +364,7 @@ def harmonic_lemma_suite(rep: CheckReport, grid: TorusGrid, seed: int,
                           G.exterior_d(grid, what, 2), 3) if grid.d > 2 else 0.0
     cod = G.codiff_f(grid, what, 2)
     b_c = G.l2_inner_form(grid, cod, cod, 1)
-    nw = C.cov_bilinear(grid, inst.lc, what_m)
+    nw = C.cov(grid, inst.lc, what_m, "dd")
     b_n = 0.5 * G.integrate_against_volume(
         grid, P.contract("kij...,kij...->...", nw, nw), rho)
     rep.add("parallel_norms_form", rel_max1(b_d + b_c - b_n, b_n))
@@ -407,11 +412,13 @@ def bkn_suite(rep: CheckReport, grid: TorusGrid, seed: int, amplitude: float) ->
         jhat = Ric.anticommute_project(inst.J, raw)
         rep.add(f"anti_linearity[{tag}]", anti_linearity_residual(inst.J, jhat, 1))
 
-        # ∂̄Ĵ and ∂̄*Ĵ once each.  Every pairing that reads ∂̄Ĵ runs first, and
-        # ∂̄Ĵ and τ are dropped before the curvature is built: kept alive
-        # across the large transients below, they would raise the peak.
-        dq1 = dbar_q1(inst, jhat)
-        da1 = dbar_adjoint_q1(inst, jhat)
+        # ∇Ĵ, ∂̄Ĵ and ∂̄*Ĵ once each.  Every pairing that reads ∂̄Ĵ runs first,
+        # and ∇Ĵ, ∂̄Ĵ and τ are dropped before the curvature is built: kept
+        # alive across the large transients below, they would raise the peak.
+        nJh = C.cov_endo(grid, inst.lc, jhat)
+        dq1 = dbar_q1(inst, jhat, nJh)
+        da1 = dbar_adjoint_q1(inst, jhat, nJh)
+        del nJh
         tau = dbar_q1(inst, Ric.anticommute_project(
             inst.J, G.random_band_limited(grid, "endo", seed + 13, amplitude, band=band)))
         lhs_b = l2_inner_q2(inst, dq1, tau)

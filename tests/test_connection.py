@@ -45,15 +45,25 @@ def _field(g, shape, seed):
     return np.random.default_rng(seed).standard_normal(shape + g.shape)
 
 
-# every covariant derivative with its argument's component shape
+# The slot patterns of every covariant derivative in use, applied in turn
+# (a second derivative is ∇ of ∇T); the ids keep the names of the functions
+# each pattern replaced, so their history reads across the change.
 ZERO_PATH_CASES = {
-    "cov_vector": (C.cov_vector, 1),
-    "cov_endo": (C.cov_endo, 2),
-    "cov_bilinear": (C.cov_bilinear, 2),
-    "cov_tm_two_form": (C.cov_tm_two_form, 3),
-    "second_cov_endo": (C.second_cov_endo, 2),
-    "second_cov_bilinear": (C.second_cov_bilinear, 2),
+    "cov_vector": ("u",),
+    "cov_endo": ("ud",),
+    "cov_bilinear": ("dd",),
+    "cov_tm_two_form": ("udd",),
+    "second_cov_endo": ("ud", "dud"),
+    "second_cov_bilinear": ("dd", "ddd"),
 }
+
+
+def _chain(g, conn, x, chain):
+    """T, ∇T, ∇²T, … along the slot patterns of ``chain``, the input dropped."""
+    out = [x]
+    for slots in chain:
+        out.append(C.cov(g, conn, out[-1], slots))
+    return out[1:]
 
 
 def _full_formula(conn):
@@ -66,13 +76,12 @@ def _full_formula(conn):
 @pytest.mark.parametrize("n, m", [(1, 16), (2, 8)])
 @pytest.mark.parametrize("name", sorted(ZERO_PATH_CASES))
 def test_zero_connection_path_equals_full_formula(name, n, m):
-    fn, rank = ZERO_PATH_CASES[name]
+    chain = ZERO_PATH_CASES[name]
     g = TorusGrid(n, m)
-    conn = C.ConnectionField(g, np.zeros((g.d,) * 3 + g.shape))
+    conn = C.ConnectionField.flat(g)
     assert conn.zero
-    x = _field(g, (g.d,) * rank, 3)
-    fast, full = fn(g, conn, x), fn(g, _full_formula(conn), x)
-    for a, b in zip(*((fast, full) if isinstance(fast, tuple) else ((fast,), (full,)))):
+    x = _field(g, (g.d,) * len(chain[0]), 3)
+    for a, b in zip(_chain(g, conn, x, chain), _chain(g, _full_formula(conn), x, chain)):
         assert a.shape == b.shape
         assert np.all(a == b)
     rho = G.standard_volume_field(g) * np.exp(0.1 * _field(g, (), 4))
@@ -82,23 +91,74 @@ def test_zero_connection_path_equals_full_formula(name, n, m):
 
 @pytest.mark.parametrize("name", sorted(ZERO_PATH_CASES))
 def test_zero_connection_path_makes_no_contraction(monkeypatch, name):
-    fn, rank = ZERO_PATH_CASES[name]
+    chain = ZERO_PATH_CASES[name]
     g = TorusGrid(2, 8)
-    conn = C.ConnectionField(g, np.zeros((g.d,) * 3 + g.shape))
-    x = _field(g, (g.d,) * rank, 5)
+    conn = C.ConnectionField.flat(g)
+    x = _field(g, (g.d,) * len(chain[0]), 5)
     calls = []
     contract = P.contract
     monkeypatch.setattr(P, "contract", lambda *a: calls.append(a[0]) or contract(*a))
-    fn(g, conn, x)
+    _chain(g, conn, x, chain)
     C.cov_volume_residual(g, conn, G.standard_volume_field(g))
     assert calls == []
-    fn(g, _full_formula(conn), x)
+    _chain(g, _full_formula(conn), x, chain)
     assert calls  # the counter sees the full formula's contractions
+
+
+def _low_band(g, shape, seed):
+    """A real field of the given component shape with modes |k|∞ ≤ 1."""
+    if shape == ():
+        return random_band_limited(g, "scalar", seed, 1.0, band=1)
+    return np.stack([_low_band(g, shape[1:], 97 * seed + i) for i in range(shape[0])])
+
+
+def _eval(T, args):
+    """T(args), every slot of T filled by the matching field of args."""
+    names = "abcdefgh"[:len(args)]
+    return np.einsum(",".join([names + "..."] + [c + "..." for c in names]) + "->...",
+                     T, *args)
+
+
+@pytest.mark.parametrize("n, m", [(1, 16), (2, 8)])
+@pytest.mark.parametrize("slots", ["u", "d", "ud", "dd", "udd", "dud", "ddd"])
+def test_cov_leibniz_rule_at_nonzero_gamma(slots, n, m):
+    # ∂_k(T(u₁, …)) = (∇_k T)(u₁, …) + Σ_p T(…, ∇_k u_p, …): an up slot of T
+    # takes a one-form (its ∇ by the "d" rule), a down slot a vector (the "u"
+    # rule).  Γ, T and u₁ have band 1 and u₂, u₃ are constant, so every
+    # product has band ≤ 3 and stays resolved on m = 8.
+    g = TorusGrid(n, m)
+    d = g.d
+    conn = C.ConnectionField(g, _low_band(g, (d, d, d), 11))
+    rng = np.random.default_rng(12)
+    T = _low_band(g, (d,) * len(slots), 13)
+    args = [_low_band(g, (d,), 14)] + [G.constant_field(g, rng.standard_normal(d))
+                                      for _ in slots[1:]]
+    lhs = g.derivs(_eval(T, args))
+    nT = C.cov(g, conn, T, slots)
+    rhs = np.stack([_eval(nT[k], args) for k in range(d)])
+    for p, s in enumerate(slots):
+        n_arg = C.cov(g, conn, args[p], "d" if s == "u" else "u")
+        rhs += np.stack([_eval(T, args[:p] + [n_arg[k]] + args[p + 1:]) for k in range(d)])
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(lhs))
+    # Leibniz alone cannot see the order of Γ's lower indices, so the vector
+    # rule is pinned to ∇_k v^a = ∂_k v^a + Γ^a_{km} v^m (∇_{∂k} ∂_m = Γ^a_{km} ∂_a)
+    v = args[0]
+    explicit = g.derivs(v) + np.einsum("akm...,m...->ka...", conn.gamma, v)
+    assert np.max(np.abs(C.cov(g, conn, v, "u") - explicit)) <= 1e-14 * np.max(np.abs(explicit))
+    assert np.max(np.abs(nT - g.derivs(T))) > 0.1 * np.max(np.abs(nT))
+
+
+def test_cov_rejects_slots_that_miss_the_component_axes():
+    g = TorusGrid(1, 16)
+    E = _field(g, (2, 2), 6)
+    for slots in ("u", "udd", "ux"):
+        with pytest.raises(ValueError):
+            C.cov(g, C.ConnectionField.flat(g), E, slots)
 
 
 def test_one_nonzero_christoffel_entry_is_not_zero():
     g = TorusGrid(1, 16)
-    gamma = np.zeros((g.d,) * 3 + g.shape)
+    gamma = C.ConnectionField.flat(g).gamma
     assert C.ConnectionField(g, gamma).zero
     gamma[1, 0, 1, 3, 5] = 1e-300  # the test is exact, not a tolerance
     assert not C.ConnectionField(g, gamma).zero

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from geodesk import combi
+from geodesk import connection as C
 from geodesk import grid as G
 from geodesk.errors import DomainError, UsageError
 from geodesk.grid import (AffineMap, DisplacementMap, Field, TorusGrid, band_limit_residual,
                           codiff_f, constant_field, divergence_frho, exterior_d,
                           flat_green, flow_rk4, fourier_interpolate,
                           integrate, integrate_against_volume, interior_f,
-                          inverse_displacement, laplacian, lie_derivative_J, lie_endo,
+                          inverse_displacement, laplacian, lie_endo,
                           lie_form, load_field, poisson_solve,
                           pullback, pq_project_f, random_band_limited, save_field,
                           standard_j_field, standard_omega_field, standard_volume_field,
@@ -335,17 +336,17 @@ def test_lie_derivative_J_routes_agree():
     g = TorusGrid(1, 32)
     v = random_band_limited(g, "vector", 61, 0.1)
     J = random_band_limited(g, "acs", 62, 0.15)
-    flat_gamma = np.zeros((2, 2, 2) + g.shape)
-    lie_conn = lie_derivative_J(g, v, J, flat_gamma)
+    flat = C.ConnectionField.flat(g)
+    lie_conn = C.lie_derivative_J(g, v, J, flat)
     lie_direct = lie_endo(g, v, J)
     np.testing.assert_allclose(lie_conn, lie_direct, atol=1e-10)
     # anticommutes with J pointwise
     anti = np.einsum("ik...,kj...->ij...", lie_conn, J) + np.einsum("ik...,kj...->ij...", J, lie_conn)
     assert np.max(np.abs(anti)) <= 1e-9
     with pytest.raises(DomainError):
-        bad = flat_gamma.copy()
+        bad = flat.gamma.copy()
         bad[0, 0, 1] = 1.0
-        lie_derivative_J(g, v, J, bad)
+        C.lie_derivative_J(g, v, J, C.ConnectionField(g, bad))
 
 
 def test_lie_derivative_J_flow_oracle():
@@ -525,13 +526,11 @@ def test_lie_derivative_J_connection_independent_curved():
     g = TorusGrid(1, 32)
     v = random_band_limited(g, "vector", 65, 0.1, band=2)
     J = random_band_limited(g, "acs", 66, 0.1)
-    from geodesk import connection as C
     x = g.coords()
     metric = constant_field(g, np.eye(2)) * np.exp(2 * (0.1 * np.sin(x[0])))
     lc = C.levi_civita(g, metric)
-    flat = np.zeros((2, 2, 2) + g.shape)
-    a = lie_derivative_J(g, v, J, flat)
-    b = lie_derivative_J(g, v, J, lc.gamma)
+    a = C.lie_derivative_J(g, v, J, C.ConnectionField.flat(g))
+    b = C.lie_derivative_J(g, v, J, lc)
     assert np.max(np.abs(a - b)) <= 1e-9 * max(1.0, np.max(np.abs(a)))
 
 

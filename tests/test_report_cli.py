@@ -394,6 +394,21 @@ def test_verify_all_n2_m10_writes_report_on_exit_1(tmp_path, capsys):
         assert suites[suite] == alone, suite
 
 
+def test_verify_all_n1_m128_fails_only_naturality_affine(tmp_path, capsys):
+    # The seeded band is capped, so the Kähler potential of ricci-laws stays
+    # positive at m = 128; naturality_affine reads a rounding floor of about
+    # 2e-12 against its 1e-12 here.
+    path = tmp_path / "all.json"
+    rc = cli.main(["verify", "all", "--n", "1", "--grid", "128", "--seed", "1",
+                   "--report", str(path)])
+    capsys.readouterr()
+    assert rc == 1
+    doc = json.loads(path.read_text())
+    assert validate_report(doc) == []
+    assert len(doc["checks"]) == 115
+    assert {c["name"] for c in doc["checks"] if not c["pass"]} == {"naturality_affine"}
+
+
 @pytest.mark.parametrize("amp", ["50", "1e6"])
 def test_lincs_blowup_is_recorded(tmp_path, capsys, amp):
     # a singular conjugating matrix (50) and a non-finite J (1e6) inside the body
