@@ -50,7 +50,8 @@ def estimate_peak_bytes(n: int, m: int) -> int:
 class Suite:
     """A suite's check body ``(rep, grid, seed, amp) -> None``, its default
     amplitude at (n = 1, n >= 2), the n it admits, and whether the memory
-    guard applies.  The torus suites admit n = 1 and 2: at n = 3 one d⁴
+    guard applies: every torus suite is guarded, only lincs, which builds no
+    grid field, is not.  The torus suites admit n = 1 and 2: at n = 3 one d⁴
     field alone takes 2.7 GB at the smallest grid, m = 8."""
 
     body: Callable
@@ -67,7 +68,7 @@ SUITES = {
     "harmonic": Suite(hodge.harmonic_lemma_suite),
     "bott-chern": Suite(hodge.bott_chern_suite),
     "teich-wp": Suite(teich.wp_suite),
-    "teich-connection": Suite(teich.connection_suite, ns=(2,), guarded=False),
+    "teich-connection": Suite(teich.connection_suite, ns=(2,)),
     "theta": Suite(teich.theta_suite),
 }
 
@@ -212,6 +213,12 @@ def main(argv: list[str] | None = None) -> int:
         args.seed = pick("seed", 1, int, "an integer")
         args.amp = pick("amp", None, (int, float), "a finite number")
         args.tol_scale = float(pick("tol-scale", 1.0, (int, float), "a finite number"))
+        if args.seed < 0:
+            raise UsageError(f"seed must be >= 0, got {args.seed}")
+        if args.amp is not None and args.amp < 0:
+            raise UsageError(f"amp must be >= 0, got {args.amp}")
+        if args.tol_scale <= 0:
+            raise UsageError(f"tol-scale must be > 0, got {args.tol_scale}")
         args.report = pick("report", None, str, "a path")
         args.baseline = pick("baseline", None, str, "a path")
         m = pick("grid", DEFAULT_GRID[args.n], int, "an integer")

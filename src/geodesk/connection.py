@@ -1,10 +1,10 @@
 """Connections and curvature on sampled tori: compatible metrics from (ρ, J),
-Levi-Civita data, Nijenhuis tensors, and the volume/Hermitian special
-connections used by the Ricci-form machinery."""
+Levi-Civita data, covariant derivatives, Nijenhuis tensors, and the
+conformally flat volume connection used by the Ricci-form machinery."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -12,8 +12,8 @@ import numpy as np
 from . import pointwise as P
 from .combi import vol_sign
 from .errors import DomainError
-from .grid import (TorusGrid, constant_field, form_from_matrix, form_to_matrix,
-                   metric_sqrt_det, standard_volume_field)
+from .grid import (TorusGrid, constant_field, form_from_matrix, metric_sqrt_det,
+                   standard_volume_field)
 from .report import rel_max1
 
 
@@ -55,14 +55,11 @@ def compatible_pair(grid: TorusGrid, rho: np.ndarray, J: np.ndarray,
 
 @dataclass(frozen=True)
 class ConnectionField:
-    """Christoffel data Γ^k_{ij}.  ``flags`` holds the residuals that
-    ``special_connections`` records into its connections once built;
-    ``levi_civita`` records none.  Γ is never written after construction,
+    """Christoffel data Γ^k_{ij}.  Γ is never written after construction,
     so ``zero`` and ``torsion_free`` are computed on first read and kept."""
 
     grid: TorusGrid
     gamma: np.ndarray
-    flags: dict = field(default_factory=dict)
 
     @classmethod
     def flat(cls, grid: TorusGrid) -> ConnectionField:
@@ -80,19 +77,6 @@ class ConnectionField:
     def zero(self) -> bool:
         """Γ ≡ 0: every covariant derivative is the plain spectral derivative."""
         return not np.any(self.gamma)
-
-
-@dataclass(frozen=True)
-class CurvatureField:
-    """R^l_{kij} for R(u,v)w = R^l_{kij} u^i v^j w^k ∂_l."""
-
-    grid: TorusGrid
-    riem: np.ndarray
-
-    def first_bianchi_residual(self) -> float:
-        cyc = self.riem + P.contract("lijk...->lkij...", self.riem) \
-            + P.contract("ljki...->lkij...", self.riem)
-        return rel_max1(cyc, self.riem)
 
 
 def _check_spd(g: np.ndarray, what: str) -> None:
@@ -120,9 +104,10 @@ def _sym_sum(dg: np.ndarray) -> np.ndarray:
             - P.contract("lij...->ijl...", dg))
 
 
-def curvature(grid: TorusGrid, conn: ConnectionField) -> CurvatureField:
+def curvature(grid: TorusGrid, conn: ConnectionField) -> np.ndarray:
+    """R^l_{kij} for R(u,v)w = R^l_{kij} u^i v^j w^k ∂_l."""
     if conn.zero:
-        return CurvatureField(grid, np.zeros((grid.d,) * 4 + grid.shape))
+        return np.zeros((grid.d,) * 4 + grid.shape)
     d = grid.d
     dgamma = grid.derivs(conn.gamma).reshape((d, d, d, d, -1))  # [a, k, i, j]
     gam = conn.gamma.reshape((d, d, d, -1))
@@ -131,7 +116,7 @@ def curvature(grid: TorusGrid, conn: ConnectionField) -> CurvatureField:
     riem -= dgamma.transpose(1, 3, 2, 0, 4)
     riem += gg
     riem -= gg.transpose(0, 1, 3, 2, 4)
-    return CurvatureField(grid, riem.reshape((d, d, d, d) + grid.shape))
+    return riem.reshape((d, d, d, d) + grid.shape)
 
 
 # --- covariant derivatives (derivative index first) ---
@@ -173,31 +158,6 @@ def cov_volume_residual(grid: TorusGrid, conn: ConnectionField, rho: np.ndarray)
     return rel_max1(out, r)
 
 
-def nabla_metric_residual(grid: TorusGrid, conn: ConnectionField, g: np.ndarray) -> float:
-    return rel_max1(cov(grid, conn, g, "dd"), g)
-
-
-def lie_derivative_J(grid: TorusGrid, v: np.ndarray, J: np.ndarray,
-                     conn: ConnectionField) -> np.ndarray:
-    """(L_v J)u = J ∇_u v − ∇_{Ju} v + (∇_v J)u for a torsion-free connection."""
-    if not conn.torsion_free:
-        raise DomainError("lie_derivative_J requires a torsion-free connection")
-    nabla_v = P.contract("ji...->ij...", cov(grid, conn, v, "u"))  # [i, j] = ∇_j v^i
-    return (P.mul(J, nabla_v)
-            - P.contract("kj...,ik...->ij...", J, nabla_v)
-            + P.contract("k...,kij...->ij...", v, cov_endo(grid, conn, J)))
-
-
-def gaussian_curvature(grid: TorusGrid, g: np.ndarray) -> np.ndarray:
-    """K = g(R(∂1, ∂2)∂2, ∂1)/det g on a 2-dimensional torus."""
-    if grid.d != 2:
-        raise DomainError("gaussian_curvature needs a 2-dimensional torus")
-    R = curvature(grid, levi_civita(grid, g)).riem
-    num = P.contract("lm...,l...->m...", g, R[:, 1, 0, 1])[0]
-    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    return num / det
-
-
 def nijenhuis(grid: TorusGrid, J: np.ndarray, conn: ConnectionField | None = None):
     """Nijenhuis tensor N[k, i, j] = N(∂_i, ∂_j)^k, by two routes.
 
@@ -220,56 +180,6 @@ def nijenhuis(grid: TorusGrid, J: np.ndarray, conn: ConnectionField | None = Non
               - P.contract("jkm...,mi...->kij...", nJ, J)
               - P.contract("mj...,mki...->kij...", J, nJ))
     return n_bracket, rel_max1(n_bracket - n_conn, n_bracket)
-
-
-def special_connections(grid: TorusGrid, rho: np.ndarray, J: np.ndarray,
-                        omega: np.ndarray, g: np.ndarray) -> dict:
-    """The volume-and-J connection, the Hermitian tilt, and the symplectic
-    torsion-free correction of the Levi-Civita connection of g.
-
-    Returns {"lc", "hermitian", "volume", "symplectic"} ConnectionFields with
-    verification residuals in their flags.
-    """
-    lc = levi_civita(grid, g)
-    nJ = cov_endo(grid, lc, J)  # [i, m, j] = (∇_i J)^m_j
-
-    # hermitian tilt: Γ̃ = Γ − ½ J (∇J)
-    gamma_t = lc.gamma - 0.5 * P.contract("km...,imj...->kij...", J, nJ)
-    tilde = ConnectionField(grid, gamma_t)
-    tilde.flags["nabla_J"] = rel_max1(cov_endo(grid, tilde, J), J)
-
-    # volume connection: preserves ρ and J, torsion −¼ N_J
-    alpha = 0.5 * P.contract("km...,kmj...->j...", J, nJ)
-    alpha_j = P.contract("m...,mi...->i...", alpha, J)
-    d = grid.d
-    eye = constant_field(grid, np.eye(d))
-    corr = (P.contract("i...,kj...->kij...", alpha, eye)
-            + P.contract("j...,ki...->kij...", alpha, eye)
-            - P.contract("i...,kj...->kij...", alpha_j, J)
-            - P.contract("j...,ki...->kij...", alpha_j, J)) / (2 * grid.n + 2)
-    gamma_h = (lc.gamma
-               - 0.5 * P.contract("km...,imj...->kij...", J, nJ)
-               - 0.25 * P.contract("km...,jmi...->kij...", J, nJ)
-               - 0.25 * P.contract("lj...,lki...->kij...", J, nJ)
-               + corr)
-    hat = ConnectionField(grid, gamma_h)
-    n_tensor, _ = nijenhuis(grid, J, lc)
-    hat.flags.update({
-        "nabla_rho": cov_volume_residual(grid, hat, rho),
-        "nabla_J": rel_max1(cov_endo(grid, hat, J), J),
-        "torsion_vs_nijenhuis": rel_max1(hat.torsion() + 0.25 * n_tensor, n_tensor),
-    })
-
-    # symplectic correction: torsion-free, preserves ω when dω = 0
-    gamma_o = lc.gamma - (1.0 / 3.0) * P.contract("km...,imj...->kij...", J, nJ) \
-        - (1.0 / 3.0) * P.contract("km...,jmi...->kij...", J, nJ)
-    ring = ConnectionField(grid, gamma_o)
-    w_mat = form_to_matrix(grid, omega)
-    ring.flags.update({
-        "torsion": float(np.max(np.abs(ring.torsion()))),
-        "nabla_omega": rel_max1(cov(grid, ring, w_mat, "dd"), w_mat),
-    })
-    return {"lc": lc, "hermitian": tilde, "volume": hat, "symplectic": ring}
 
 
 def conformally_flat_volume_connection(grid: TorusGrid, rho: np.ndarray) -> ConnectionField:

@@ -10,8 +10,6 @@ strided views (transposes, ``moveaxis``); the pointwise helpers of
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +19,6 @@ from . import pointwise as P
 from .combi import standard_j, standard_omega_matrix, vol_sign
 from .errors import DomainError, NumericError, UsageError
 
-_MAGIC = b"GDSK1\x00"
 _CACHE: dict[tuple[int, int], dict] = {}
 # Largest m at which derivatives use the dense (m, m) matrix instead of an FFT:
 # one batched matmul per axis, written straight into the output.  For a (2, 2)
@@ -198,10 +195,6 @@ def standard_volume_field(grid: TorusGrid) -> np.ndarray:
     out = np.zeros((1,) + grid.shape)
     out[0] = vol_sign(grid.n)
     return out
-
-
-def flat_metric_field(grid: TorusGrid) -> np.ndarray:
-    return constant_field(grid, np.eye(grid.d))
 
 
 # ---------------------------------------------------------------------------
@@ -494,17 +487,6 @@ def _band_mask(grid: TorusGrid, kmax: int) -> np.ndarray:
     return mask
 
 
-def band_limit_residual(grid: TorusGrid, arr: np.ndarray, kmax: int | None = None) -> float:
-    """Relative Fourier mass outside |k|∞ <= kmax (tag check)."""
-    if kmax is None:
-        kmax = grid.m // 4
-    F = grid.fft(arr)
-    mask = _band_mask(grid, kmax)
-    outside = np.abs(F[..., ~mask])
-    peak = np.max(np.abs(F))
-    return float(outside.max() / peak) if peak > 0 and outside.size else 0.0
-
-
 def acs_band(m: int) -> int:
     """Default band of seeded fields: narrow, so Neumann tails stay at machine
     level, and at most 3: second derivatives grow as band², and band 6 left
@@ -739,119 +721,3 @@ def pullback(grid: TorusGrid, kind: str, data: np.ndarray,
         hess = P.contract("ijc...->cij...", grid.derivs(grid.derivs(u)))
         out = out + P.contract("kc...,cij...->kij...", jinv, hess)
     return out
-
-
-def inverse_displacement(grid: TorusGrid, u: np.ndarray,
-                         tol: float = 1e-12, max_iter: int = 100) -> np.ndarray:
-    """Displacement w with (id + u) ∘ (id + w) = id, by fixed-point iteration."""
-    X = grid.coords().reshape(grid.d, -1)
-    w = -u.reshape(grid.d, -1).copy()
-    for _ in range(max_iter):
-        w_new = -fourier_interpolate(grid, u, X + w)
-        delta = np.max(np.abs(w_new - w))
-        w = w_new
-        if delta <= tol:
-            return w.reshape((grid.d,) + grid.shape)
-    raise NumericError("inverse_displacement did not converge", residual=float(delta))
-
-
-def flow_rk4(grid: TorusGrid, v: np.ndarray, time: float, steps: int = 8):
-    """Flow of v from the grid points; returns endpoints and Jacobians.
-
-    Integrates dx/dt = v(x) and dD/dt = Dv(x)·D with RK4 and trigonometric
-    interpolation of v and Dv.
-    """
-    d = grid.d
-    dv = P.contract("ji...->ij...", grid.derivs(v))  # Dv[i, j] = ∂_j v^i
-    X = grid.coords().reshape(d, -1)
-    npts = X.shape[1]
-    D = np.broadcast_to(np.eye(d)[:, :, None], (d, d, npts)).copy()
-    h = time / steps
-
-    def rhs(x, dd):
-        vx = fourier_interpolate(grid, v, x)
-        dvx = fourier_interpolate(grid, dv, x)
-        return vx, P.contract("ikp,kjp->ijp", dvx, dd)
-
-    for _ in range(steps):
-        k1x, k1d = rhs(X, D)
-        k2x, k2d = rhs(X + 0.5 * h * k1x, D + 0.5 * h * k1d)
-        k3x, k3d = rhs(X + 0.5 * h * k2x, D + 0.5 * h * k2d)
-        k4x, k4d = rhs(X + h * k3x, D + h * k3d)
-        X = X + h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
-        D = D + h / 6.0 * (k1d + 2 * k2d + 2 * k3d + k4d)
-    return X, D
-
-
-# ---------------------------------------------------------------------------
-# snapshot container
-
-
-@dataclass(frozen=True)
-class Field:
-    grid: TorusGrid
-    kind: str
-    data: np.ndarray
-    lineage: dict = field(default_factory=dict)
-
-
-def save_field(path, fld: Field) -> None:
-    data = fld.data
-    is_complex = np.iscomplexobj(data)
-    if is_complex:
-        data = np.stack([data.real, data.imag])
-    data = np.ascontiguousarray(data, dtype="<f8")
-    header = {
-        "format": "geodesk-field",
-        "version": 1,
-        "n": fld.grid.n,
-        "m": fld.grid.m,
-        "kind": fld.kind,
-        "complex": is_complex,
-        "slot": list(data.shape[:data.ndim - fld.grid.d]),
-        "lineage": fld.lineage,
-    }
-    blob = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        fh.write(data.tobytes())
-
-
-def load_field(path) -> Field:
-    """Read a snapshot written by ``save_field``; a malformed file raises
-    ``UsageError``."""
-    with open(path, "rb") as fh:
-        blob = fh.read()  # a damaged header length must not size a read
-    body = len(_MAGIC) + 8
-    if blob[:len(_MAGIC)] != _MAGIC:
-        raise UsageError("not a geodesk field snapshot")
-    if len(blob) < body:
-        raise UsageError("snapshot header is truncated")
-    (hlen,) = struct.unpack_from("<Q", blob, len(_MAGIC))
-    try:
-        header = json.loads(blob[body:body + hlen].decode())
-        grid = TorusGrid(_snapshot_int(header["n"]), _snapshot_int(header["m"]))
-        slot = tuple(_snapshot_int(s) for s in header["slot"])
-        is_complex = bool(header["complex"])
-        kind = header["kind"]
-    except (ValueError, KeyError, TypeError, RecursionError) as exc:
-        raise UsageError(f"bad snapshot header: {exc}") from None
-    if is_complex and slot[:1] != (2,):
-        raise UsageError("complex snapshot must store stacked real and imaginary parts")
-    payload = blob[body + hlen:]
-    shape = slot + grid.shape
-    expected = 8 * int(np.prod(shape, dtype=object))  # exact, no overflow
-    if len(payload) != expected:
-        raise UsageError(f"snapshot payload has {len(payload)} bytes, its header "
-                         f"implies {expected}")
-    raw = np.frombuffer(payload, dtype="<f8").reshape(shape)
-    data = raw[0] + 1j * raw[1] if is_complex else raw.copy()
-    return Field(grid, kind, data, header.get("lineage", {}))
-
-
-def _snapshot_int(val) -> int:
-    if isinstance(val, bool) or not isinstance(val, int) or val < 0:
-        raise UsageError(f"expected a non-negative integer, got {val!r}")
-    return val

@@ -47,7 +47,7 @@ class KahlerInstance:
     @cached_property
     def curvature(self) -> np.ndarray:
         """R^l_{kij} of the Levi-Civita connection, built on first read."""
-        return C.curvature(self.grid, self.lc).riem
+        return C.curvature(self.grid, self.lc)
 
     def frame(self) -> np.ndarray:
         """Pointwise g-orthonormal frame from Cholesky; columns indexed last."""

@@ -145,11 +145,6 @@ def tau(J: LinCS, jhat1: TangentJ, jhat2: TangentJ) -> float:
     return 0.5 * float(np.trace(jhat1.jhat @ J.matrix @ jhat2.jhat))
 
 
-def pairing(jhat1: TangentJ, jhat2: TangentJ) -> float:
-    """Symmetric pairing ½ tr(Ĵ1 Ĵ2); indefinite for n > 1."""
-    return 0.5 * float(np.trace(jhat1.jhat @ jhat2.jhat))
-
-
 def moment_residual(J: LinCS, xi: np.ndarray, jhat: TangentJ) -> float:
     """|τ_J([ξ,J], Ĵ) + tr(ξ Ĵ)|; zero iff μ(J) = −J generates the action."""
     xi = np.asarray(xi, dtype=float)

@@ -13,7 +13,7 @@ from geodesk.grid import TorusGrid
 def test_flat_instance_and_bad_instances():
     g = TorusGrid(1, 16)
     inst = H.flat_instance(g)
-    assert np.max(np.abs(inst.metric - G.flat_metric_field(g))) == 0.0
+    assert np.max(np.abs(inst.metric - G.constant_field(g, np.eye(g.d)))) == 0.0
     with pytest.raises(DomainError):
         H.conformal_instance(TorusGrid(2, 8), np.zeros(TorusGrid(2, 8).shape))
 

@@ -7,7 +7,7 @@ from geodesk import lincs
 from geodesk.combi import standard_j, standard_omega_matrix
 from geodesk.errors import DomainError, NumericError, UsageError
 from geodesk.lincs import (LinCS, SiegelPoint, TangentJ, bracket_tangent, expm,
-                           moment_residual, pairing, random_lincs, random_siegel_point,
+                           moment_residual, random_lincs, random_siegel_point,
                            random_sl_element, random_symplectic, siegel_metric,
                            siegel_pushforward_fd, siegel_to_acs, symplectic_action,
                            tangent_project, tau)
@@ -147,6 +147,7 @@ def test_complex_structure_and_11_type():
 
 
 def test_pairing_indefinite_for_n2_positive_on_compatible():
+    # the pairing ½ tr(Ĵ1 Ĵ2)
     J = LinCS.standard(2)
     # positive vector: symmetric anticommuting; negative vector: skew anticommuting
     # anticommuting matrices have block form [[P, Q], [Q, −P]]
@@ -154,11 +155,11 @@ def test_pairing_indefinite_for_n2_positive_on_compatible():
     a[0, 0] = 1.0
     a[2, 2] = -1.0  # P = diag(1, 0): symmetric block, tr Ĵ² > 0
     pos = TangentJ(J, a)
-    assert pairing(pos, pos) > 0
+    assert 0.5 * np.trace(pos.jhat @ pos.jhat) > 0
     p = np.array([[0.0, 1.0], [-1.0, 0.0]])  # skew block: tr Ĵ² < 0
     b = np.block([[p, np.zeros((2, 2))], [np.zeros((2, 2)), -p]])
     neg = TangentJ(J, b)
-    assert pairing(neg, neg) < 0
+    assert 0.5 * np.trace(neg.jhat @ neg.jhat) < 0
     # on the compatible locus the pairing is positive definite
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -171,7 +172,7 @@ def test_pairing_indefinite_for_n2_positive_on_compatible():
         t_comp = TangentJ(Jc, t.jhat - np.linalg.solve(W, 0.5 * (sym - sym.T)))
         if np.abs(t_comp.jhat).max() < 1e-8:
             continue
-        assert pairing(t_comp, t_comp) > 0
+        assert 0.5 * np.trace(t_comp.jhat @ t_comp.jhat) > 0
 
 
 def test_siegel_center_maps_to_standard():

@@ -112,7 +112,7 @@ def test_singular_field_raises(d, bad):
 
 def test_metric_sqrt_det_rejects_nonpositive_determinant():
     grid = G.TorusGrid(1, 8)
-    g = G.flat_metric_field(grid)
+    g = G.constant_field(grid, np.eye(grid.d))
     g[1, 1, 3, 4] = -1.0
     with pytest.raises(DomainError):
         G.metric_sqrt_det(g)
@@ -134,10 +134,12 @@ def test_only_pointwise_calls_einsum_or_batched_inv():
 
 
 def test_every_top_level_definition_is_used():
-    # a function or class of src/geodesk that no module or test names (beyond
-    # importing it) is dead code
+    # a function or class of src/geodesk that no module of src/geodesk or
+    # perfbench names (beyond importing it) is dead code; a name only the
+    # tests use belongs with the tests
     defined, used = [], set()
-    for path in [*SRC.glob("*.py"), *Path(__file__).parent.glob("*.py")]:
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    for path in [*SRC.glob("*.py"), *perfbench.glob("*.py")]:
         tree = ast.parse(path.read_text())
         if path.parent == SRC:
             defined += [(path.name, node.name) for node in tree.body if isinstance(

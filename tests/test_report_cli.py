@@ -99,11 +99,12 @@ def _run_python(*args: str) -> subprocess.CompletedProcess:
 
 
 def test_memory_guard(monkeypatch, capsys):
-    # n=2 is admitted by bkn, so only the guard can refuse this grid
+    # n=2 is admitted by both suites, so only the guard can refuse this grid
     assert cli.estimate_peak_bytes(2, 20) > cli.MEMORY_CAP_BYTES
     monkeypatch.setattr(cli, "run_suite", _no_suite)
-    assert cli.main(["verify", "bkn", "--n", "2", "--grid", "20", "--seed", "1"]) == 2
-    assert "over the configured cap" in capsys.readouterr().err
+    for suite in ("bkn", "teich-connection"):
+        assert cli.main(["verify", suite, "--n", "2", "--grid", "20", "--seed", "1"]) == 2
+        assert "over the configured cap" in capsys.readouterr().err
 
 
 def test_memory_guard_bounds_the_heaviest_suite():
@@ -317,7 +318,8 @@ def test_baseline_params_must_match_the_run(tmp_path, monkeypatch, capsys):
                                  {"grid": "16"}, {"grid": 16.5}, {"seed": "x"},
                                  {"tol-scale": "big"}, {"amp": [0.1]}, {"report": 5},
                                  {"baseline": ["a.json"]}, [1, 2], {"amp": float("nan")},
-                                 {"tol-scale": float("inf")}])
+                                 {"tol-scale": float("inf")}, {"seed": -1}, {"tol-scale": 0},
+                                 {"tol-scale": -1}, {"amp": -0.1}])
 def test_bad_config_values_exit_2(tmp_path, capsys, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -468,7 +470,9 @@ def _no_suite(*args, **kwargs):
 
 @pytest.mark.parametrize("args", [["lincs", "--grid", "7"], ["all", "--grid", "7"],
                                   ["all", "--grid", "6"],
-                                  ["bkn", "--n", "3"], ["teich-connection", "--n", "1"]])
+                                  ["bkn", "--n", "3"], ["teich-connection", "--n", "1"],
+                                  ["lincs", "--seed", "-1"], ["lincs", "--tol-scale", "0"],
+                                  ["all", "--tol-scale", "-1"], ["all", "--amp", "-0.1"]])
 def test_inadmissible_run_rejected_before_any_suite(monkeypatch, capsys, args):
     monkeypatch.setattr(cli, "run_suite", _no_suite)
     assert cli.main(["verify", *args]) == 2
