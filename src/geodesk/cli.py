@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import grid as G
 from . import hodge, lincs, report, ricci, teich
 from .errors import DomainError, NumericError, UsageError
 from .grid import TorusGrid
@@ -37,11 +38,12 @@ def max_threads() -> int:
 def estimate_peak_bytes(n: int, m: int) -> int:
     """Upper bound on the peak RSS of one guarded suite run alone: 80 MB for
     the interpreter, numpy and fixed tables, plus 5·d⁴ + 256 float64 values
-    per grid point.  The five 4-index fields are bkn's ∇²Ĵ, the curvature
-    and their temporaries, the heaviest of any suite at n = 2; the 256 cover
-    the lower-rank fields that dominate at n = 1.  Calibrated on the peak
-    RSS of each suite alone in a fresh process at n = 2, m = 8…18 and
-    n = 1, m = 64…720."""
+    per grid point; the 256 cover the lower-rank fields that dominate at
+    n = 1.  Calibrated on the peak RSS of each suite alone in a fresh process
+    at n = 2, m = 8…18 and n = 1, m = 64…720, when bkn still built 4-index
+    fields.  No suite holds a d⁴ field now, so at n = 2 the bound has room:
+    at m = 16 it is 0.89 GB, and the heaviest suites alone, theta and
+    ricci-laws, peak at 0.57 and 0.54 GB."""
     d = 2 * n
     return 80_000_000 + 8 * m ** d * (5 * d ** 4 + 256)
 
@@ -49,27 +51,30 @@ def estimate_peak_bytes(n: int, m: int) -> int:
 @dataclass(frozen=True)
 class Suite:
     """A suite's check body ``(rep, grid, seed, amp) -> None``, its default
-    amplitude at (n = 1, n >= 2), the n it admits, and whether the memory
-    guard applies: every torus suite is guarded, only lincs, which builds no
-    grid field, is not.  The torus suites admit n = 1 and 2: at n = 3 one d⁴
-    field alone takes 2.7 GB at the smallest grid, m = 8."""
+    amplitude at (n = 1, n >= 2), the n it admits, whether the memory guard
+    applies, and whether it seeds almost complex structures at the run's
+    amplitude, which ``grid.ACS_AMPLITUDE_CAP`` bounds.  Every torus suite is
+    guarded, only lincs, which builds no grid field, is not.  The torus
+    suites admit n = 1 and 2: at n = 3 one d⁴ field alone takes 2.7 GB at
+    the smallest grid, m = 8."""
 
     body: Callable
     amp: tuple[float, float] = (0.1, 0.05)
     ns: tuple[int, ...] = (1, 2)
     guarded: bool = True
+    seeds_acs: bool = False
 
 
 SUITES = {
     "lincs": Suite(lincs.lincs_suite, (0.3, 0.3), ns=tuple(DEFAULT_GRID), guarded=False),
-    "ricci-moment": Suite(ricci.verify_moment_identities),
-    "ricci-laws": Suite(ricci.verify_transformation_laws),
+    "ricci-moment": Suite(ricci.verify_moment_identities, seeds_acs=True),
+    "ricci-laws": Suite(ricci.verify_transformation_laws, seeds_acs=True),
     "bkn": Suite(hodge.bkn_suite),
     "harmonic": Suite(hodge.harmonic_lemma_suite),
-    "bott-chern": Suite(hodge.bott_chern_suite),
+    "bott-chern": Suite(hodge.bott_chern_suite, seeds_acs=True),
     "teich-wp": Suite(teich.wp_suite),
     "teich-connection": Suite(teich.connection_suite, ns=(2,)),
-    "theta": Suite(teich.theta_suite),
+    "theta": Suite(teich.theta_suite, seeds_acs=True),
 }
 
 
@@ -78,14 +83,20 @@ def planned_suites(suite: str, n: int) -> list[str]:
     return [s for s in SUITES if n in SUITES[s].ns] if suite == "all" else [suite]
 
 
-def admit(suite: str, n: int, m: int) -> tuple[Suite, TorusGrid]:
+def admit(suite: str, n: int, m: int,
+          amplitude: float | None = None) -> tuple[Suite, TorusGrid]:
     """The suite's entry and grid; a UsageError for an unknown suite, an n it
-    does not admit, a grid that is not even and >= 8, or the memory guard."""
+    does not admit, an amplitude over the cap of the almost complex
+    structures it seeds, a grid that is not even and >= 8, or the memory
+    guard.  ``amplitude`` None is the suite's default."""
     if suite not in SUITES:
         raise UsageError(f"unknown suite {suite!r}")
     spec = SUITES[suite]
     if n not in spec.ns:
         raise UsageError(f"{suite} runs on n = {' or '.join(map(str, spec.ns))}")
+    if spec.seeds_acs and amplitude is not None and amplitude > G.ACS_AMPLITUDE_CAP:
+        raise UsageError(f"{suite} seeds almost complex structures, whose amplitude is "
+                         f"capped at {G.ACS_AMPLITUDE_CAP}; got amp {amplitude}")
     grid = TorusGrid(n, m)
     if spec.guarded and estimate_peak_bytes(n, m) > MEMORY_CAP_BYTES:
         raise UsageError(
@@ -101,7 +112,7 @@ def run_suite(suite: str, n: int, m: int, seed: int, amplitude: float | None,
     flag check ``numeric_failure``, and printed to stderr; a UsageError
     propagates."""
     rep = CheckReport(suite, {"n": n, "m": m, "seed": seed, "tol_scale": tol_scale})
-    spec, grid = admit(suite, n, m)
+    spec, grid = admit(suite, n, m, amplitude)
     if amplitude is None:
         amplitude = spec.amp[0] if n == 1 else spec.amp[1]
     rep.params["amplitude"] = amplitude
@@ -227,7 +238,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.report:
             _check_writable(args.report)
         for suite in planned_suites(args.suite, args.n):
-            admit(suite, args.n, m)
+            admit(suite, args.n, m, args.amp)
         max_threads()
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -71,7 +71,7 @@ class ConnectionField:
 
     @cached_property
     def torsion_free(self) -> bool:
-        return float(np.max(np.abs(self.torsion()))) <= 1e-9
+        return self.zero or float(np.max(np.abs(self.torsion()))) <= 1e-9
 
     @cached_property
     def zero(self) -> bool:
@@ -119,30 +119,107 @@ def curvature(grid: TorusGrid, conn: ConnectionField) -> np.ndarray:
     return riem.reshape((d, d, d, d) + grid.shape)
 
 
+def contract_curvature(grid: TorusGrid, conn: ConnectionField, *specs) -> list[np.ndarray]:
+    """``[P.contract(s, R, *ops) for s, *ops in specs]`` with R^l_{kij} =
+    ``curvature(grid, conn)``, each subscript string R's term first, every
+    term ending in "...".
+
+    One sweep over R's third index a serves every spec: the slice R^l_{kaj}
+    is ((∂_aΓ^l_{jk} − ∂_jΓ^l_{ak}) + Γ^l_{am}Γ^m_{jk}) − Γ^l_{jm}Γ^m_{ak}, the
+    terms of ``curvature`` in its order (Kobayashi–Nomizu I, ch. III), and each
+    spec contracts it with its operands taken at a on that letter.  So the
+    4-index R is never built: the sweep holds one d³ slice and d²-sized
+    temporaries.  Γ ≡ 0 returns zeros at once."""
+    d = grid.d
+    plans, outs = [], []
+    for subscripts, *ops in specs:
+        terms, output = subscripts.split("->")
+        r, *rest = terms.split(",")
+        if len(r) != 7 or not all(t.endswith("...") for t in (r, *rest, output)):
+            raise ValueError(f"contract_curvature: {subscripts!r} does not lead with R's term")
+        a = r[2]
+        dims = {c: d for c in r[:4]}
+        for t, op in zip(rest, ops):
+            dims.update(zip(t[:-3], op.shape))
+        outs.append(np.zeros(tuple(dims[c] for c in output[:-3]) + grid.shape))
+        sliced = [r[0] + r[3] + r[1] + "..."] + [t.replace(a, "") for t in rest]
+        plans.append((",".join(sliced) + "->" + output.replace(a, ""),
+                      [(t.find(a), op) for t, op in zip(rest, ops)], output.find(a)))
+    if conn.zero:
+        return outs
+    gam = conn.gamma
+    dgam = grid.derivs_by_axis(gam)
+    for a in range(d):
+        ga = np.ascontiguousarray(gam[:, a])  # Γ^l_{ak}
+        rs = next(dgam)  # [l, j, k]: ∂_aΓ^l_{jk}, then R^l_{kaj} once every term is in
+        dga = grid.derivs_by_axis(ga)
+        for j in range(d):
+            rs[:, j] -= next(dga)  # ∂_jΓ^l_{ak}
+        for l in range(d):  # the ΓΓ terms one upper index l at a time
+            rs[l] += P.contract("m...,mjk...->jk...", ga[l], gam)
+            rs[l] -= P.contract("jm...,mk...->jk...", gam[l], ga)
+        for (sub, ops, at), out in zip(plans, outs):
+            term = P.contract(sub, rs, *(op if p < 0 else np.take(op, a, axis=p)
+                                         for p, op in ops))
+            if at < 0:
+                out += term
+            else:
+                out[(slice(None),) * at + (a,)] = term
+        del rs  # before next(dgam) builds the next slice
+    return outs
+
+
 # --- covariant derivatives (derivative index first) ---
 
 
-def cov(grid: TorusGrid, conn: ConnectionField, T: np.ndarray, slots: str) -> np.ndarray:
+def cov(grid: TorusGrid, conn: ConnectionField, T: np.ndarray, slots: str,
+        trace: tuple[np.ndarray, int] | None = None) -> np.ndarray:
     """out[k, ...] = (∇_k T)[...]; ``slots`` names each leading component axis
     of T "u" (up, contravariant) or "d" (down), e.g. "ud" for an endomorphism.
 
     ∂_k T, plus Γ^a_{km} T^{..m..} for each up slot, then minus Γ^m_{ka}
     T_{..m..} for each down slot, each group in slot order, accumulated in
     place.  Γ ≡ 0 (``conn.zero``) returns ∂_k T: the Γ terms are skipped.
-    ∇²E is ``cov(grid, conn, cov(grid, conn, E, "ud"), "dud")``."""
+    ∇²E is ``cov(grid, conn, cov(grid, conn, E, "ud"), "dud")``.
+
+    ``trace=(ginv, p)`` returns the trace Σ_k g^{ks} (∇_k T)[..s..] of the
+    derivative axis against slot p instead, so the stacked ∇T is never
+    built: Σ_k g^{ks} ∂_k T is summed one derivative axis at a time, and the
+    Γ terms take Σ_k g^{ks} Γ^a_{km} in place of Γ^a_{km}, which also saves
+    a factor d in their arithmetic."""
     if T.ndim != len(slots) + grid.d or set(slots) - set("ud"):
         raise ValueError(f"cov: slots {slots!r} do not name the component axes of {T.shape}")
-    out = grid.derivs(T)
-    if conn.zero:
+    if trace is None:
+        out = grid.derivs(T)
+        if not conn.zero:
+            _christoffel_terms(conn.gamma, "k", T, slots, out)
         return out
+    ginv, p = trace
     names = "abcdefghij"[:len(slots)]
+    s = names[p]
+    sub = f"{s}...,{names}...->{names.replace(s, '')}..."
+    dT = grid.derivs_by_axis(T)
+    out = P.contract(sub, ginv[0], next(dT))
+    for k in range(1, grid.d):
+        out += P.contract(sub, ginv[k], next(dT))
+    if not conn.zero:
+        _christoffel_terms(P.contract("ks...,akm...->asm...", ginv, conn.gamma), s, T, slots, out)
+    return out
+
+
+def _christoffel_terms(gamma: np.ndarray, k: str, T: np.ndarray, slots: str,
+                       out: np.ndarray) -> None:
+    """The Leibniz rule's Γ terms of ``cov``, accumulated into out in place,
+    with the middle index of gamma[a, k, m] named k: the derivative axis,
+    whose letter then leads out, or a traced slot, which out then lacks."""
+    names = "abcdefghij"[:len(slots)]
+    out_names = (k + names) if k not in names else names.replace(k, "")
     for p, a in sorted(enumerate(names), key=lambda pa: slots[pa[0]] == "d"):
         t = names[:p] + "m" + names[p + 1:]  # T with slot p contracted
         if slots[p] == "u":
-            out += P.contract(f"{a}km...,{t}...->k{names}...", conn.gamma, T)
+            out += P.contract(f"{a}{k}m...,{t}...->{out_names}...", gamma, T)
         else:
-            out -= P.contract(f"mk{a}...,{t}...->k{names}...", conn.gamma, T)
-    return out
+            out -= P.contract(f"m{k}{a}...,{t}...->{out_names}...", gamma, T)
 
 
 def cov_endo(grid: TorusGrid, conn: ConnectionField, E: np.ndarray) -> np.ndarray:

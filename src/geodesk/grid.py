@@ -141,7 +141,9 @@ class TorusGrid:
 
     def derivs_by_axis(self, arr: np.ndarray):
         """∂_0 arr, …, ∂_{d−1} arr, one at a time from one forward transform
-        (or one contiguous copy of a strided arr on the dense route)."""
+        (or one contiguous copy of a strided arr on the dense route).  Take
+        them with next(): enumerate's result tuple keeps the previous one
+        alive while the next is computed."""
         route = self._spectral(arr)
         if route is None:
             arr = np.ascontiguousarray(arr)
@@ -487,6 +489,12 @@ def _band_mask(grid: TorusGrid, kmax: int) -> np.ndarray:
     return mask
 
 
+# Largest amplitude of a seeded almost complex structure ("acs" kind of
+# ``random_band_limited``, ``random_acs_symplectic``): it keeps I + K
+# invertible.  ``cli`` refuses a larger --amp for the suites that seed one.
+ACS_AMPLITUDE_CAP = 0.2
+
+
 def acs_band(m: int) -> int:
     """Default band of seeded fields: narrow, so Neumann tails stay at machine
     level, and at most 3: second derivatives grow as band², and band 6 left
@@ -524,8 +532,8 @@ def random_band_limited(grid: TorusGrid, kind: str, seed: int, amplitude: float 
         return (_smooth_channels(grid, rng, channels, amplitude, band) if amplitude
                 else np.zeros(channels + grid.shape))
     if kind == "acs":
-        if amplitude > 0.2:
-            raise UsageError("acs amplitude capped at 0.2 to keep I+K invertible")
+        if amplitude > ACS_AMPLITUDE_CAP:
+            raise UsageError(f"acs amplitude capped at {ACS_AMPLITUDE_CAP} to keep I+K invertible")
         J0 = standard_j_field(grid)
         if not amplitude:
             return J0
@@ -560,8 +568,8 @@ def constant_field_like(F: np.ndarray, mat: np.ndarray) -> np.ndarray:
 def random_acs_symplectic(grid: TorusGrid, seed: int, amplitude: float = 0.1,
                           band: int | None = None) -> np.ndarray:
     """ω0-compatible almost complex structure field e^ξ J0 e^{−ξ}, ξ ∈ sp(2n)."""
-    if amplitude > 0.2:
-        raise UsageError("amplitude capped at 0.2")
+    if amplitude > ACS_AMPLITUDE_CAP:
+        raise UsageError(f"amplitude capped at {ACS_AMPLITUDE_CAP}")
     if not amplitude:
         return standard_j_field(grid)
     E = matrix_exp_field(random_hamiltonian_matrix_field(grid, seed, amplitude, band))

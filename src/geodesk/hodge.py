@@ -4,8 +4,6 @@ Ricci-flat Kähler tori, and the degree-(1,1) Bott-Chern rank computations."""
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from . import connection as C
@@ -43,11 +41,6 @@ class KahlerInstance:
         self.nabla_j_residual = float(np.max(np.abs(C.cov_endo(grid, self.lc, J))))
         if self.nabla_j_residual > kahler_tol:
             raise DomainError(f"∇J residual {self.nabla_j_residual:.2e}: not Kähler")
-
-    @cached_property
-    def curvature(self) -> np.ndarray:
-        """R^l_{kij} of the Levi-Civita connection, built on first read."""
-        return C.curvature(self.grid, self.lc)
 
     def frame(self) -> np.ndarray:
         """Pointwise g-orthonormal frame from Cholesky; columns indexed last."""
@@ -128,8 +121,7 @@ def dbar_adjoint_q1(inst: KahlerInstance, jhat: np.ndarray,
 
 def dbar_adjoint_q2(inst: KahlerInstance, tau: np.ndarray) -> np.ndarray:
     """(∂̄*τ)(u) = −Σ (∇_{e_i} τ)(e_i, u)."""
-    ntau = C.cov(inst.grid, inst.lc, tau, "udd")  # [k, a, i, j]
-    return -P.contract("ki...,kaij...->aj...", inst.ginv, ntau)
+    return -C.cov(inst.grid, inst.lc, tau, "udd", trace=(inst.ginv, 1))
 
 
 def l2_inner_q0(inst: KahlerInstance, x: np.ndarray, y: np.ndarray) -> float:
@@ -154,55 +146,59 @@ def endo_adjoint(inst: KahlerInstance, E: np.ndarray) -> np.ndarray:
     return P.contract("ik...,lk...,lj...->ij...", inst.ginv, E, inst.metric)
 
 
-def ricci_endomorphism(inst: KahlerInstance) -> np.ndarray:
-    """Q with g(Qu, v) = ½ tr(J R(u, v)); equals K·J on conformal surfaces."""
-    ric2 = 0.5 * P.contract("kl...,lkij...->ij...", inst.J, inst.curvature)
-    return P.contract("ik...,jk...->ij...", inst.ginv, ric2)
-
-
-def ricci_endomorphism_frame(inst: KahlerInstance) -> np.ndarray:
-    """Q u = −½ Σ R(f_a, J f_a) u over the Cholesky orthonormal frame."""
+def curvature_traces(inst: KahlerInstance, jhat: np.ndarray,
+                     w_mat: np.ndarray) -> list[np.ndarray]:
+    """The traces of R^l_{kij} that ``bkn_residual`` (the first three) and
+    ``weitzenbock_residual`` (the last two) read, from one sweep of
+    ``connection.contract_curvature``: J^k_l R^l_{kij}; Σ_a R^l_{kij} f_a^i
+    (J f_a)^j over the Cholesky orthonormal frame f; 𝒯(Ĵ)^l_j = R^l_{kij}
+    Ĵ^k_m g^{im}; ŵ_{pq} g^{pk} R^q_{kij}; and R^l_{kvj} g^{jk}."""
+    J, ginv = inst.J, inst.ginv
     f = inst.frame()  # [i, a]
-    jf = P.contract("ij...,ja...->ia...", inst.J, f)
-    return -0.5 * P.contract("lkij...,ia...,ja...->lk...", inst.curvature, f, jf)
+    frame_pairs = P.contract("ia...,ja...->ij...", f, P.contract("ij...,ja...->ia...", J, f))
+    del f  # not held through the sweep
+    return C.contract_curvature(inst.grid, inst.lc, ("lkij...,kl...->ij...", J),
+                                ("lkij...,ij...->lk...", frame_pairs),
+                                ("lkij...,ki...->lj...", P.contract("km...,im...->ki...", jhat, ginv)),
+                                ("qkij...,qk...->ij...", P.contract("pq...,pk...->qk...", w_mat, ginv)),
+                                ("lkvj...,jk...->lv...", ginv))
 
 
-def curvature_contraction(inst: KahlerInstance, jhat: np.ndarray) -> np.ndarray:
-    """𝒯(Ĵ)u = Σ R(e_i, u) Ĵ e_i."""
-    return P.contract("lkij...,km...,im...->lj...", inst.curvature, jhat, inst.ginv)
-
-
-def bkn_residual(inst: KahlerInstance, jhat: np.ndarray, lhs: np.ndarray) -> dict:
+def bkn_residual(inst: KahlerInstance, jhat: np.ndarray, lhs: np.ndarray,
+                 curv: list[np.ndarray]) -> dict:
     """Residual of ∂̄*∂̄Ĵ + ∂̄∂̄*Ĵ = ½∇*∇Ĵ + ½[JQ, Ĵ] + 𝒯(Ĵ), normalized by
-    ‖Ĵ‖∞, with the two-expression agreement for the Ricci endomorphism.
+    ‖Ĵ‖∞, with the two-expression agreement for the Ricci endomorphism Q:
+    g(Qu, v) = ½ tr(J R(u, v)), and Q u = −½ Σ R(f_a, J f_a) u.
+    𝒯(Ĵ)u = Σ R(e_i, u) Ĵ e_i.
 
     ``lhs`` is ∂̄*∂̄Ĵ + ∂̄∂̄*Ĵ, assembled by the caller from the ∂̄Ĵ and ∂̄*Ĵ
-    that its other checks read too (``bkn_suite``)."""
-    grid, lc, J = inst.grid, inst.lc, inst.J
-    Q = ricci_endomorphism(inst)
-    Qf = ricci_endomorphism_frame(inst)
+    that its other checks read too (``bkn_suite``); ``curv`` is the first
+    three of ``curvature_traces``."""
+    grid, lc, J, ginv = inst.grid, inst.lc, inst.J, inst.ginv
+    jr, rf, tj = curv
+    Q = P.contract("ik...,jk...->ij...", ginv, 0.5 * jr)
+    Qf = -0.5 * rf
     jq = P.mul(J, Q)
-    rough = -P.contract("lk...,lkij...->ij...", inst.ginv,  # ∇*∇Ĵ, nonnegative
-                        C.cov(grid, lc, C.cov_endo(grid, lc, jhat), "dud"))
+    rough = -C.cov(grid, lc, C.cov_endo(grid, lc, jhat), "dud",  # ∇*∇Ĵ, nonnegative
+                   trace=(ginv, 0))
     rhs = (0.5 * rough
            + 0.5 * (P.mul(jq, jhat) - P.mul(jhat, jq))
-           + curvature_contraction(inst, jhat))
+           + tj)
     return {"identity": rel_max1(lhs - rhs, jhat), "q_two_ways": rel_max1(Q - Qf, Q)}
 
 
-def weitzenbock_residual(inst: KahlerInstance, what: np.ndarray) -> float:
-    """Residual of (d*d + dd*)ŵ = ∇*∇ŵ + frame curvature terms on 2-forms."""
+def weitzenbock_residual(inst: KahlerInstance, what: np.ndarray,
+                         curv: list[np.ndarray]) -> float:
+    """Residual of (d*d + dd*)ŵ = ∇*∇ŵ + frame curvature terms on 2-forms;
+    ``curv`` is the last two of ``curvature_traces``."""
     grid = inst.grid
     g, ginv = inst.metric, inst.ginv
     hodge = G.exterior_d(grid, G.codiff_f(grid, what, 2, g), 1)
     if grid.d > 2:
         hodge = hodge + G.codiff_f(grid, G.exterior_d(grid, what, 2), 3, g)
     w_mat = G.form_to_matrix(grid, what)
-    ddw = C.cov(grid, inst.lc, C.cov(grid, inst.lc, w_mat, "dd"), "ddd")
-    rough = -P.contract("lk...,lkij...->ij...", ginv, ddw)
-    riem = inst.curvature
-    t1 = P.contract("pq...,pk...,qkij...->ij...", w_mat, ginv, riem)
-    r_endo = P.contract("lkvj...,jk...->lv...", riem, ginv)
+    rough = -C.cov(grid, inst.lc, C.cov(grid, inst.lc, w_mat, "dd"), "ddd", trace=(ginv, 0))
+    t1, r_endo = curv
     t2 = P.contract("il...,lj...->ij...", w_mat, r_endo)
     t3 = P.contract("jl...,li...->ij...", w_mat, r_endo)
     lhs_mat = G.form_to_matrix(grid, hodge) - rough
@@ -391,63 +387,69 @@ def fg_split(grid: TorusGrid, inst: KahlerInstance, lam: np.ndarray):
 
 def bkn_suite(rep: CheckReport, grid: TorusGrid, seed: int, amplitude: float) -> None:
     """Flat and curved Bochner-Kodaira-Nakano and Weitzenböck identities with
-    adjointness checks and Laplacian positivity."""
-    from . import ricci as Ric
+    adjointness checks and Laplacian positivity.  Each instance is built
+    after the previous one's checks are done and dropped."""
     n = grid.n
-    band = G.acs_band(grid.m)
     x = grid.coords()
-
-    instances = [("flat", flat_instance(grid))]
+    _bkn_checks(rep, "flat", flat_instance(grid), seed, amplitude)
     if n == 1:
         phi = amplitude * np.sin(x[0]) * np.cos(x[1])
-        instances.append(("conformal", conformal_instance(grid, phi)))
+        _bkn_checks(rep, "conformal", conformal_instance(grid, phi), seed, amplitude)
     else:
         h = amplitude * (np.sin(x[0]) * np.cos(x[n]) + np.cos(x[1] + x[n + 1]))
-        instances.append(("potential", potential_instance(grid, h)))
+        _bkn_checks(rep, "potential", potential_instance(grid, h), seed, amplitude)
 
-    for tag, inst in instances:
-        key = "flat_identity" if tag == "flat" else (
-            "curved_identity_n1" if n == 1 else "curved_identity_n2")
-        raw = G.random_band_limited(grid, "endo", seed + 11, amplitude, band=band)
-        jhat = Ric.anticommute_project(inst.J, raw)
-        rep.add(f"anti_linearity[{tag}]", anti_linearity_residual(inst.J, jhat, 1))
 
-        # ∇Ĵ, ∂̄Ĵ and ∂̄*Ĵ once each.  Every pairing that reads ∂̄Ĵ runs first,
-        # and ∇Ĵ, ∂̄Ĵ and τ are dropped before the curvature is built: kept
-        # alive across the large transients below, they would raise the peak.
-        nJh = C.cov_endo(grid, inst.lc, jhat)
-        dq1 = dbar_q1(inst, jhat, nJh)
-        da1 = dbar_adjoint_q1(inst, jhat, nJh)
-        del nJh
-        tau = dbar_q1(inst, Ric.anticommute_project(
-            inst.J, G.random_band_limited(grid, "endo", seed + 13, amplitude, band=band)))
-        lhs_b = l2_inner_q2(inst, dq1, tau)
-        lap = l2_inner_q2(inst, dq1, dq1) + l2_inner_q0(inst, da1, da1)
-        lhs = dbar_adjoint_q2(inst, dq1) + dbar_q0_kahler(inst, da1)
-        del dq1
-        anti_q2 = anti_linearity_residual(inst.J, tau, 2)
-        rhs_b = l2_inner_q1(inst, jhat, dbar_adjoint_q2(inst, tau))
-        del tau
-        out = bkn_residual(inst, jhat, lhs)
-        del lhs
-        rep.add(key, out["identity"])
-        rep.add(f"q_two_ways[{tag}]", out["q_two_ways"])
+def _bkn_checks(rep: CheckReport, tag: str, inst: KahlerInstance, seed: int,
+                amplitude: float) -> None:
+    """bkn_suite's checks on one instance."""
+    from . import ricci as Ric
+    grid = inst.grid
+    band = G.acs_band(grid.m)
+    key = "flat_identity" if tag == "flat" else (
+        "curved_identity_n1" if grid.n == 1 else "curved_identity_n2")
+    raw = G.random_band_limited(grid, "endo", seed + 11, amplitude, band=band)
+    jhat = Ric.anticommute_project(inst.J, raw)
+    rep.add(f"anti_linearity[{tag}]", anti_linearity_residual(inst.J, jhat, 1))
 
-        # adjointness as independent integral identities
-        vv = G.random_band_limited(grid, "vector", seed + 12, amplitude, band=band)
-        lhs_a = l2_inner_q1(inst, dbar_q0_kahler(inst, vv), jhat)
-        rhs_a = l2_inner_q0(inst, vv, da1)
-        rep.add(f"adjoint_q1[{tag}]", rel_plus1(lhs_a - rhs_a, rhs_a))
-        rep.add(f"anti_linearity_q2[{tag}]", anti_q2)
-        rep.add(f"adjoint_q2[{tag}]", rel_plus1(lhs_b - rhs_b, rhs_b))
+    # ∇Ĵ, ∂̄Ĵ and ∂̄*Ĵ once each.  Every pairing that reads ∂̄Ĵ runs first,
+    # and ∇Ĵ, ∂̄Ĵ and τ are dropped before the curvature sweep: kept alive
+    # across the transients below, they would raise the peak.  One sweep
+    # gives the curvature traces of both the BKN and the Weitzenböck check.
+    nJh = C.cov_endo(grid, inst.lc, jhat)
+    dq1 = dbar_q1(inst, jhat, nJh)
+    da1 = dbar_adjoint_q1(inst, jhat, nJh)
+    del nJh
+    tau = dbar_q1(inst, Ric.anticommute_project(
+        inst.J, G.random_band_limited(grid, "endo", seed + 13, amplitude, band=band)))
+    lhs_b = l2_inner_q2(inst, dq1, tau)
+    lap = l2_inner_q2(inst, dq1, dq1) + l2_inner_q0(inst, da1, da1)
+    lhs = dbar_adjoint_q2(inst, dq1) + dbar_q0_kahler(inst, da1)
+    del dq1
+    anti_q2 = anti_linearity_residual(inst.J, tau, 2)
+    rhs_b = l2_inner_q1(inst, jhat, dbar_adjoint_q2(inst, tau))
+    del tau
+    what = G.random_band_limited(grid, "form:2", seed + 14, amplitude, band=band)
+    curv = curvature_traces(inst, jhat, G.form_to_matrix(grid, what))
+    out = bkn_residual(inst, jhat, lhs, curv[:3])
+    del lhs
+    rep.add(key, out["identity"])
+    rep.add(f"q_two_ways[{tag}]", out["q_two_ways"])
 
-        # Laplacian positivity
-        rep.add(f"laplacian_positivity[{tag}]", max(0.0, -lap))
+    # adjointness as independent integral identities
+    vv = G.random_band_limited(grid, "vector", seed + 12, amplitude, band=band)
+    lhs_a = l2_inner_q1(inst, dbar_q0_kahler(inst, vv), jhat)
+    rhs_a = l2_inner_q0(inst, vv, da1)
+    rep.add(f"adjoint_q1[{tag}]", rel_plus1(lhs_a - rhs_a, rhs_a))
+    rep.add(f"anti_linearity_q2[{tag}]", anti_q2)
+    rep.add(f"adjoint_q2[{tag}]", rel_plus1(lhs_b - rhs_b, rhs_b))
 
-        # Weitzenböck on 2-forms
-        wkey = "weitzenbock_flat" if tag == "flat" else "weitzenbock_curved"
-        what = G.random_band_limited(grid, "form:2", seed + 14, amplitude, band=band)
-        rep.add(wkey, weitzenbock_residual(inst, what))
+    # Laplacian positivity
+    rep.add(f"laplacian_positivity[{tag}]", max(0.0, -lap))
+
+    # Weitzenböck on 2-forms
+    wkey = "weitzenbock_flat" if tag == "flat" else "weitzenbock_curved"
+    rep.add(wkey, weitzenbock_residual(inst, what, curv[3:]))
 
 
 # ---------------------------------------------------------------------------

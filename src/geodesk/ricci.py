@@ -73,8 +73,9 @@ def tau_two_form(grid: TorusGrid, conn: C.ConnectionField, J: np.ndarray,
     if not conn.zero:
         gam = conn.gamma.reshape((d, d, d, -1))
         ab = P.contract("kimx,mjkx->ijx", P.contract("klx,limx->kimx", Jf, gam), gam)
-        for i, dgam in enumerate(grid.derivs_by_axis(conn.gamma)):
-            ab[i] += P.contract("klx,ljkx->jx", Jf, dgam.reshape((d, d, d, -1)))
+        dgam = grid.derivs_by_axis(conn.gamma)
+        for i in range(d):
+            ab[i] += P.contract("klx,ljkx->jx", Jf, next(dgam).reshape((d, d, d, -1)))
         tau += ab - ab.swapaxes(0, 1)
     return G.form_from_matrix(grid, tau.reshape((d, d) + grid.shape))
 

@@ -151,6 +151,35 @@ def test_cov_leibniz_rule_at_nonzero_gamma(slots, n, m):
     assert np.max(np.abs(nT - g.derivs(T))) > 0.1 * np.max(np.abs(nT))
 
 
+@pytest.mark.parametrize("n, m", [(1, 16), (2, 8)])
+@pytest.mark.parametrize("slots", ["udd", "dud", "ddd"])
+def test_traced_cov_matches_trace_of_stacked_cov(slots, n, m):
+    # Σ_k g^{ks} (∇_k T)[..s..] for every slot s, against the g-trace of the
+    # stacked ∇T, at a nonzero Γ and at Γ ≡ 0
+    g = TorusGrid(n, m)
+    d = g.d
+    ginv = P.inv(G.constant_field(g, np.eye(d)) + 0.1 * _low_band(g, (d, d), 15))
+    T = _low_band(g, (d,) * 3, 16)
+    for conn in (C.ConnectionField(g, _low_band(g, (d, d, d), 17)), C.ConnectionField.flat(g)):
+        nT = C.cov(g, conn, T, slots)
+        for p, ref in enumerate((P.contract("ka...,kabc...->bc...", ginv, nT),
+                                 P.contract("kb...,kabc...->ac...", ginv, nT),
+                                 P.contract("kc...,kabc...->ab...", ginv, nT))):
+            traced = C.cov(g, conn, T, slots, trace=(ginv, p))
+            assert np.max(np.abs(traced - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_contract_curvature_zero_connection_and_bad_specs():
+    g = TorusGrid(2, 8)
+    E = _field(g, (4, 4), 7)
+    flat = C.ConnectionField.flat(g)
+    out = C.contract_curvature(g, flat, ("lkij...,kl...->ij...", E), ("lkij...,ij...->lk...", E))
+    assert [o.shape for o in out] == [(4, 4) + g.shape] * 2
+    assert not any(np.any(o) for o in out)
+    with pytest.raises(ValueError):
+        C.contract_curvature(g, flat, ("kl...,lkij...->ij...", E))
+
+
 def test_cov_rejects_slots_that_miss_the_component_axes():
     g = TorusGrid(1, 16)
     E = _field(g, (2, 2), 6)

@@ -1,3 +1,7 @@
+import re
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +9,7 @@ from geodesk import cli
 from geodesk import connection as C
 from geodesk import grid as G
 from geodesk import hodge as H
+from geodesk import pointwise as P
 from geodesk import ricci as Ric
 from geodesk.errors import DomainError
 from geodesk.grid import TorusGrid
@@ -58,19 +63,74 @@ def test_dbar_cochain_on_integrable():
     assert np.max(np.abs(tau)) <= 1e-7 * max(1.0, np.max(np.abs(v)))
 
 
-def test_kahler_curvature_built_once_per_instance(monkeypatch):
+def _curved_instance(n, m):
+    """bkn_suite's curved instance at its default amplitude."""
+    g = TorusGrid(n, m)
+    x = g.coords()
+    if n == 1:
+        return H.conformal_instance(g, 0.1 * np.sin(x[0]) * np.cos(x[1]))
+    return H.potential_instance(g, 0.05 * (np.sin(x[0]) * np.cos(x[2])
+                                           + np.cos(x[1] + x[3])))
+
+
+@pytest.mark.parametrize("n, m", [(1, 32), (2, 8), (2, 12)])
+def test_curvature_traces_match_full_curvature(n, m):
+    inst = _curved_instance(n, m)
+    g, J, ginv = inst.grid, inst.J, inst.ginv
+    jhat = Ric.anticommute_project(J, G.random_band_limited(g, "endo", 4, 0.1))
+    w_mat = G.form_to_matrix(g, G.random_band_limited(g, "form:2", 5, 0.1))
+    R = C.curvature(g, inst.lc)
+    f = inst.frame()
+    jf = P.contract("ij...,ja...->ia...", J, f)
+    refs = [P.contract("kl...,lkij...->ij...", J, R),
+            P.contract("lkij...,ia...,ja...->lk...", R, f, jf),
+            P.contract("lkij...,km...,im...->lj...", R, jhat, ginv),
+            P.contract("pq...,pk...,qkij...->ij...", w_mat, ginv, R),
+            P.contract("lkvj...,jk...->lv...", R, ginv)]
+    for out, ref in zip(H.curvature_traces(inst, jhat, w_mat), refs, strict=True):
+        assert np.max(np.abs(ref)) > 0
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_hodge_module_never_builds_the_curvature_array():
+    # every reader of R in hodge takes its traces from connection.contract_curvature
+    text = Path(H.__file__).read_text()
+    assert re.findall(r"(?<!\w)curvature\(", text) == []
+
+
+def test_bkn_residuals_peak_below_one_curvature_array():
+    # neither the curvature sweep nor the two residuals, given their inputs,
+    # holds as much as one (d, d, d, d) + grid float array at any time
+    inst = _curved_instance(2, 12)
+    g = inst.grid
+    jhat = Ric.anticommute_project(inst.J, G.random_band_limited(g, "endo", 4, 0.05))
+    what = G.random_band_limited(g, "form:2", 5, 0.05)
+    w_mat = G.form_to_matrix(g, what)
+    lhs = H.dbar_adjoint_q2(inst, H.dbar_q1(inst, jhat)) \
+        + H.dbar_q0_kahler(inst, H.dbar_adjoint_q1(inst, jhat))
+    peaks = []
+    tracemalloc.start()
+    try:
+        curv = H.curvature_traces(inst, jhat, w_mat)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        tracemalloc.start()
+        H.bkn_residual(inst, jhat, lhs, curv[:3])
+        H.weitzenbock_residual(inst, what, curv[3:])
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < g.d ** 4 * g.npoints * 8
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_bkn_never_builds_the_curvature(monkeypatch, n):
     calls = []
     build = C.curvature
     monkeypatch.setattr(C, "curvature", lambda *args: calls.append(args) or build(*args))
-    g = TorusGrid(1, 16)
-    x = g.coords()
-    inst = H.conformal_instance(g, 0.1 * np.sin(x[0]) * np.cos(x[1]))
-    jhat = Ric.anticommute_project(inst.J, G.random_band_limited(g, "endo", 4, 0.1))
-    lhs = H.dbar_adjoint_q2(inst, H.dbar_q1(inst, jhat)) \
-        + H.dbar_q0_kahler(inst, H.dbar_adjoint_q1(inst, jhat))
-    H.bkn_residual(inst, jhat, lhs)
-    H.weitzenbock_residual(inst, G.random_band_limited(g, "form:2", 5, 0.1))
-    assert len(calls) == 1
+    rep = cli.run_suite("bkn", n, 16 if n == 1 else 8, seed=3, amplitude=None, tol_scale=1.0)
+    assert len(rep.checks) == 16
+    assert calls == []
 
 
 def test_bkn_suite_n1():

@@ -133,20 +133,63 @@ def test_only_pointwise_calls_einsum_or_batched_inv():
     assert offenders == []
 
 
+def _references(path: Path, tree: ast.Module, modules: set[str]) -> set[tuple[str, str]]:
+    """The (module, name) pairs one file refers to: ``M.name`` for an alias M
+    of a geodesk module, a bare name bound by ``from .m import name``, and
+    in src/geodesk a bare name of the file's own module.  Outside the
+    package a variable named like a module (perfbench's ``cli``, ``ricci``)
+    counts as that module."""
+    own = path.stem if path.parent == SRC else None
+    alias = {} if own else {m: m for m in modules}
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = (node.module or "").removeprefix("geodesk").lstrip(".")
+            package = node.level == 1 and not node.module or node.module == "geodesk"
+            for item in node.names:
+                local = item.asname or item.name
+                if package and item.name in modules:
+                    alias[local] = item.name
+                elif base in modules:
+                    imported[local] = (base, item.name)
+    refs = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in alias):
+            refs.add((alias[node.value.id], node.attr))
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id in imported:
+                refs.add(imported[node.id])
+            elif own:
+                refs.add((own, node.id))
+    return refs
+
+
+def _tracer_targets(tree: ast.Module) -> set[tuple[str, str]]:
+    """perfbench's tracer wraps the geodesk attributes its TARGETS name."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
+            return {(module.removeprefix("geodesk."), attr.split(".")[0])
+                    for _, module, attr in ast.literal_eval(node.value)
+                    if module.startswith("geodesk.")}
+    raise AssertionError("perfbench/tracer.py defines no TARGETS")
+
+
 def test_every_top_level_definition_is_used():
     # a function or class of src/geodesk that no module of src/geodesk or
-    # perfbench names (beyond importing it) is dead code; a name only the
-    # tests use belongs with the tests
-    defined, used = [], set()
+    # perfbench refers to (module-qualified, beyond importing it) is dead
+    # code; a name only the tests use belongs with the tests
     perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    modules = {path.stem for path in SRC.glob("*.py")}
+    defined, used = [], set()
     for path in [*SRC.glob("*.py"), *perfbench.glob("*.py")]:
         tree = ast.parse(path.read_text())
         if path.parent == SRC:
-            defined += [(path.name, node.name) for node in tree.body if isinstance(
+            defined += [(path.stem, node.name) for node in tree.body if isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    assert [f"{module}: {name}" for module, name in defined if name not in used] == []
+        used |= _references(path, tree, modules)
+        if path.name == "tracer.py":
+            used |= _tracer_targets(tree)
+    assert [f"{module}: {name}" for module, name in defined
+            if (module, name) not in used] == []

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from geodesk import cli, report
+from geodesk import grid as G
 from geodesk.errors import DomainError
 from geodesk.report import CheckEntry, CheckReport, compare_to_baseline, validate_report
 
@@ -108,12 +109,13 @@ def test_memory_guard(monkeypatch, capsys):
 
 
 def test_memory_guard_bounds_the_heaviest_suite():
-    # bkn (∇²Ĵ and the curvature) has the largest peak of the guarded suites.
-    # The peak is VmHWM, the high-water RSS of the new process image: Linux
-    # carries ru_maxrss over fork and exec, so a child of this test process
-    # would report the test process's own RSS.
+    # theta has the largest peak of the guarded suites at n=2/m=12 (each
+    # suite alone, VmHWM: theta 217 MB, harmonic 184 MB, teich-wp 173 MB,
+    # bkn 146 MB).  The peak is VmHWM, the high-water RSS of the new process
+    # image: Linux carries ru_maxrss over fork and exec, so a child of this
+    # test process would report the test process's own RSS.
     proc = _run_python("-c", "from geodesk import cli; "
-                             "cli.run_suite('bkn', 2, 12, 1, None, 1.0); "
+                             "cli.run_suite('theta', 2, 12, 1, None, 1.0); "
                              "print(open('/proc/self/status').read())")
     assert proc.returncode == 0, proc.stderr
     peak = int(re.search(r"VmHWM:\s+(\d+) kB", proc.stdout).group(1)) * 1024
@@ -477,6 +479,21 @@ def test_inadmissible_run_rejected_before_any_suite(monkeypatch, capsys, args):
     monkeypatch.setattr(cli, "run_suite", _no_suite)
     assert cli.main(["verify", *args]) == 2
     assert "usage error" in capsys.readouterr().err
+
+
+def test_amp_over_the_acs_cap_rejected_before_any_suite(tmp_path, monkeypatch, capsys):
+    # the torus suites that seed almost complex structures refuse an amplitude
+    # over grid's cap before any suite runs, so no report is written
+    path = tmp_path / "r.json"
+    monkeypatch.setattr(cli, "run_suite", _no_suite)
+    assert cli.main(["verify", "all", "--n", "1", "--amp", "0.3", "--report", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "usage error" in err and f"capped at {G.ACS_AMPLITUDE_CAP}" in err
+    assert not path.exists()
+    monkeypatch.undo()
+    cli.admit("bkn", 1, 64, 0.3)  # no seeded almost complex structure
+    assert cli.main(["verify", "lincs", "--amp", "0.3", "--report", str(path)]) == 0
+    assert json.loads(path.read_text())["params"]["amplitude"] == 0.3
 
 
 def test_all_at_n3_runs_the_one_suite_n3_admits(capsys, tmp_path):
