@@ -109,7 +109,7 @@ def run_suite(suite: str, n: int, m: int, seed: int, amplitude: float | None,
               tol_scale: float) -> CheckReport:
     """One suite's report.  A DomainError, NumericError or numpy LinAlgError
     inside its body is recorded after the checks already added, as the failed
-    flag check ``numeric_failure``, and printed to stderr; a UsageError
+    flag check ``numeric_failure[<suite>]``, and printed to stderr; a UsageError
     propagates."""
     rep = CheckReport(suite, {"n": n, "m": m, "seed": seed, "tol_scale": tol_scale})
     spec, grid = admit(suite, n, m, amplitude)
@@ -120,7 +120,7 @@ def run_suite(suite: str, n: int, m: int, seed: int, amplitude: float | None,
         spec.body(rep, grid, seed, amplitude)
     except (DomainError, NumericError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {suite}: {exc}", file=sys.stderr)
-        rep.add_flag("numeric_failure", False)
+        rep.add_flag(f"numeric_failure[{suite}]", False)
     return rep.finalize()
 
 

@@ -97,6 +97,23 @@ def _interior_table(dim: int, k: int):
     return arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3].astype(np.float64)
 
 
+def modes(dim: int, kmax: int) -> np.ndarray:
+    """The nonzero integer modes k ∈ [−kmax, kmax]^dim as rows, in np.ndindex order."""
+    k = np.indices((2 * kmax + 1,) * dim).reshape(dim, -1).T - kmax
+    return k[np.any(k, axis=1)].astype(float)
+
+
+def interior_symbol(K: np.ndarray, dim: int, k: int) -> np.ndarray:
+    """[M, C(dim, k), C(dim, k−1)]: the matrix of a ↦ κ ∧ a on (k−1)-forms for
+    each mode κ in the rows of K (M, dim), i.e. the Fourier symbol of d divided
+    by i, from the same table as ``grid.exterior_d``."""
+    i_hi, j, i_lo, sign = _interior_table(dim, k)
+    out = np.zeros((len(K), n_combos(dim, k), n_combos(dim, k - 1)))
+    for r in range(len(i_hi)):
+        out[:, i_hi[r], i_lo[r]] += sign[r] * K[:, j[r]]
+    return out
+
+
 def interior_coef(v: np.ndarray, a: np.ndarray, dim: int, k: int) -> np.ndarray:
     """Coefficients of the interior product ι(v) a."""
     i_in, j, i_out, sign = _interior_table(dim, k)

@@ -12,19 +12,8 @@ import numpy as np
 from . import pointwise as P
 from .combi import vol_sign
 from .errors import DomainError
-from .grid import (TorusGrid, constant_field, form_from_matrix, metric_sqrt_det,
-                   standard_volume_field)
+from .grid import TorusGrid, constant_field, form_from_matrix, metric_sqrt_det
 from .report import rel_max1
-
-
-def j_star_metric(g0: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """(J*g)(u, v) = g(Ju, Jv)."""
-    return P.contract("ki...,kl...,lj...->ij...", J, g0, J)
-
-
-def metric_volume_form(grid: TorusGrid, g: np.ndarray) -> np.ndarray:
-    """Positive volume form of a metric as a top-degree coefficient field."""
-    return standard_volume_field(grid) * metric_sqrt_det(g)
 
 
 def compatible_pair(grid: TorusGrid, rho: np.ndarray, J: np.ndarray,
@@ -40,7 +29,7 @@ def compatible_pair(grid: TorusGrid, rho: np.ndarray, J: np.ndarray,
     if g0 is None:
         g0 = constant_field(grid, np.eye(grid.d))
     _check_spd(g0, "compatible_pair")
-    gJ = g0 + j_star_metric(g0, J)
+    gJ = g0 + P.contract("ki...,kl...,lj...->ij...", J, g0, J)  # g0 + g0(J·, J·)
     scale = (rho_density / metric_sqrt_det(gJ)) ** (1.0 / grid.n)
     g = scale * gJ
     omega_mat = P.contract("ki...,kj...->ij...", J, g)

@@ -331,14 +331,6 @@ def pq_project_f(grid: TorusGrid, coef: np.ndarray, k: int, J: np.ndarray,
     return combi.pq_project_coef(coef, grid.d, k, J, p, q)
 
 
-def j_star_form(grid: TorusGrid, coef: np.ndarray, k: int, J: np.ndarray) -> np.ndarray:
-    return combi.pullback_linear_coef(coef, grid.d, k, J)
-
-
-def insert_j_form(grid: TorusGrid, coef: np.ndarray, k: int, J: np.ndarray) -> np.ndarray:
-    return combi.derivation_coef(J, coef, grid.d, k)
-
-
 def one_form_compose_j(lam: np.ndarray, J: np.ndarray) -> np.ndarray:
     """(λ∘J)(u) := λ(J u), i.e. components λ_k J^k_i."""
     return P.contract("k...,ki...->i...", lam, J)
@@ -346,10 +338,6 @@ def one_form_compose_j(lam: np.ndarray, J: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Lie derivatives (spectral, connection-free)
-
-
-def lie_scalar(grid: TorusGrid, v: np.ndarray, f: np.ndarray) -> np.ndarray:
-    return P.contract("j...,j...->...", v, grid.derivs(f))
 
 
 def lie_endo(grid: TorusGrid, v: np.ndarray, E: np.ndarray) -> np.ndarray:
@@ -364,7 +352,7 @@ def lie_form(grid: TorusGrid, v: np.ndarray, a: np.ndarray, k: int | None = None
     if k is None:
         k = form_degree(grid, a)
     if k == 0:
-        return lie_scalar(grid, v, a)
+        return P.contract("j...,j...->...", v, grid.derivs(a))
     out = exterior_d(grid, interior_f(grid, v, a, k), k - 1)
     if k < grid.d:
         out = out + interior_f(grid, v, exterior_d(grid, a, k), k + 1)

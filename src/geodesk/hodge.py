@@ -6,9 +6,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import combi
 from . import connection as C
 from . import grid as G
 from . import pointwise as P
+from . import ricci as Ric
 from .errors import DomainError
 from .grid import TorusGrid
 from .report import CheckReport, rel_max1, rel_plus1
@@ -36,7 +38,7 @@ class KahlerInstance:
         self.metric = 0.5 * (g + np.swapaxes(g, 0, 1))
         C._check_spd(self.metric, "KahlerInstance")
         self.ginv = P.inv(self.metric)
-        self.rho = C.metric_volume_form(grid, self.metric)
+        self.rho = G.standard_volume_field(grid) * G.metric_sqrt_det(self.metric)
         self.lc = C.levi_civita(grid, self.metric)
         self.nabla_j_residual = float(np.max(np.abs(C.cov_endo(grid, self.lc, J))))
         if self.nabla_j_residual > kahler_tol:
@@ -100,15 +102,21 @@ def dbar_q0_kahler(inst: KahlerInstance, v: np.ndarray) -> np.ndarray:
 def dbar_q1(inst: KahlerInstance, jhat: np.ndarray,
             nJh: np.ndarray | None = None) -> np.ndarray:
     """(∂̄Ĵ)(u,v) = ½((∇_u Ĵ)v − (∇_v Ĵ)u − (∇_{Ju} Ĵ)Jv + (∇_{Jv} Ĵ)Ju);
-    ``nJh`` is ∇Ĵ when the caller already holds it."""
+    ``nJh`` is ∇Ĵ when the caller already holds it.  The four terms are
+    summed into one output, left to right, so at most three d³ fields are
+    alive at once, ∇Ĵ and the result included."""
     J = inst.J
     if nJh is None:
         nJh = C.cov_endo(inst.grid, inst.lc, jhat)  # [k, a, b] = (∇_k Ĵ)^a_b
-    t1 = P.contract("iaj...->aij...", nJh)
     jn = P.contract("ki...,kab...->iab...", J, nJh)  # (∇_{J∂_i} Ĵ)^a_b
     t3 = P.contract("iam...,mj...->aij...", jn, J)
-    out = t1 - P.contract("aji...->aij...", t1) - t3 + P.contract("aji...->aij...", t3)
-    return 0.5 * out
+    del jn
+    t1 = np.swapaxes(nJh, 0, 1)  # [a, i, j] = ((∇_i Ĵ)∂_j)^a
+    out = t1 - np.swapaxes(t1, 1, 2)
+    out -= t3
+    out += np.swapaxes(t3, 1, 2)
+    out *= 0.5
+    return out
 
 
 def dbar_adjoint_q1(inst: KahlerInstance, jhat: np.ndarray,
@@ -222,6 +230,33 @@ def project_coclosed_q1(flat: KahlerInstance, jhat: np.ndarray) -> np.ndarray:
     return jhat - dbar_exact_part(flat, jhat)
 
 
+def fg_decompose(base: KahlerInstance, jhat: np.ndarray, dbar_tol: float = 1e-7):
+    """The unique mean-zero (f, g) with Λ(J, Ĵ) = −df∘J + dg on the flat
+    instance, by the flat Poisson solves Δg = d*Λ and Δf = d*(Λ∘J).
+
+    Returns (f, g, Λ, ∂̄ residual, plug-back residual): the residuals are
+    ∂̄Ĵ relative to Ĵ and Λ + df∘J − dg relative to Λ (``rel_max1``).  ∇Ĵ is
+    taken once, for the ∂̄ guard and for Λ.  Raises unless ∂̄Ĵ ≈ 0 and the
+    split plugs back."""
+    grid = base.grid
+    nJh = C.cov_endo(grid, base.lc, jhat)
+    dbar = rel_max1(dbar_q1(base, jhat, nJh), jhat)
+    if dbar > dbar_tol:
+        raise DomainError(f"fg_decompose: ∂̄Ĵ residual {dbar:.2e}")
+    lam = Ric.lambda_rho(grid, base.rho, base.J, jhat, base.lc, nJh=nJh)
+    del nJh
+    g_src = G.codiff_f(grid, lam, 1)[0]
+    f_src = G.codiff_f(grid, G.one_form_compose_j(lam, base.J), 1)[0]
+    g = G.poisson_solve(grid, g_src - float(np.mean(g_src)))
+    f = G.poisson_solve(grid, f_src - float(np.mean(f_src)))
+    recon = -G.one_form_compose_j(G.exterior_d(grid, f[None], 0), base.J) \
+        + G.exterior_d(grid, g[None], 0)
+    plugback = rel_max1(lam - recon, lam)
+    if plugback > 1e-6:
+        raise DomainError(f"fg_decompose: inconsistent Λ (residual {plugback:.2e})")
+    return f, g, lam, dbar, plugback
+
+
 def harmonic_mean_q1(grid: TorusGrid, jhat: np.ndarray) -> np.ndarray:
     """Flat-instance harmonic projection: the constant mode."""
     mean = np.mean(jhat, axis=tuple(range(2, jhat.ndim)), keepdims=True)
@@ -257,7 +292,6 @@ def harmonic_lemma_suite(rep: CheckReport, grid: TorusGrid, seed: int,
     the Λ = −df∘J + dg split, harmonicity of adjoints, and the parallel-form
     norm identities on the flat Ricci-flat Kähler torus."""
     inst = flat_instance(grid)
-    from . import ricci as Ric
     J, omega, rho = inst.J, inst.omega, inst.rho
     band = G.acs_band(grid.m)
 
@@ -309,11 +343,8 @@ def harmonic_lemma_suite(rep: CheckReport, grid: TorusGrid, seed: int,
     Cmat[grid.n, grid.n] = -1.0
     const = Ric.anticommute_project(J, G.constant_field(grid, Cmat))
     jhat = const + jhat_v
-    lam = Ric.lambda_rho(grid, rho, J, jhat)
-    f, gsc = fg_split(grid, inst, lam)
-    recon = -G.one_form_compose_j(G.exterior_d(grid, f[None], 0), J) \
-        + G.exterior_d(grid, gsc[None], 0)
-    rep.add("lambda_fg_plugback", rel_max1(lam - recon, lam))
+    f, gsc, _, _, plugback = fg_decompose(inst, jhat)
+    rep.add("lambda_fg_plugback", plugback)
     fv = G.divergence_frho(grid, v, rho)
     fJv = G.divergence_frho(grid, Jv, rho)
     rep.add("lambda_fg_lie_oracle",
@@ -375,16 +406,6 @@ def harmonic_lemma_suite(rep: CheckReport, grid: TorusGrid, seed: int,
     rep.add("holomorphic_lambda_zero", rel_max1(lam_h, v_hol))
 
 
-def fg_split(grid: TorusGrid, inst: KahlerInstance, lam: np.ndarray):
-    """Mean-zero (f, g) with Λ = −df∘J + dg via flat Poisson solves."""
-    g_src = G.codiff_f(grid, lam, 1)[0]
-    lam_j = G.one_form_compose_j(lam, inst.J)
-    f_src = G.codiff_f(grid, lam_j, 1)[0]
-    g_sol = G.poisson_solve(grid, g_src - float(np.mean(g_src)))
-    f_sol = G.poisson_solve(grid, f_src - float(np.mean(f_src)))
-    return f_sol, g_sol
-
-
 def bkn_suite(rep: CheckReport, grid: TorusGrid, seed: int, amplitude: float) -> None:
     """Flat and curved Bochner-Kodaira-Nakano and Weitzenböck identities with
     adjointness checks and Laplacian positivity.  Each instance is built
@@ -403,7 +424,6 @@ def bkn_suite(rep: CheckReport, grid: TorusGrid, seed: int, amplitude: float) ->
 def _bkn_checks(rep: CheckReport, tag: str, inst: KahlerInstance, seed: int,
                 amplitude: float) -> None:
     """bkn_suite's checks on one instance."""
-    from . import ricci as Ric
     grid = inst.grid
     band = G.acs_band(grid.m)
     key = "flat_identity" if tag == "flat" else (
@@ -467,10 +487,9 @@ def l0_operator(inst: KahlerInstance, f: np.ndarray) -> np.ndarray:
 def two_form_omega_inner(inst: KahlerInstance, two: np.ndarray) -> np.ndarray:
     """<τ, ω> with <τ, ω> ω^n/n! := τ ∧ ω^{n−1}/(n−1)!."""
     grid = inst.grid
-    from .ricci import omega_power
     if grid.n == 1:
         return two[0] / inst.rho[0]
-    wn1 = omega_power(grid, inst.omega, grid.n - 1)
+    wn1 = Ric.omega_power(grid, inst.omega, grid.n - 1)
     return G.wedge_f(grid, two, wn1, 2, grid.d - 2)[0] / inst.rho[0]
 
 
@@ -479,35 +498,23 @@ def dplus_kernel_ranks(grid: TorusGrid, kmax: int = 2) -> dict:
 
     For every nonzero mode the kernel of the d⁺ block equals the d-closed span
     (dimension 1), so d(ker d⁺) = 0 and the induced Bott-Chern defect is 0.
+    The d⁺ = (1 + ⋆)d blocks of all nonzero modes in [−kmax, kmax]⁴ take one
+    batched SVD; the symbol of d is i times a real matrix, and the factor i
+    is dropped: it changes no singular value.
     """
-    from . import combi
     d = grid.d
     if d != 4:
         raise DomainError("dplus_kernel_ranks needs a four-dimensional torus")
-    pairs = combi.combos(d, 2)
+    eye = np.eye(combi.n_combos(d, 2))
     # flat Hodge star on 2-forms as a 6×6 matrix
-    S = np.column_stack([combi.star_coef(col, d, 2, np.eye(d), 1.0,
-                                         G.vol_sign(grid.n))
-                         for col in np.eye(len(pairs))])
-    idx = {p: r for r, p in enumerate(pairs)}
-    min_gap = np.inf
-    kappa1 = 0
-    for k in np.ndindex(*(2 * kmax + 1,) * d):
-        kv = np.array(k) - kmax
-        if not np.any(kv):
-            continue
-        D = np.zeros((len(pairs), d), dtype=complex)
-        for (i, j), r in idx.items():
-            D[r, j] += 1j * kv[i]
-            D[r, i] -= 1j * kv[j]
-        B = (np.eye(len(pairs)) + S) @ D
-        sv = np.linalg.svd(B, compute_uv=False)
-        null_dim = int(np.sum(sv < 0.5))
-        kappa1 += max(0, null_dim - 1)  # the d-closed span of λ ∝ k has dim 1
-        nonzero = sv[sv >= 0.5]
-        if nonzero.size:
-            min_gap = min(min_gap, float(nonzero.min()))
-    return {"kappa1": kappa1, "min_gap": float(min_gap)}
+    S = np.column_stack([combi.star_coef(col, d, 2, np.eye(d), 1.0, G.vol_sign(grid.n))
+                         for col in eye])
+    sv = np.linalg.svd((eye + S) @ combi.interior_symbol(combi.modes(d, kmax), d, 2),
+                       compute_uv=False)  # [M, d]
+    null_dim = np.sum(sv < 0.5, axis=1)
+    # the d-closed span of λ ∝ k has dimension 1
+    kappa1 = int(np.sum(np.maximum(0, null_dim - 1)))
+    return {"kappa1": kappa1, "min_gap": float(np.min(sv[sv >= 0.5], initial=np.inf))}
 
 
 def bott_chern_suite(rep: CheckReport, grid: TorusGrid, seed: int,

@@ -96,12 +96,8 @@ def project_traceless(xi: np.ndarray) -> np.ndarray:
     return xi - np.trace(xi) / d * np.eye(d)
 
 
-def random_sl_element(rng: np.random.Generator, n: int, scale: float = 0.3) -> np.ndarray:
-    return expm(project_traceless(scale * rng.standard_normal((2 * n, 2 * n))))
-
-
 def random_lincs(rng: np.random.Generator, n: int, scale: float = 0.3) -> LinCS:
-    g = random_sl_element(rng, n, scale)
+    g = expm(project_traceless(scale * rng.standard_normal((2 * n, 2 * n))))  # in SL(2n)
     return LinCS(g @ standard_j(n) @ np.linalg.inv(g))
 
 

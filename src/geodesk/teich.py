@@ -34,41 +34,30 @@ def c_const(n: int) -> complex:
 # Kähler instance (ρ, J0, ω0) of ``hodge.flat_instance``, volume (2π)^{2n}.
 
 
-def fg_decompose(base: H.KahlerInstance, jhat: np.ndarray, dbar_tol: float = 1e-7):
-    """Unique mean-zero (f, g) with Λ(J, Ĵ) = −df∘J + dg at the flat base.
-
-    Requires ∂̄Ĵ ≈ 0; solved by Δg = d*Λ and Δf = d*(Λ∘J).
-    """
-    grid = base.grid
-    if float(np.ptp(jhat.reshape(jhat.shape[0] * jhat.shape[1], -1), axis=-1).max()) == 0.0:
-        # constant tangent directions have Λ = 0 and the unique split is (0, 0)
-        return np.zeros(grid.shape), np.zeros(grid.shape)
-    dbar = float(np.max(np.abs(H.dbar_q1(base, jhat))))
-    if dbar > dbar_tol * max(1.0, float(np.max(np.abs(jhat)))):
-        raise DomainError(f"fg_decompose: ∂̄Ĵ residual {dbar:.2e}")
-    lam = Ric.lambda_rho(grid, base.rho, base.J, jhat)
-    f, g = H.fg_split(grid, base, lam)
-    recon = -G.one_form_compose_j(G.exterior_d(grid, f[None], 0), base.J) \
-        + G.exterior_d(grid, g[None], 0)
-    resid = float(np.max(np.abs(lam - recon)))
-    if resid > 1e-6 * max(1.0, float(np.max(np.abs(lam)))):
-        raise DomainError(f"fg_decompose: inconsistent Λ (residual {resid:.2e})")
-    return f, g
-
-
 @dataclass(frozen=True)
 class WPVector:
-    """Tangent data at the flat base: Ĵ with ∂̄Ĵ ≈ 0 and its (f, g) split."""
+    """Tangent data at the flat base: Ĵ with ∂̄Ĵ ≈ 0 and what
+    ``hodge.fg_decompose`` returns for it: the (f, g) split, Λ(J, Ĵ) and the
+    relative residuals of ∂̄Ĵ and of the plug-back.  A constant Ĵ has Λ = 0
+    and the unique split (0, 0), with nothing to compute."""
 
     base: H.KahlerInstance
     jhat: np.ndarray
     f: np.ndarray = field(init=False)
     g: np.ndarray = field(init=False)
+    lam: np.ndarray = field(init=False)
+    dbar_residual: float = field(init=False)
+    plugback_residual: float = field(init=False)
 
     def __post_init__(self):
-        f, g = fg_decompose(self.base, self.jhat)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "g", g)
+        grid = self.base.grid
+        if float(np.ptp(self.jhat.reshape(grid.d * grid.d, -1), axis=-1).max()) == 0.0:
+            zero = np.zeros(grid.shape)
+            split = zero, zero, np.broadcast_to(zero, (grid.d,) + grid.shape), 0.0, 0.0
+        else:
+            split = H.fg_decompose(self.base, self.jhat)
+        for name, val in zip(("f", "g", "lam", "dbar_residual", "plugback_residual"), split):
+            object.__setattr__(self, name, val)
 
 
 def wp_form(x1: WPVector, x2: WPVector) -> float:
@@ -128,12 +117,6 @@ def skew_anticommuting_basis(n: int) -> list[np.ndarray]:
 # dimension table by Fourier-block ranks
 
 
-def _modes(d: int, kmax: int) -> np.ndarray:
-    """The nonzero integer modes k ∈ [−kmax, kmax]^d as rows, in np.ndindex order."""
-    k = np.indices((2 * kmax + 1,) * d).reshape(d, -1).T - kmax
-    return k[np.any(k, axis=1)].astype(float)
-
-
 # modes per batched ∂̄ SVD: at n=3 each [chunk, d³, t] array is 32 MB
 _MODE_CHUNK = 1024
 
@@ -172,7 +155,7 @@ def teich_dimensions(n: int, kmax: int = 2) -> dict:
     J0 = standard_j(n)
     basis = np.array(anticommuting_basis(n))  # [t, a, b]; real dim 2n²
     t = len(basis)
-    K = _modes(d, kmax)  # [M, u] = k_u
+    K = combi.modes(d, kmax)  # [M, u] = k_u
     JK = K @ J0  # [M, u] = k_{J∂_u} = (J0ᵀk)_u
     M = len(K)
 
@@ -190,25 +173,18 @@ def teich_dimensions(n: int, kmax: int = 2) -> dict:
     t0 = t + 2 * int(np.sum(np.maximum(0, ker_dim - rank_d0)))  # ×2: real and imaginary parts
     min_gap = float(np.min(sv1[sv1 >= 0.5], initial=np.inf))
 
-    # harmonic 2-forms at k ≠ 0: kernel of (d, d*) must vanish
-    pairs = combi.combos(d, 2)
-    Ck = np.zeros((M, d, len(pairs)))
-    for idx, (i, j) in enumerate(pairs):
-        Ck[:, j, idx] += K[:, i]
-        Ck[:, i, idx] -= K[:, j]
-    block = Ck
+    # harmonic 2-forms at k ≠ 0: kernel of (d, d*) must vanish; the symbol
+    # of d* on 2-forms is the transpose of d's on 1-forms
+    block = combi.interior_symbol(K, d, 2).swapaxes(1, 2)
     if d > 2:
-        Dk = np.zeros((M, combi.n_combos(d, 3), len(pairs)))
-        for i_hi, j, i_lo, sign in zip(*combi._interior_table(d, 3)):
-            Dk[:, i_hi, i_lo] += sign * K[:, j]
-        block = np.concatenate([Dk, Ck], axis=1)
+        block = np.concatenate([combi.interior_symbol(K, d, 3), block], axis=1)
     svh = np.linalg.svd(block, compute_uv=False)
     if np.any(svh < 0.5):
         raise DomainError("unexpected harmonic 2-form at a nonzero mode")
     min_gap = min(min_gap, float(svh.min()))
 
     # constant-mode ranks
-    eye = np.eye(len(pairs))
+    eye = np.eye(combi.n_combos(d, 2))
     J0f = J0.reshape((d, d))
     p11 = np.column_stack([
         combi.pq_project_coef(col, d, 2, J0f, 1, 1).real for col in eye])
@@ -253,7 +229,7 @@ def connection_A(base: H.KahlerInstance, what: np.ndarray, closed_tol: float = 1
     # ι(v)ω = λ̂ pointwise
     w_mat = G.form_to_matrix(grid, base.omega)
     v = P.contract("j...,ji...->i...", lam_hat, P.inv(w_mat))
-    tau = const - G.j_star_form(grid, const, 2, base.J).real
+    tau = const - combi.pullback_linear_coef(const, grid.d, 2, base.J).real
     tau_mat = G.form_to_matrix(grid, tau)
     # flat metric: g(Ĵ0 u, v) = ½ τ(u, v)  ⟹  (Ĵ0)^j_i = ½ τ_{ij}
     jhat0 = 0.5 * P.contract("ij...->ji...", tau_mat)
@@ -286,7 +262,7 @@ def curvature_hamiltonian(l1: Lift, l2: Lift) -> dict:
         raise DomainError("curvature_hamiltonian needs n >= 2")
     first = -wp_form(l1.x, l2.x)
     red = l1.what - G.exterior_d(grid, l1.lam_hat, 1)
-    integrand = G.wedge_f(grid, G.insert_j_form(grid, red, 2, base.J), l2.what, 2, 2)
+    integrand = G.wedge_f(grid, combi.derivation_coef(base.J, red, grid.d, 2), l2.what, 2, 2)
     if grid.n > 2:
         integrand = G.wedge_f(grid, integrand, Ric.omega_power(grid, base.omega, grid.n - 2),
                               4, grid.d - 4)
@@ -480,10 +456,7 @@ def wp_suite(rep: CheckReport, grid: TorusGrid, seed: int, amplitude: float) -> 
     fJv = G.divergence_frho(grid, Jv, base.rho)
     rep.add("fg_lie_oracle",
             rel_max1(max(np.max(np.abs(lie.f - fv)), np.max(np.abs(lie.g - fJv))), fv))
-    lam = Ric.lambda_rho(grid, base.rho, base.J, x1.jhat)
-    recon = -G.one_form_compose_j(G.exterior_d(grid, x1.f[None], 0), base.J) \
-        + G.exterior_d(grid, x1.g[None], 0)
-    rep.add("fg_plugback", rel_max1(lam - recon, lam))
+    rep.add("fg_plugback", x1.plugback_residual)
     jcc = H.project_coclosed_q1(base, x1.jhat)
     xcc = WPVector(base, harmonic_closure(base, jcc))
     rep.add("fg_coclosed_zero", float(max(np.max(np.abs(xcc.f)), np.max(np.abs(xcc.g)))))
@@ -549,11 +522,10 @@ def connection_suite(rep: CheckReport, grid: TorusGrid, seed: int, amplitude: fl
     rhs1 = P.contract("ki...,kl...,lj...->ij...", jhat, w_mat0, J0) \
         + P.contract("ki...,kl...,lj...->ij...", J0, w_mat0, jhat)
     rep.add("condition_type", rel_max1(lhs1 - rhs1, rhs1))
-    rep.add("condition_dbar", rel_max1(H.dbar_q1(base, jhat), jhat))
-    lam_j = Ric.lambda_rho(grid, base.rho, J0, jhat)
+    rep.add("condition_dbar", x_lift.dbar_residual)
     pairing = H.two_form_omega_inner(base, w1)
     target = -G.one_form_compose_j(G.exterior_d(grid, pairing[None], 0), J0)
-    rep.add("condition_lambda", rel_max1(lam_j - target, target))
+    rep.add("condition_lambda", rel_max1(x_lift.lam - target, target))
     worst = 0.0
     for B in selfadjoint_compatible_basis(2):
         xb = WPVector(base, G.constant_field(grid, B))
@@ -658,7 +630,7 @@ def theta_suite(rep: CheckReport, grid: TorusGrid, seed: int, amplitude: float) 
     # closed correction: d(β + hθ) = 0 with h = ½(f − i g), mean zero
     x_cl = WPVector(base, jh_cl)
     h_cl = 0.5 * (x_cl.f - 1j * x_cl.g)
-    theta_hat = theta_beta(grid, jh_cl, theta) + h_cl * theta
+    theta_hat = b_cl + h_cl * theta
     rep.add("closed_correction", float(np.max(np.abs(
         G.exterior_d(grid, theta_hat, n)))) if n < grid.d else 0.0)
     rep.add("closed_correction_mean", abs(G.integrate_against_volume(grid, h_cl, base.rho)))
@@ -666,9 +638,8 @@ def theta_suite(rep: CheckReport, grid: TorusGrid, seed: int, amplitude: float) 
     # pairing of corrected forms against the Weil-Petersson data
     x2_cl = WPVector(base, _closed_jhat(base, seed + 5, amplitude))
     h2_cl = 0.5 * (x2_cl.f - 1j * x2_cl.g)
-    th1 = theta_beta(grid, x_cl.jhat, theta) + h_cl * theta
     th2 = theta_beta(grid, x2_cl.jhat, theta) + h2_cl * theta
-    pair = cn * G.integrate(grid, theta_pairing_form(grid, th1, th2, n))
+    pair = cn * G.integrate(grid, theta_pairing_form(grid, theta_hat, th2, n))
     re_expected = (-G.integrate_against_volume(
         grid, P.contract("ik...,ki...->...", x_cl.jhat, x2_cl.jhat), base.rho) / 8.0
         + G.integrate_against_volume(grid, (h_cl.conj() * h2_cl).real, base.rho))
@@ -682,6 +653,7 @@ def theta_suite(rep: CheckReport, grid: TorusGrid, seed: int, amplitude: float) 
     rep.params["measured_pairing_ratio"] = (
         float(pair.imag / wp_val) if abs(wp_val) > 1e-9 else None)
     rep.add("pairing_vs_wp", rel_plus1(pair.imag - 0.25 * wp_val, wp_val))
+    del x_cl, x2_cl  # not held through the bridge's transients
 
     # integrability bridge: (dθ_J)^{n−1,2} = ¼ ι(N_J)θ_J
     J_non = G.random_band_limited(grid, "acs", seed + 6, amplitude, band=1)

@@ -3,7 +3,8 @@
 None of these is reached by the command line: each is a second way to
 compute something the package computes (an RK4 flow for the Lie
 derivatives, the conformal Gaussian curvature for the Ricci form, the
-special connections and the first Bianchi identity for the curvature), so
+special connections and the first Bianchi identity for the curvature, the
+four-term ∂̄ on TM-valued 1-forms, and the d⁺ ranks one mode at a time), so
 they live with the tests rather than in ``geodesk``.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from geodesk import combi
 from geodesk import pointwise as P
 from geodesk.connection import (ConnectionField, cov, cov_endo, cov_volume_residual,
                                 curvature, levi_civita, nijenhuis)
@@ -122,3 +124,38 @@ def special_connections(grid: TorusGrid, rho: np.ndarray, J: np.ndarray,
         "nabla_omega": rel_max1(cov(grid, ring, w_mat, "dd"), w_mat),
     }
     return {"lc": lc, "hermitian": tilde, "volume": hat, "symplectic": ring}, flags
+
+
+def dbar_q1_four_terms(inst, jhat: np.ndarray) -> np.ndarray:
+    """``hodge.dbar_q1`` as one expression of its four terms, each a separate
+    d³ field."""
+    J = inst.J
+    nJh = cov_endo(inst.grid, inst.lc, jhat)
+    t1 = P.contract("iaj...->aij...", nJh)
+    jn = P.contract("ki...,kab...->iab...", J, nJh)
+    t3 = P.contract("iam...,mj...->aij...", jn, J)
+    out = t1 - P.contract("aji...->aij...", t1) - t3 + P.contract("aji...->aij...", t3)
+    return 0.5 * out
+
+
+def dplus_ranks_per_mode(grid: TorusGrid, kmax: int) -> dict:
+    """``hodge.dplus_kernel_ranks`` one mode at a time, with the complex
+    symbol of d built by hand from the index pairs."""
+    d = grid.d
+    pairs = combi.combos(d, 2)
+    S = np.column_stack([combi.star_coef(col, d, 2, np.eye(d), 1.0, combi.vol_sign(grid.n))
+                         for col in np.eye(len(pairs))])
+    min_gap, kappa1 = np.inf, 0
+    for k in np.ndindex(*(2 * kmax + 1,) * d):
+        kv = np.array(k) - kmax
+        if not np.any(kv):
+            continue
+        D = np.zeros((len(pairs), d), dtype=complex)
+        for r, (i, j) in enumerate(pairs):
+            D[r, j] += 1j * kv[i]
+            D[r, i] -= 1j * kv[j]
+        sv = np.linalg.svd((np.eye(len(pairs)) + S) @ D, compute_uv=False)
+        kappa1 += max(0, int(np.sum(sv < 0.5)) - 1)
+        if np.any(sv >= 0.5):
+            min_gap = min(min_gap, float(sv[sv >= 0.5].min()))
+    return {"kappa1": kappa1, "min_gap": float(min_gap)}

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geodesk import cli
+from geodesk import cli, combi
 from geodesk import connection as C
 from geodesk import grid as G
 from geodesk import hodge as H
@@ -13,6 +13,8 @@ from geodesk import pointwise as P
 from geodesk import ricci as Ric
 from geodesk.errors import DomainError
 from geodesk.grid import TorusGrid
+
+from oracles import dbar_q1_four_terms, dplus_ranks_per_mode
 
 
 def test_flat_instance_and_bad_instances():
@@ -61,6 +63,48 @@ def test_dbar_cochain_on_integrable():
     v = G.random_band_limited(g, "vector", 6, 0.1, band=1)
     tau = H.dbar_q1(inst, H.dbar_q0(g, inst.J, v))
     assert np.max(np.abs(tau)) <= 1e-7 * max(1.0, np.max(np.abs(v)))
+
+
+def test_dbar_q1_sums_in_place():
+    # bit-identical to the four-term expression, with at most three d³ fields
+    # alive at once: ∇Ĵ, the result and one term
+    inst = _curved_instance(2, 12)
+    g = inst.grid
+    jhat = Ric.anticommute_project(inst.J, G.random_band_limited(g, "endo", 4, 0.05))
+    tracemalloc.start()
+    try:
+        out = H.dbar_q1(inst, jhat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.01 * g.d ** 3 * g.npoints * 8
+    assert np.array_equal(out, dbar_q1_four_terms(inst, jhat))
+
+
+@pytest.mark.parametrize("kmax", [1, 2, 3])
+def test_dplus_kernel_ranks_match_per_mode_loop(kmax):
+    grid = TorusGrid(2, 8)
+    ranks = H.dplus_kernel_ranks(grid, kmax)
+    ref = dplus_ranks_per_mode(grid, kmax)
+    assert ranks["kappa1"] == ref["kappa1"] == 0
+    assert abs(ranks["min_gap"] - ref["min_gap"]) <= 1e-12 * ref["min_gap"]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_interior_symbol_is_the_symbol_of_d(n):
+    # d(a e^{iκ·x}) = i (κ ∧ a) e^{iκ·x} on single plane waves, every degree
+    g = TorusGrid(n, 8)
+    K = np.array([[1.0, -2.0, 0.0, 3.0][:g.d], [0.0, 1.0, 2.0, -1.0][:g.d]])
+    wave = np.exp(1j * np.tensordot(K, g.coords(), axes=1))  # [mode] + grid
+    rng = np.random.default_rng(3)
+    for k in range(1, g.d + 1):
+        sym = combi.interior_symbol(K, g.d, k)
+        assert sym.shape == (2, combi.n_combos(g.d, k), combi.n_combos(g.d, k - 1))
+        for mode in range(2):
+            a = rng.standard_normal(combi.n_combos(g.d, k - 1))
+            field = a.reshape(-1, *(1,) * g.d) * wave[mode]
+            expected = 1j * (sym[mode] @ a).reshape(-1, *(1,) * g.d) * wave[mode]
+            assert np.max(np.abs(G.exterior_d(g, field, k - 1) - expected)) <= 1e-11
 
 
 def _curved_instance(n, m):

@@ -1,5 +1,7 @@
 import ast
+import collections
 import dataclasses
+import hashlib
 import inspect
 import json
 import os
@@ -12,7 +14,10 @@ import numpy as np
 import pytest
 
 from geodesk import cli, report
+from geodesk import connection as C
 from geodesk import grid as G
+from geodesk import hodge as H
+from geodesk import ricci as Ric
 from geodesk.errors import DomainError
 from geodesk.report import CheckEntry, CheckReport, compare_to_baseline, validate_report
 
@@ -128,7 +133,7 @@ def test_lincs_overflow_is_recorded_without_warnings(tmp_path):
                        "--report", str(path))
     assert proc.returncode == 1, proc.stderr
     checks = json.loads(path.read_text())["checks"]
-    assert [(c["name"], c["pass"]) for c in checks] == [("numeric_failure", False)]
+    assert [(c["name"], c["pass"]) for c in checks] == [("numeric_failure[lincs]", False)]
     assert "RuntimeWarning" not in proc.stderr
 
 
@@ -372,11 +377,72 @@ def test_numeric_failure_is_recorded(tmp_path, monkeypatch, capsys):
     assert validate_report(doc) == []
     suites = _per_suite(captured.out, doc)
     assert list(suites) == [s for s in cli.SUITES if s != "teich-connection"]
-    assert suites.pop("bkn") == [{"name": "numeric_failure", "residual": 1.0,
+    assert suites.pop("bkn") == [{"name": "numeric_failure[bkn]", "residual": 1.0,
                                   "tol": 0.5, "pass": False}]
     assert all(c["pass"] for checks in suites.values() for c in checks)
     # a usage error still exits 2
     assert cli.main(["verify", "teich-connection", "--n", "1"]) == 2
+
+
+def test_baseline_keys_each_suites_numeric_failure(tmp_path, monkeypatch, capsys):
+    # Several suites can record a numeric failure in one run (three at n=2/m=8);
+    # each flag names its suite, so the baseline keeps them all and a failure
+    # that vanished from one suite shows although another suite still fails.
+    def boom(*args, **kwargs):
+        raise DomainError("connection does not preserve the volume form")
+
+    real = dict(cli.SUITES)
+    for suite in ("ricci-moment", "ricci-laws"):
+        monkeypatch.setitem(cli.SUITES, suite, dataclasses.replace(real[suite], body=boom))
+    path = tmp_path / "base.json"
+    args = ["verify", "all", "--n", "1", "--grid", "32", "--seed", "1"]
+    assert cli.main(args + ["--report", str(path)]) == 1
+    names = [c["name"] for c in json.loads(path.read_text())["checks"]]
+    assert {"numeric_failure[ricci-moment]", "numeric_failure[ricci-laws]"} <= set(names)
+    capsys.readouterr()
+    monkeypatch.setitem(cli.SUITES, "ricci-moment", real["ricci-moment"])
+    assert cli.main(args + ["--baseline", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "baseline regressions" in err
+    assert err.rsplit(": ", 1)[1].split() == ["numeric_failure[ricci-moment]"]
+
+
+def _arg_key(x):
+    """Equal for byte-identical arguments: arrays by shape, dtype and a hash
+    of their bytes, connections by Γ, Kähler instances by (ω, J)."""
+    if isinstance(x, np.ndarray):
+        data = np.ascontiguousarray(x).tobytes()
+        return ("array", x.shape, x.dtype.str, hashlib.sha1(data).hexdigest())
+    if isinstance(x, C.ConnectionField):
+        return ("connection", _arg_key(x.gamma))
+    if isinstance(x, H.KahlerInstance):
+        return ("instance", _arg_key(x.omega), _arg_key(x.J))
+    return repr(x)
+
+
+def test_no_suite_repeats_a_computation(monkeypatch):
+    # each suite computes the Ricci form, Λ, ∂̄Ĵ, a Levi-Civita connection and
+    # the (f, g) split at most once per distinct input
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            key = tuple(map(_arg_key, args)) + tuple(
+                (k, _arg_key(v)) for k, v in sorted(kwargs.items()))
+            calls[name, key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod, name in ((Ric, "ricci_form"), (Ric, "lambda_rho"), (H, "dbar_q1"),
+                      (C, "levi_civita"), (H, "fg_decompose")):
+        monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    for suite in cli.planned_suites("all", 1):
+        calls.clear()
+        assert cli.run_suite(suite, 1, 64, 1, None, 1.0).passed, suite
+        repeats = collections.Counter()
+        for (name, _), count in calls.items():
+            repeats[name] += count - 1
+        assert +repeats == {}, (suite, dict(+repeats))
 
 
 def test_verify_all_n2_m10_writes_report_on_exit_1(tmp_path, capsys):
@@ -391,7 +457,7 @@ def test_verify_all_n2_m10_writes_report_on_exit_1(tmp_path, capsys):
     suites = _per_suite(captured.out, doc)
     assert list(suites) == list(cli.SUITES)
     failed = [s for s, checks in suites.items()
-              if [c["name"] for c in checks] == ["numeric_failure"]]
+              if [c["name"] for c in checks] == [f"numeric_failure[{s}]"]]
     assert failed == ["ricci-moment", "ricci-laws"]
     for suite in set(cli.SUITES) - set(failed):
         alone = cli.run_suite(suite, 2, 10, 1, None, 1.0).as_dict()["checks"]
@@ -423,8 +489,8 @@ def test_lincs_blowup_is_recorded(tmp_path, capsys, amp):
     assert "numeric failure: lincs:" in capsys.readouterr().err
     doc = json.loads(path.read_text())
     assert validate_report(doc) == []
-    assert doc["checks"][-1] == {"name": "numeric_failure", "residual": 1.0, "tol": 0.5,
-                                 "pass": False}
+    assert doc["checks"][-1] == {"name": "numeric_failure[lincs]", "residual": 1.0,
+                                 "tol": 0.5, "pass": False}
 
 
 def test_checks_before_a_numeric_failure_stay(monkeypatch, capsys):
@@ -436,7 +502,7 @@ def test_checks_before_a_numeric_failure_stay(monkeypatch, capsys):
                                                                  body=body))
     rep = cli.run_suite("lincs", 1, 8, 1, None, 1.0)
     assert [(c.name, c.passed) for c in rep.checks] == [("moment", True),
-                                                        ("numeric_failure", False)]
+                                                        ("numeric_failure[lincs]", False)]
     assert rep.params["amplitude"] == 0.3
     assert "numeric failure: lincs: late failure" in capsys.readouterr().err
 

@@ -56,7 +56,7 @@ def test_fg_decompose_rejects_nonclosed():
     raw = G.random_band_limited(g, "endo", 7, 0.1, band=1)
     jh = Ric.anticommute_project(base.J, raw)
     with pytest.raises(DomainError):
-        T.fg_decompose(base, jh)
+        H.fg_decompose(base, jh)
 
 
 def test_wp_form_constant_reduction():
