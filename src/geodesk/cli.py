@@ -42,8 +42,8 @@ def estimate_peak_bytes(n: int, m: int) -> int:
     n = 1.  Calibrated on the peak RSS of each suite alone in a fresh process
     at n = 2, m = 8…18 and n = 1, m = 64…720, when bkn still built 4-index
     fields.  No suite holds a d⁴ field now, so at n = 2 the bound has room:
-    at m = 16 it is 0.89 GB, and the heaviest suites alone, theta and
-    ricci-laws, peak at 0.57 and 0.54 GB."""
+    at m = 16 it is 0.89 GB, and the heaviest suites alone, ricci-laws, bkn
+    and theta, peak at 0.32, 0.30 and 0.29 GB."""
     d = 2 * n
     return 80_000_000 + 8 * m ** d * (5 * d ** 4 + 256)
 

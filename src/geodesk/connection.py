@@ -229,23 +229,27 @@ def nijenhuis(grid: TorusGrid, J: np.ndarray, conn: ConnectionField | None = Non
 
     Route one uses spectral derivatives of J directly; route two uses the
     torsion-free connection formula.  Returns (N, agreement residual).
+    Each route's four terms are summed into one output, left to right; Γ ≡ 0
+    (no ``conn``, or ``conn.zero``) takes ∇J = ∂J, so J is differentiated
+    once, and ∂J and ∇J are dropped before the difference.
     """
+    flat = conn is None or conn.zero
+    if not flat and not conn.torsion_free:
+        raise DomainError("nijenhuis: connection must be torsion-free")
     dJ = grid.derivs(J)  # dJ[m, k, j] = ∂_m J^k_j
     # frame/bracket route: J^m_i ∂_m J^k_j − J^m_j ∂_m J^k_i + J^k_m(∂_j J^m_i − ∂_i J^m_j)
-    n_bracket = (P.contract("mi...,mkj...->kij...", J, dJ)
-                 - P.contract("mj...,mki...->kij...", J, dJ)
-                 + P.contract("km...,jmi...->kij...", J, dJ)
-                 - P.contract("km...,imj...->kij...", J, dJ))
-    if conn is None:
-        conn = ConnectionField.flat(grid)
-    if not conn.torsion_free:
-        raise DomainError("nijenhuis: connection must be torsion-free")
-    nJ = cov_endo(grid, conn, J)  # [m, k, j] = (∇_m J)^k_j
-    n_conn = (P.contract("ikm...,mj...->kij...", nJ, J)
-              + P.contract("mi...,mkj...->kij...", J, nJ)
-              - P.contract("jkm...,mi...->kij...", nJ, J)
-              - P.contract("mj...,mki...->kij...", J, nJ))
-    return n_bracket, rel_max1(n_bracket - n_conn, n_bracket)
+    n_bracket = P.contract("mi...,mkj...->kij...", J, dJ)
+    n_bracket -= P.contract("mj...,mki...->kij...", J, dJ)
+    n_bracket += P.contract("km...,jmi...->kij...", J, dJ)
+    n_bracket -= P.contract("km...,imj...->kij...", J, dJ)
+    nJ = dJ if flat else cov_endo(grid, conn, J)  # [m, k, j] = (∇_m J)^k_j
+    del dJ
+    n_conn = P.contract("ikm...,mj...->kij...", nJ, J)
+    n_conn += P.contract("mi...,mkj...->kij...", J, nJ)
+    n_conn -= P.contract("jkm...,mi...->kij...", nJ, J)
+    n_conn -= P.contract("mj...,mki...->kij...", J, nJ)
+    del nJ
+    return n_bracket, rel_max1(np.subtract(n_bracket, n_conn, out=n_conn), n_bracket)
 
 
 def conformally_flat_volume_connection(grid: TorusGrid, rho: np.ndarray) -> ConnectionField:

@@ -290,28 +290,51 @@ def harmonic_lemma_suite(rep: CheckReport, grid: TorusGrid, seed: int,
     """Hamiltonian/gradient divergences, the contraction-star identity, the
     infinitesimal-compatibility identity, self-adjointness of Lie derivatives,
     the Λ = −df∘J + dg split, harmonicity of adjoints, and the parallel-form
-    norm identities on the flat Ricci-flat Kähler torus."""
+    norm identities on the flat Ricci-flat Kähler torus.  Each group of
+    checks is a section on the flat instance whose fields die when it
+    returns."""
     inst = flat_instance(grid)
-    J, omega, rho = inst.J, inst.omega, inst.rho
-    band = G.acs_band(grid.m)
+    _divergences(rep, inst, seed, amplitude)
+    v = G.random_band_limited(grid, "vector", seed + 1, amplitude, band=G.acs_band(grid.m))
+    Jv = _star_contraction(rep, inst, v)
+    jhat_v = _lie_compatibility(rep, inst, seed, amplitude, v)
+    _lambda_split(rep, inst, v, Jv, jhat_v)
+    _adjoint_harmonic(rep, inst, seed, amplitude)
+    skew = _parallel_norms_endo(rep, inst, seed, amplitude)
+    _skew_two_form(rep, inst, skew)
+    _holomorphic_direction(rep, inst, seed, amplitude)
 
-    # Hamiltonian fields are divergence-free; gradients divergе by −ΔH
-    H = G.random_band_limited(grid, "scalar", seed, amplitude, band=band)
-    vH = Ric.hamiltonian_vector_field(grid, omega, H)
-    rep.add("hamiltonian_divergence", float(np.max(np.abs(G.divergence_frho(grid, vH, rho)))))
+
+def _divergences(rep: CheckReport, inst: KahlerInstance, seed: int, amplitude: float) -> None:
+    """Hamiltonian fields are divergence-free; gradients diverge by −ΔH."""
+    grid = inst.grid
+    H = G.random_band_limited(grid, "scalar", seed, amplitude, band=G.acs_band(grid.m))
+    vH = Ric.hamiltonian_vector_field(grid, inst.omega, H)
+    rep.add("hamiltonian_divergence",
+            float(np.max(np.abs(G.divergence_frho(grid, vH, inst.rho)))))
     gradH = P.contract("ij...,j...->i...", inst.ginv, G.exterior_d(grid, H[None], 0))
     rep.add("gradient_divergence",
-            float(np.max(np.abs(G.divergence_frho(grid, gradH, rho)
+            float(np.max(np.abs(G.divergence_frho(grid, gradH, inst.rho)
                                 + G.laplacian(grid, H)))))
 
-    # *ι(v)ω = ι(Jv)ρ
-    v = G.random_band_limited(grid, "vector", seed + 1, amplitude, band=band)
-    lhs = G.star_f(grid, G.interior_f(grid, v, omega, 2), 1)
-    Jv = P.contract("ij...,j...->i...", J, v)
-    rhs = G.interior_f(grid, Jv, rho, grid.d)
-    rep.add("star_contraction", float(np.max(np.abs(lhs - rhs))))
 
-    # infinitesimal compatibility of a (1,1)-form along a Lie flow
+def _star_contraction(rep: CheckReport, inst: KahlerInstance, v: np.ndarray) -> np.ndarray:
+    """*ι(v)ω = ι(Jv)ρ; returns Jv, which the Λ-split section reads."""
+    grid = inst.grid
+    lhs = G.star_f(grid, G.interior_f(grid, v, inst.omega, 2), 1)
+    Jv = P.contract("ij...,j...->i...", inst.J, v)
+    rhs = G.interior_f(grid, Jv, inst.rho, grid.d)
+    rep.add("star_contraction", float(np.max(np.abs(lhs - rhs))))
+    return Jv
+
+
+def _lie_compatibility(rep: CheckReport, inst: KahlerInstance, seed: int, amplitude: float,
+                       v: np.ndarray) -> np.ndarray:
+    """Infinitesimal compatibility of a (1,1)-form along a Lie flow, and the
+    self-adjointness defects of L_v J and of a gradient's Lie derivative;
+    returns L_v J, which the Λ-split section reads."""
+    grid, J, omega = inst.grid, inst.J, inst.omega
+    band = G.acs_band(grid.m)
     t11 = G.pq_project_f(grid, G.random_band_limited(grid, "form:2", seed + 2, amplitude,
                                                      band=band), 2, J, 1, 1).real
     tau_hat = G.lie_form(grid, v, t11, 2)
@@ -336,8 +359,14 @@ def harmonic_lemma_suite(rep: CheckReport, grid: TorusGrid, seed: int,
     jhat_grad = G.lie_endo(grid, gradF, J)
     defect = jhat_grad - endo_adjoint(inst, jhat_grad)
     rep.add("self_adjoint_gradient", rel_max1(defect, jhat_grad))
+    return jhat_v
 
-    # Λ(J, Ĵ) = −df∘J + dg via Poisson solves, for ∂̄-closed seeded Ĵ
+
+def _lambda_split(rep: CheckReport, inst: KahlerInstance, v: np.ndarray, Jv: np.ndarray,
+                  jhat_v: np.ndarray) -> None:
+    """Λ(J, Ĵ) = −df∘J + dg via Poisson solves for a ∂̄-closed Ĵ, and the
+    coclosed projection kills Λ."""
+    grid, J, rho = inst.grid, inst.J, inst.rho
     Cmat = np.zeros((grid.d, grid.d))
     Cmat[0, 0] = 1.0
     Cmat[grid.n, grid.n] = -1.0
@@ -350,42 +379,54 @@ def harmonic_lemma_suite(rep: CheckReport, grid: TorusGrid, seed: int,
     rep.add("lambda_fg_lie_oracle",
             rel_max1(max(np.max(np.abs(f - fv)), np.max(np.abs(gsc - fJv))), fv))
 
-    # coclosed projection kills Λ
     jhat_cc = project_coclosed_q1(inst, jhat)
     lam_cc = Ric.lambda_rho(grid, rho, J, jhat_cc)
     rep.add("lambda_coclosed_zero", rel_max1(lam_cc, jhat_cc))
 
-    # harmonic representatives stay harmonic under the metric adjoint
+
+def _adjoint_harmonic(rep: CheckReport, inst: KahlerInstance, seed: int,
+                      amplitude: float) -> None:
+    """Harmonic representatives stay harmonic under the metric adjoint."""
+    grid = inst.grid
     jh_h = harmonic_mean_q1(grid, Ric.anticommute_project(
-        J, G.random_band_limited(grid, "endo", seed + 4, amplitude, band=band)))
+        inst.J, G.random_band_limited(grid, "endo", seed + 4, amplitude,
+                                      band=G.acs_band(grid.m))))
     jh_star = endo_adjoint(inst, jh_h)
     n_star = C.cov_endo(grid, inst.lc, jh_star)
     resid_h = max(
         float(np.max(np.abs(dbar_q1(inst, jh_star, n_star)))),
         float(np.max(np.abs(dbar_adjoint_q1(inst, jh_star, n_star)))),
     )
-    del n_star
     rep.add("adjoint_harmonic", rel_max1(resid_h, jh_h))
 
-    # parallel norms for skew-adjoint Ĵ and its 2-form ŵ = g(Ĵ·, ·)
-    raw = Ric.anticommute_project(J, G.random_band_limited(grid, "endo", seed + 5,
-                                                           amplitude, band=band))
+
+def _parallel_norms_endo(rep: CheckReport, inst: KahlerInstance, seed: int,
+                         amplitude: float) -> np.ndarray:
+    """The parallel norm identity for a seeded skew-adjoint Ĵ; returns Ĵ,
+    whose 2-form the next section reads."""
+    grid, rho = inst.grid, inst.rho
+    raw = Ric.anticommute_project(inst.J, G.random_band_limited(
+        grid, "endo", seed + 5, amplitude, band=G.acs_band(grid.m)))
     skew = 0.5 * (raw - endo_adjoint(inst, raw))
-    # ∇Ĵ once; ∂̄Ĵ and ∂̄*Ĵ from it, each dropped before the next large field
-    nskew = C.cov_endo(grid, inst.lc, skew)
+    nskew = C.cov_endo(grid, inst.lc, skew)  # once, for ∂̄Ĵ, ∂̄*Ĵ and |∇Ĵ|²
     dq = dbar_q1(inst, skew, nskew)
     a2 = l2_inner_q2(inst, dq, dq)
-    del dq
     da = dbar_adjoint_q1(inst, skew, nskew)
     a0 = l2_inner_q0(inst, da, da)
-    del da
     an = G.integrate_against_volume(grid, P.contract("kab...,kab...->...", nskew, nskew), rho)
     rep.add("parallel_norms_endo", rel_max1(a2 + a0 - 0.5 * an, an))
+    return skew
+
+
+def _skew_two_form(rep: CheckReport, inst: KahlerInstance, skew: np.ndarray) -> None:
+    """ŵ = g(Ĵ·, ·) of a skew-adjoint Ĵ is a 2-form with no (1,1)-part whose
+    parallel norm identity holds."""
+    grid = inst.grid
     what_m = P.mul(inst.metric, skew)
     rep.add("skew_two_form_antisymmetric",
             rel_max1(what_m + np.swapaxes(what_m, 0, 1), what_m))
     what = G.form_from_matrix(grid, what_m)
-    w11 = G.pq_project_f(grid, what, 2, J, 1, 1)
+    w11 = G.pq_project_f(grid, what, 2, inst.J, 1, 1)
     rep.add("skew_two_form_no_11_part", rel_max1(w11, what))
     b_d = G.l2_inner_form(grid, G.exterior_d(grid, what, 2),
                           G.exterior_d(grid, what, 2), 3) if grid.d > 2 else 0.0
@@ -393,10 +434,15 @@ def harmonic_lemma_suite(rep: CheckReport, grid: TorusGrid, seed: int,
     b_c = G.l2_inner_form(grid, cod, cod, 1)
     nw = C.cov(grid, inst.lc, what_m, "dd")
     b_n = 0.5 * G.integrate_against_volume(
-        grid, P.contract("kij...,kij...->...", nw, nw), rho)
+        grid, P.contract("kij...,kij...->...", nw, nw), inst.rho)
     rep.add("parallel_norms_form", rel_max1(b_d + b_c - b_n, b_n))
 
-    # holomorphic direction: arrange div v = div Jv = 0 and verify Λ(J, L_vJ) = 0
+
+def _holomorphic_direction(rep: CheckReport, inst: KahlerInstance, seed: int,
+                           amplitude: float) -> None:
+    """Holomorphic direction: arrange div v = div Jv = 0 and verify
+    Λ(J, L_vJ) = 0."""
+    grid, J, rho = inst.grid, inst.J, inst.rho
     v_hol = divergence_free_pair_field(grid, seed + 6, amplitude)
     rep.add("holomorphic_divergence", float(max(
         np.max(np.abs(G.divergence_frho(grid, v_hol, rho))),
@@ -520,14 +566,24 @@ def dplus_kernel_ranks(grid: TorusGrid, kmax: int = 2) -> dict:
 def bott_chern_suite(rep: CheckReport, grid: TorusGrid, seed: int,
                      amplitude: float) -> None:
     """The Nijenhuis defect of d(df∘J), the trace operator L0, the d⁺ kernel
-    ranks on the flat four-torus, and the self-dual pairing obstruction."""
-    n = grid.n
-    band = G.acs_band(grid.m)
-    f = G.random_band_limited(grid, "scalar", seed, amplitude, band=band)
-
-    # d(df∘J)(u,v) − d(df∘J)(Ju,Jv) = df(J N(u,v)), both sides independent
-    J_non = G.random_band_limited(grid, "acs", seed + 1, amplitude, band=1)
+    ranks on the flat four-torus, and the self-dual pairing obstruction.
+    Each group of checks is a section whose fields die when it returns; the
+    Kähler instance is built after the defect sections."""
+    f = G.random_band_limited(grid, "scalar", seed, amplitude, band=G.acs_band(grid.m))
     df = G.exterior_d(grid, f[None], 0)
+    _ddc_nijenhuis(rep, grid, seed, amplitude, df)
+    _ddc_integrable(rep, grid, seed, df)
+    inst = flat_instance(grid) if grid.n > 1 else conformal_instance(
+        grid, amplitude * np.sin(grid.coords()[0]))
+    _l0_checks(rep, inst, seed, amplitude, f, df)
+    if grid.n == 2:
+        _selfdual_checks(rep, inst)
+
+
+def _ddc_nijenhuis(rep: CheckReport, grid: TorusGrid, seed: int, amplitude: float,
+                   df: np.ndarray) -> None:
+    """d(df∘J)(u,v) − d(df∘J)(Ju,Jv) = df(J N(u,v)), both sides independent."""
+    J_non = G.random_band_limited(grid, "acs", seed + 1, amplitude, band=1)
     tau_f = G.exterior_d(grid, G.one_form_compose_j(df, J_non), 1)
     tm = G.form_to_matrix(grid, tau_f)
     lhs = tm - P.mul(J_non.swapaxes(0, 1), tm, J_non)
@@ -535,45 +591,53 @@ def bott_chern_suite(rep: CheckReport, grid: TorusGrid, seed: int,
     jn = P.contract("kl...,lij...->kij...", J_non, N)
     rhs = P.contract("k...,kij...->ij...", df, jn)
     rep.add("ddc_nijenhuis", rel_max1(lhs - rhs, rhs))
-    # integrable structure: defect vanishes
+
+
+def _ddc_integrable(rep: CheckReport, grid: TorusGrid, seed: int, df: np.ndarray) -> None:
+    """An integrable structure has no d(df∘J) defect."""
     u = G.random_band_limited(grid, "vector", seed + 2, 0.05, band=1)
     J_int = G.pullback(grid, "endo", G.standard_j_field(grid), G.DisplacementMap(u))
     tau_i = G.exterior_d(grid, G.one_form_compose_j(df, J_int), 1)
     ti = G.form_to_matrix(grid, tau_i)
     rep.add("ddc_integrable", rel_max1(ti - P.mul(J_int.swapaxes(0, 1), ti, J_int), ti))
 
-    # L0 agrees with d*d on Kähler instances and the seeded problem solves
-    inst = flat_instance(grid) if n > 1 else conformal_instance(
-        grid, amplitude * np.sin(grid.coords()[0]))
+
+def _l0_checks(rep: CheckReport, inst: KahlerInstance, seed: int, amplitude: float,
+               f: np.ndarray, df: np.ndarray) -> None:
+    """L0 agrees with d*d on Kähler instances, and L0 f = <dλ, ω> solves for
+    an admissible seeded λ = a df∘J + dg."""
+    grid = inst.grid
     l0f = l0_operator(inst, f)
     lap = G.laplacian(grid, f, inst.metric)
     rep.add("l0_vs_laplacian", rel_max1(l0f - lap, lap))
-    # solve L0 f = <dλ, ω> for an admissible seeded λ = a df∘J + dg
-    g2 = G.random_band_limited(grid, "scalar", seed + 3, amplitude, band=band)
-    lam_adm = 0.7 * G.one_form_compose_j(G.exterior_d(grid, f[None], 0), inst.J) \
-        + G.exterior_d(grid, g2[None], 0)
+    g2 = G.random_band_limited(grid, "scalar", seed + 3, amplitude, band=G.acs_band(grid.m))
+    lam_adm = 0.7 * G.one_form_compose_j(df, inst.J) + G.exterior_d(grid, g2[None], 0)
     src = two_form_omega_inner(inst, G.exterior_d(grid, lam_adm, 1))
     mean_src = G.integrate_against_volume(grid, src, inst.rho) \
         / G.integrate(grid, inst.rho)
     rep.add("l0_source_mean_zero", abs(mean_src))
-    sol = G.poisson_solve(grid, src - mean_src, inst.metric if n == 1 else None)
+    sol = G.poisson_solve(grid, src - mean_src, inst.metric if grid.n == 1 else None)
     rep.add("l0_solve_plugback", rel_max1(l0_operator(inst, sol) - src, src))
 
-    if n == 2:
-        ranks = dplus_kernel_ranks(grid)
-        rep.add_flag("dplus_kappa1", ranks["kappa1"] == 0)
-        rep.add_flag("dplus_gap", ranks["min_gap"] >= 0.5)
-        # self-dual harmonic forms include ω with <ω, ω> = n ≠ 0, so the
-        # vanishing-pairing branch fails and the Bott-Chern defect is zero
-        pairing = two_form_omega_inner(inst, inst.omega)
-        rep.add("selfdual_pairing", float(np.max(np.abs(pairing - grid.n))))
-        star_w = G.star_f(grid, inst.omega, 2, inst.metric)
-        rep.add("omega_self_dual", float(np.max(np.abs(star_w - inst.omega))))
-        # b^{2,+} = 3 on the flat four-torus: constant self-dual forms
-        consts = np.eye(6)
-        sd = []
-        for c in consts:
-            w = np.broadcast_to(c.reshape(6, 1, 1, 1, 1), (6,) + grid.shape).copy()
-            sd.append((G.star_f(grid, w, 2) + w).reshape(6, -1)[:, 0] / 2.0)
-        rank = int(np.linalg.matrix_rank(np.column_stack(sd), tol=1e-8))
-        rep.add_flag("b2_plus_is_three", rank == 3)
+
+def _selfdual_checks(rep: CheckReport, inst: KahlerInstance) -> None:
+    """The d⁺ kernel ranks, and the self-dual pairing obstruction on the flat
+    four-torus."""
+    grid = inst.grid
+    ranks = dplus_kernel_ranks(grid)
+    rep.add_flag("dplus_kappa1", ranks["kappa1"] == 0)
+    rep.add_flag("dplus_gap", ranks["min_gap"] >= 0.5)
+    # self-dual harmonic forms include ω with <ω, ω> = n ≠ 0, so the
+    # vanishing-pairing branch fails and the Bott-Chern defect is zero
+    pairing = two_form_omega_inner(inst, inst.omega)
+    rep.add("selfdual_pairing", float(np.max(np.abs(pairing - grid.n))))
+    star_w = G.star_f(grid, inst.omega, 2, inst.metric)
+    rep.add("omega_self_dual", float(np.max(np.abs(star_w - inst.omega))))
+    # b^{2,+} = 3 on the flat four-torus: constant self-dual forms
+    consts = np.eye(6)
+    sd = []
+    for c in consts:
+        w = np.broadcast_to(c.reshape(6, 1, 1, 1, 1), (6,) + grid.shape).copy()
+        sd.append((G.star_f(grid, w, 2) + w).reshape(6, -1)[:, 0] / 2.0)
+    rank = int(np.linalg.matrix_rank(np.column_stack(sd), tol=1e-8))
+    rep.add_flag("b2_plus_is_three", rank == 3)

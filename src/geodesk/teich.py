@@ -396,32 +396,59 @@ def _closed_jhat(base: H.KahlerInstance, seed: int, amplitude: float) -> np.ndar
 def wp_suite(rep: CheckReport, grid: TorusGrid, seed: int, amplitude: float) -> None:
     """Antisymmetry, reduction to the orbit form on constants, descent along
     Lie directions, mapping-class naturality, the signature split, Gram
-    nondegeneracy, the (f, g) solver checks, and the dimension table."""
-    n = grid.n
+    nondegeneracy, the (f, g) solver checks, and the dimension table.  Each
+    group of checks is a section on the flat base whose fields die when it
+    returns."""
     base = H.flat_instance(grid)
-    vol = (2.0 * np.pi) ** grid.d
+    x1 = _wp_antisymmetry(rep, base, seed, amplitude)
+    mats = anticommuting_basis(grid.n)
+    orbit = _wp_constants(rep, base, mats)
+    v, lie = _wp_descent(rep, base, seed, amplitude, x1)
+    _wp_naturality(rep, grid.n, mats, orbit)
+    _wp_signature(rep, base, mats)
+    _wp_fg_solver(rep, base, x1, v, lie)
+    _wp_dimensions(rep, grid.n)
 
+
+def _wp_antisymmetry(rep: CheckReport, base: H.KahlerInstance, seed: int,
+                     amplitude: float) -> WPVector:
+    """antisymmetry_diag and antisymmetry; returns the first closed direction,
+    which the descent and solver sections read."""
     x1 = WPVector(base, _closed_jhat(base, seed, amplitude))
     x2 = WPVector(base, _closed_jhat(base, seed + 7, amplitude))
     rep.add("antisymmetry_diag", abs(wp_form(x1, x1)))
     rep.add("antisymmetry", abs(wp_form(x1, x2) + wp_form(x2, x1)))
+    return x1
 
-    # constants have f = g = 0 and reduce to the volume times the orbit form
-    mats = anticommuting_basis(n)
+
+def _wp_constants(rep: CheckReport, base: H.KahlerInstance, mats: list[np.ndarray]) -> float:
+    """Constants have f = g = 0 and reduce to the volume times the orbit
+    form; returns the orbit form of the first and last basis matrices."""
+    grid = base.grid
+    vol = (2.0 * np.pi) ** grid.d
     c1 = WPVector(base, G.constant_field(grid, mats[0]))
     c2 = WPVector(base, G.constant_field(grid, mats[-1]))
     rep.add("constant_fg_zero", float(max(np.max(np.abs(c1.f)), np.max(np.abs(c1.g)))))
-    orbit = 0.5 * float(np.trace(mats[0] @ standard_j(n) @ mats[-1]))
+    orbit = 0.5 * float(np.trace(mats[0] @ standard_j(grid.n) @ mats[-1]))
     rep.add("constant_reduction", rel_plus1(wp_form(c1, c2) - vol * orbit, vol * orbit))
+    return orbit
 
-    # descent: Lie directions pair to zero against every closed direction
+
+def _wp_descent(rep: CheckReport, base: H.KahlerInstance, seed: int, amplitude: float,
+                x1: WPVector) -> tuple[np.ndarray, WPVector]:
+    """descent: Lie directions pair to zero against every closed direction;
+    returns v and L_v J, which the solver section reads."""
+    grid = base.grid
     v = G.random_band_limited(grid, "vector", seed + 11, amplitude, band=G.acs_band(grid.m))
     lie = WPVector(base, G.lie_endo(grid, v, base.J))
     scale = max(1.0, float(np.max(np.abs(x1.jhat))) * float(np.max(np.abs(v))))
     rep.add("descent", abs(wp_form(x1, lie)) / scale)
+    return v, lie
 
-    # mapping class naturality on constant representatives
-    A = np.eye(grid.d, dtype=int)
+
+def _wp_naturality(rep: CheckReport, n: int, mats: list[np.ndarray], orbit: float) -> None:
+    """Mapping class naturality on constant representatives."""
+    A = np.eye(2 * n, dtype=int)
     A[0, 1] = 1
     Ainv = np.linalg.inv(A.astype(float))
     J0 = standard_j(n)
@@ -430,7 +457,11 @@ def wp_suite(rep: CheckReport, grid: TorusGrid, seed: int, amplitude: float) -> 
     nat = 0.5 * float(np.trace(m1 @ Jp @ m2)) - orbit
     rep.add("naturality_sl2z", rel_plus1(nat, orbit))
 
-    # signature split and nondegeneracy on the constant tangent space
+
+def _wp_signature(rep: CheckReport, base: H.KahlerInstance, mats: list[np.ndarray]) -> None:
+    """Signature split and nondegeneracy on the constant tangent space."""
+    grid, n = base.grid, base.grid.n
+    vol = (2.0 * np.pi) ** grid.d
     sym = selfadjoint_compatible_basis(n)
     gram_sym = np.array([[wp_inner(WPVector(base, G.constant_field(grid, a)),
                                    WPVector(base, G.constant_field(grid, b)))
@@ -450,7 +481,11 @@ def wp_suite(rep: CheckReport, grid: TorusGrid, seed: int, amplitude: float) -> 
     rep.add_flag("gram_full_rank", sv.min() > 1e-8 * vol)
     rep.add("gram_condition", float(sv.max() / sv.min()))
 
-    # (f, g) solver: plug-back, the Lie oracle, and the coclosed case
+
+def _wp_fg_solver(rep: CheckReport, base: H.KahlerInstance, x1: WPVector, v: np.ndarray,
+                  lie: WPVector) -> None:
+    """(f, g) solver: plug-back, the Lie oracle, and the coclosed case."""
+    grid = base.grid
     fv = G.divergence_frho(grid, v, base.rho)
     Jv = P.contract("ij...,j...->i...", base.J, v)
     fJv = G.divergence_frho(grid, Jv, base.rho)
@@ -461,6 +496,9 @@ def wp_suite(rep: CheckReport, grid: TorusGrid, seed: int, amplitude: float) -> 
     xcc = WPVector(base, harmonic_closure(base, jcc))
     rep.add("fg_coclosed_zero", float(max(np.max(np.abs(xcc.f)), np.max(np.abs(xcc.g)))))
 
+
+def _wp_dimensions(rep: CheckReport, n: int) -> None:
+    """The dimension table by Fourier-block ranks."""
     dims = teich_dimensions(n)
     expected = {"structure_tangent": 2 * n * n, "kahler_cone": n * n,
                 "assembled_total": 3 * n * n, "assembled_base": 2 * n * n - n,
@@ -478,12 +516,11 @@ def harmonic_closure(flat: H.KahlerInstance, jhat: np.ndarray) -> np.ndarray:
 
 def connection_suite(rep: CheckReport, grid: TorusGrid, seed: int, amplitude: float) -> None:
     """Horizontal-lift conditions and the two curvature-Hamiltonian
-    expressions on the flat four-torus."""
+    expressions on the flat four-torus.  Each group of checks is a section
+    on the flat base whose fields die when it returns."""
     base = H.flat_instance(grid)
     J0 = base.J
-    w_mat0 = G.form_to_matrix(grid, base.omega)
-
-    # constant lifts: trivial and pure-type cases
+    # seeded constant 2-forms with their (1,1)-parts removed
     rng = np.random.default_rng(seed)
     pairs = combi.combos(grid.d, 2)
     c1 = np.broadcast_to(rng.standard_normal(len(pairs)).reshape(-1, 1, 1, 1, 1),
@@ -492,13 +529,29 @@ def connection_suite(rep: CheckReport, grid: TorusGrid, seed: int, amplitude: fl
                          (len(pairs),) + grid.shape).copy()
     c1 = c1 - G.pq_project_f(grid, c1, 2, J0, 1, 1).real
     c2 = c2 - G.pq_project_f(grid, c2, 2, J0, 1, 1).real
+    _constant_curvature(rep, base, c1, c2)
+    lift1 = _seeded_curvature(rep, base, seed, amplitude, c1, c2)
+    _lift_conditions(rep, base, lift1)
+    _lie_reproduction(rep, base, seed, amplitude)
+
+
+def _constant_curvature(rep: CheckReport, base: H.KahlerInstance, c1: np.ndarray,
+                        c2: np.ndarray) -> None:
+    """Constant lifts: the trivial and pure-type cases."""
     lift_c1 = horizontal_lift(base, c1)
     out_cc = curvature_hamiltonian(lift_c1, horizontal_lift(base, c2))
     rep.add("curvature_two_ways_constant", out_cc["residual"])
     same = curvature_hamiltonian(lift_c1, lift_c1)
     rep.add("curvature_diagonal_zero", abs(same["symplectic"]) + abs(same["integral"]))
 
-    # seeded closed forms: constants plus exact parts
+
+def _seeded_curvature(rep: CheckReport, base: H.KahlerInstance, seed: int, amplitude: float,
+                      c1: np.ndarray, c2: np.ndarray) -> Lift:
+    """Seeded closed forms, constants plus exact parts: both curvature
+    expressions and their invariance under an exact shift; returns the first
+    lift, which the lift-condition section reads."""
+    grid = base.grid
+
     def seeded_closed(s):
         beta = G.random_band_limited(grid, "form:1", s, amplitude, band=G.acs_band(grid.m))
         return c1 * 0.3 + G.exterior_d(grid, beta, 1)
@@ -513,17 +566,22 @@ def connection_suite(rep: CheckReport, grid: TorusGrid, seed: int, amplitude: fl
     out_shift = curvature_hamiltonian(lift1, horizontal_lift(base, w2 + dbeta))
     rep.add("cohomology_invariance",
             rel_plus1(out_shift["symplectic"] - out["symplectic"], out["symplectic"]))
+    return lift1
 
-    # horizontal-lift conditions for a seeded closed form
+
+def _lift_conditions(rep: CheckReport, base: H.KahlerInstance, lift1: Lift) -> None:
+    """Horizontal-lift conditions for a seeded closed form."""
+    grid, J0 = base.grid, base.J
     x_lift = lift1.x
     jhat = x_lift.jhat
-    wm = G.form_to_matrix(grid, w1)
+    w_mat0 = G.form_to_matrix(grid, base.omega)
+    wm = G.form_to_matrix(grid, lift1.what)
     lhs1 = wm - P.contract("ki...,kl...,lj...->ij...", J0, wm, J0)
     rhs1 = P.contract("ki...,kl...,lj...->ij...", jhat, w_mat0, J0) \
         + P.contract("ki...,kl...,lj...->ij...", J0, w_mat0, jhat)
     rep.add("condition_type", rel_max1(lhs1 - rhs1, rhs1))
     rep.add("condition_dbar", x_lift.dbar_residual)
-    pairing = H.two_form_omega_inner(base, w1)
+    pairing = H.two_form_omega_inner(base, lift1.what)
     target = -G.one_form_compose_j(G.exterior_d(grid, pairing[None], 0), J0)
     rep.add("condition_lambda", rel_max1(x_lift.lam - target, target))
     worst = 0.0
@@ -532,35 +590,63 @@ def connection_suite(rep: CheckReport, grid: TorusGrid, seed: int, amplitude: fl
         worst = max(worst, abs(wp_form(x_lift, xb)))
     rep.add("condition_horizontal", rel_max1(worst, jhat))
 
-    # gradient directions reproduce their Lie derivative
+
+def _lie_reproduction(rep: CheckReport, base: H.KahlerInstance, seed: int,
+                      amplitude: float) -> None:
+    """Gradient directions reproduce their Lie derivative."""
+    grid = base.grid
     F = G.random_band_limited(grid, "scalar", seed + 4, amplitude, band=G.acs_band(grid.m))
     gradF = G.exterior_d(grid, F[None], 0)
     w_exact = G.exterior_d(grid, G.interior_f(grid, gradF, base.omega, 2), 1)
     jh_a2, *_ = connection_A(base, w_exact)
-    lie = G.lie_endo(grid, gradF, J0)
+    lie = G.lie_endo(grid, gradF, base.J)
     rep.add("lie_reproduction", rel_max1(jh_a2 - lie, lie))
 
 
 def theta_suite(rep: CheckReport, grid: TorusGrid, seed: int, amplitude: float) -> None:
     """Round trips, star and wedge flags, pairing identities, the holomorphic
     derivative identities, the closed correction, the pairing against the
-    Weil-Petersson form, and the integrability bridge."""
-    n = grid.n
+    Weil-Petersson form, and the integrability bridge.  Each group of checks
+    is a section on the flat base and θ whose fields die when it returns."""
     base = H.flat_instance(grid)
-    J0 = base.J
     theta = standard_theta(grid)
-    cn = c_const(n)
-    band = G.acs_band(grid.m)
-
     rep.add("rho_from_theta", float(np.max(np.abs(rho_from_theta(grid, theta) - base.rho))))
+    _correspondence(rep, base, theta, seed, amplitude)
+    _integrability_bridge(rep, grid, seed, amplitude)
+    _integrable_theta(rep, base, theta, seed)
 
-    # round trip on a seeded anticommuting field
-    raw = G.random_band_limited(grid, "endo", seed, amplitude, band=band)
-    jh = Ric.anticommute_project(J0, raw)
+
+def _correspondence(rep: CheckReport, base: H.KahlerInstance, theta: np.ndarray, seed: int,
+                    amplitude: float) -> None:
+    """The θ/β checks, from the round trip to the pairing against the
+    Weil-Petersson form.  The seeded Ĵ, its β and the closed representative
+    that several sections read die here, before the integrability bridge."""
+    jh, beta = _theta_roundtrip(rep, base, theta, seed, amplitude)
+    _theta_flags(rep, base, theta, jh, beta)
+    _theta_pairings(rep, base, theta, seed, amplitude, jh, beta)
+    _lie_beta(rep, base, theta, seed, amplitude)
+    jh_cl, b_cl = _holomorphic_flags(rep, base, theta, seed, amplitude, jh, beta)
+    _del_lambda(rep, base, theta, jh, beta)
+    _closed_correction(rep, base, theta, seed, amplitude, jh_cl, b_cl)
+
+
+def _theta_roundtrip(rep: CheckReport, base: H.KahlerInstance, theta: np.ndarray, seed: int,
+                     amplitude: float) -> tuple[np.ndarray, np.ndarray]:
+    """Round trip on a seeded anticommuting Ĵ; returns Ĵ and its β, which
+    the flag, pairing and derivative sections read."""
+    grid = base.grid
+    raw = G.random_band_limited(grid, "endo", seed, amplitude, band=G.acs_band(grid.m))
+    jh = Ric.anticommute_project(base.J, raw)
     beta = theta_beta(grid, jh, theta)
     rep.add("roundtrip", float(np.max(np.abs(beta_theta(grid, beta, theta) - jh))))
+    return jh, beta
 
-    # adjoint correspondence and the flag equivalences
+
+def _theta_flags(rep: CheckReport, base: H.KahlerInstance, theta: np.ndarray, jh: np.ndarray,
+                 beta: np.ndarray) -> None:
+    """Adjoint correspondence and the flag equivalences."""
+    grid, n = base.grid, base.grid.n
+    cn = c_const(n)
     sb = G.star_f(grid, beta, n)
     jh_star = P.contract("ij...->ji...", jh)  # flat metric adjoint
     rep.add("star_adjoint_flag",
@@ -576,11 +662,16 @@ def theta_suite(rep: CheckReport, grid: TorusGrid, seed: int, amplitude: float) 
     b_skew = theta_beta(grid, skew_part, theta)
     rep.add("skew_star_flag", float(np.max(np.abs(G.star_f(grid, b_skew, n) - cn * b_skew))))
 
-    # pairing identities, pointwise and integrated
-    raw2 = G.random_band_limited(grid, "endo", seed + 1, amplitude, band=band)
+
+def _theta_pairings(rep: CheckReport, base: H.KahlerInstance, theta: np.ndarray, seed: int,
+                    amplitude: float, jh: np.ndarray, beta: np.ndarray) -> None:
+    """Pairing identities, pointwise and integrated."""
+    grid, n = base.grid, base.grid.n
+    J0 = base.J
+    raw2 = G.random_band_limited(grid, "endo", seed + 1, amplitude, band=G.acs_band(grid.m))
     jh2 = Ric.anticommute_project(J0, raw2)
     beta2 = theta_beta(grid, jh2, theta)
-    lhs_s = cn * theta_pairing_form(grid, beta, beta2, n)
+    lhs_s = c_const(n) * theta_pairing_form(grid, beta, beta2, n)
     tr_plain = P.contract("ik...,ki...->...", jh, jh2)
     tr_j = P.contract("ik...,kl...,li...->...", jh, J0, jh2)
     rhs_s = (-tr_plain / 8.0 + 1j * tr_j / 8.0) * base.rho
@@ -589,8 +680,13 @@ def theta_suite(rep: CheckReport, grid: TorusGrid, seed: int, amplitude: float) 
     rhs_i = P.contract("ki...,ki...->...", jh, jh2) / 8.0 * base.rho
     rep.add("inner_pairing", float(np.max(np.abs(lhs_i - rhs_i))))
 
-    # Lie directions: dι(v)θ = β + hθ with h = ½(f_v − i f_{Jv})
-    v = G.random_band_limited(grid, "vector", seed + 2, amplitude, band=band)
+
+def _lie_beta(rep: CheckReport, base: H.KahlerInstance, theta: np.ndarray, seed: int,
+              amplitude: float) -> None:
+    """Lie directions: dι(v)θ = β + hθ with h = ½(f_v − i f_{Jv})."""
+    grid, n = base.grid, base.grid.n
+    J0 = base.J
+    v = G.random_band_limited(grid, "vector", seed + 2, amplitude, band=G.acs_band(grid.m))
     jh_v = G.lie_endo(grid, v, J0)
     d_iv = G.exterior_d(grid, combi.interior_coef(v.astype(complex), theta, grid.d, n),
                         n - 1)
@@ -602,7 +698,15 @@ def theta_suite(rep: CheckReport, grid: TorusGrid, seed: int, amplitude: float) 
     proj = G.pq_project_f(grid, d_iv, n, J0, n - 1, 1)
     rep.add("lie_beta_projection", float(np.max(np.abs(proj - beta_v))))
 
-    # holomorphic-derivative flags for closed and coclosed representatives
+
+def _holomorphic_flags(rep: CheckReport, base: H.KahlerInstance, theta: np.ndarray,
+                       seed: int, amplitude: float, jh: np.ndarray,
+                       beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Holomorphic-derivative flags for closed and coclosed representatives
+    and the adjointness of the complex-form codifferential they use; returns
+    the closed representative and its β, which the closed correction reads."""
+    grid, n = base.grid, base.grid.n
+    J0 = base.J
     jh_cl = _closed_jhat(base, seed + 3, amplitude)
     b_cl = theta_beta(grid, jh_cl, theta)
     rep.add("closed_flag", rel_max1(dbar_complex_form(grid, b_cl, n, J0, n - 1, 1), b_cl))
@@ -610,9 +714,8 @@ def theta_suite(rep: CheckReport, grid: TorusGrid, seed: int, amplitude: float) 
     b_cc = theta_beta(grid, jh_cc, theta)
     rep.add("coclosed_flag",
             rel_max1(dbar_adjoint_complex_form(grid, b_cc, n, J0, n - 1, 1), b_cc))
-    # adjointness of the complex-form codifferential used above
     sigma = G.pq_project_f(grid, G.random_band_limited(
-        grid, f"form:{n - 1}", seed + 4, amplitude, band=band).astype(complex),
+        grid, f"form:{n - 1}", seed + 4, amplitude, band=G.acs_band(grid.m)).astype(complex),
         n - 1, J0, n - 1, 0)
     lhs_adj = G.l2_inner_form(grid, dbar_adjoint_complex_form(grid, beta, n, J0, n - 1, 1),
                               sigma, n - 1, rho=base.rho)
@@ -620,14 +723,25 @@ def theta_suite(rep: CheckReport, grid: TorusGrid, seed: int, amplitude: float) 
                               dbar_complex_form(grid, sigma, n - 1, J0, n - 1, 0),
                               n, rho=base.rho)
     rep.add("dbar_star_adjointness", rel_plus1(lhs_adj - rhs_adj, rhs_adj))
+    return jh_cl, b_cl
 
-    # i ∂β + ½ Λ ∧ θ = 0
-    lam = Ric.lambda_rho(grid, base.rho, J0, jh)
-    del_b = del_complex_form(grid, beta, n, J0, n - 1, 1)
+
+def _del_lambda(rep: CheckReport, base: H.KahlerInstance, theta: np.ndarray, jh: np.ndarray,
+                beta: np.ndarray) -> None:
+    """i ∂β + ½ Λ ∧ θ = 0."""
+    grid, n = base.grid, base.grid.n
+    lam = Ric.lambda_rho(grid, base.rho, base.J, jh)
+    del_b = del_complex_form(grid, beta, n, base.J, n - 1, 1)
     resid_bl = 1j * del_b + 0.5 * G.wedge_f(grid, lam.astype(complex), theta, 1, n)
     rep.add("del_lambda", rel_max1(resid_bl, del_b))
 
-    # closed correction: d(β + hθ) = 0 with h = ½(f − i g), mean zero
+
+def _closed_correction(rep: CheckReport, base: H.KahlerInstance, theta: np.ndarray, seed: int,
+                       amplitude: float, jh_cl: np.ndarray, b_cl: np.ndarray) -> None:
+    """The closed correction d(β + hθ) = 0 with h = ½(f − i g) of mean zero,
+    and the pairing of corrected forms against the Weil-Petersson data."""
+    grid, n = base.grid, base.grid.n
+    cn = c_const(n)
     x_cl = WPVector(base, jh_cl)
     h_cl = 0.5 * (x_cl.f - 1j * x_cl.g)
     theta_hat = b_cl + h_cl * theta
@@ -635,7 +749,6 @@ def theta_suite(rep: CheckReport, grid: TorusGrid, seed: int, amplitude: float) 
         G.exterior_d(grid, theta_hat, n)))) if n < grid.d else 0.0)
     rep.add("closed_correction_mean", abs(G.integrate_against_volume(grid, h_cl, base.rho)))
 
-    # pairing of corrected forms against the Weil-Petersson data
     x2_cl = WPVector(base, _closed_jhat(base, seed + 5, amplitude))
     h2_cl = 0.5 * (x2_cl.f - 1j * x2_cl.g)
     th2 = theta_beta(grid, x2_cl.jhat, theta) + h2_cl * theta
@@ -644,7 +757,7 @@ def theta_suite(rep: CheckReport, grid: TorusGrid, seed: int, amplitude: float) 
         grid, P.contract("ik...,ki...->...", x_cl.jhat, x2_cl.jhat), base.rho) / 8.0
         + G.integrate_against_volume(grid, (h_cl.conj() * h2_cl).real, base.rho))
     im_expected = (G.integrate_against_volume(
-        grid, P.contract("ik...,kl...,li...->...", x_cl.jhat, J0, x2_cl.jhat),
+        grid, P.contract("ik...,kl...,li...->...", x_cl.jhat, base.J, x2_cl.jhat),
         base.rho) / 8.0
         + G.integrate_against_volume(grid, (h_cl.conj() * h2_cl).imag, base.rho))
     rep.add("pairing_re", rel_plus1(pair.real - re_expected, re_expected))
@@ -653,9 +766,12 @@ def theta_suite(rep: CheckReport, grid: TorusGrid, seed: int, amplitude: float) 
     rep.params["measured_pairing_ratio"] = (
         float(pair.imag / wp_val) if abs(wp_val) > 1e-9 else None)
     rep.add("pairing_vs_wp", rel_plus1(pair.imag - 0.25 * wp_val, wp_val))
-    del x_cl, x2_cl  # not held through the bridge's transients
 
-    # integrability bridge: (dθ_J)^{n−1,2} = ¼ ι(N_J)θ_J
+
+def _integrability_bridge(rep: CheckReport, grid: TorusGrid, seed: int,
+                          amplitude: float) -> None:
+    """Integrability bridge: (dθ_J)^{n−1,2} = ¼ ι(N_J)θ_J."""
+    n = grid.n
     J_non = G.random_band_limited(grid, "acs", seed + 6, amplitude, band=1)
     th_j = adapted_theta(grid, J_non)
     d_th = G.exterior_d(grid, th_j, n)
@@ -670,10 +786,15 @@ def theta_suite(rep: CheckReport, grid: TorusGrid, seed: int, amplitude: float) 
         rep.add_flag("bridge_nonzero", float(np.max(np.abs(rhs_b))) > 1e-6)
     else:
         rep.add("bridge_vanishes_n1", float(np.max(np.abs(rhs_b))))
-    # integrable pull-back: the defect vanishes and the volume form is flat
+
+
+def _integrable_theta(rep: CheckReport, base: H.KahlerInstance, theta: np.ndarray,
+                      seed: int) -> None:
+    """Integrable pull-back: the defect vanishes and the volume form is flat."""
+    grid, n = base.grid, base.grid.n
     u = G.random_band_limited(grid, "vector", seed + 7, 0.04, band=1)
     phi = G.DisplacementMap(u)
-    J_int = G.pullback(grid, "endo", J0, phi)
+    J_int = G.pullback(grid, "endo", base.J, phi)
     th_int = G.pullback(grid, f"form:{n}", theta, phi)
     d_int = G.exterior_d(grid, th_int, n)
     rep.add("integrable_theta_closed", rel_max1(d_int, th_int))

@@ -4,7 +4,8 @@ None of these is reached by the command line: each is a second way to
 compute something the package computes (an RK4 flow for the Lie
 derivatives, the conformal Gaussian curvature for the Ricci form, the
 special connections and the first Bianchi identity for the curvature, the
-four-term ∂̄ on TM-valued 1-forms, and the d⁺ ranks one mode at a time), so
+four-term ∂̄ on TM-valued 1-forms, the Nijenhuis tensor's two routes as
+four-term expressions, and the d⁺ ranks one mode at a time), so
 they live with the tests rather than in ``geodesk``.
 """
 
@@ -136,6 +137,26 @@ def dbar_q1_four_terms(inst, jhat: np.ndarray) -> np.ndarray:
     t3 = P.contract("iam...,mj...->aij...", jn, J)
     out = t1 - P.contract("aji...->aij...", t1) - t3 + P.contract("aji...->aij...", t3)
     return 0.5 * out
+
+
+def nijenhuis_four_terms(grid: TorusGrid, J: np.ndarray,
+                         conn: ConnectionField | None = None):
+    """``connection.nijenhuis`` with each route one expression of its four
+    terms, each a separate d³ field, and ∇J taken by ``cov_endo`` even when
+    Γ ≡ 0."""
+    dJ = grid.derivs(J)
+    n_bracket = (P.contract("mi...,mkj...->kij...", J, dJ)
+                 - P.contract("mj...,mki...->kij...", J, dJ)
+                 + P.contract("km...,jmi...->kij...", J, dJ)
+                 - P.contract("km...,imj...->kij...", J, dJ))
+    if conn is None:
+        conn = ConnectionField.flat(grid)
+    nJ = cov_endo(grid, conn, J)
+    n_conn = (P.contract("ikm...,mj...->kij...", nJ, J)
+              + P.contract("mi...,mkj...->kij...", J, nJ)
+              - P.contract("jkm...,mi...->kij...", nJ, J)
+              - P.contract("mj...,mki...->kij...", J, nJ))
+    return n_bracket, rel_max1(n_bracket - n_conn, n_bracket)
 
 
 def dplus_ranks_per_mode(grid: TorusGrid, kmax: int) -> dict:

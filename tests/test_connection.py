@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from geodesk.errors import DomainError
 from geodesk.grid import DisplacementMap, TorusGrid, pullback, random_band_limited
 from geodesk.report import rel_max1
 
-from oracles import first_bianchi_residual, gaussian_curvature, special_connections
+from oracles import (first_bianchi_residual, gaussian_curvature, nijenhuis_four_terms,
+                     special_connections)
 
 
 def conformal_metric(g, phi):
@@ -263,6 +266,28 @@ def test_nijenhuis_routes_and_integrability():
     asym[0, 0, 1] = 1.0
     with pytest.raises(DomainError):
         C.nijenhuis(g4, J, C.ConnectionField(g4, asym))
+
+
+@pytest.mark.parametrize("curved", [False, True])
+def test_nijenhuis_sums_in_place(curved):
+    # bit-identical to the four-term routes, with a flat and a curved
+    # torsion-free connection; Γ ≡ 0 differentiates J once, and at most four
+    # d³ fields are alive at once: ∂J or ∇J, the two routes and one term
+    g = TorusGrid(2, 12)
+    J = random_band_limited(g, "acs", 13, 0.1, band=1)
+    x = g.coords()
+    conn = C.levi_civita(g, conformal_metric(g, 0.05 * np.sin(x[0]) * np.cos(x[1]))) \
+        if curved else None
+    tracemalloc.start()
+    try:
+        N, resid = C.nijenhuis(g, J, conn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    N_ref, resid_ref = nijenhuis_four_terms(g, J, conn)
+    assert np.array_equal(N, N_ref)
+    assert resid == resid_ref
+    assert peak < 4.01 * g.d ** 3 * g.npoints * 8
 
 
 def test_special_connections_flat_kahler():

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -114,17 +115,36 @@ def test_memory_guard(monkeypatch, capsys):
 
 
 def test_memory_guard_bounds_the_heaviest_suite():
-    # theta has the largest peak of the guarded suites at n=2/m=12 (each
-    # suite alone, VmHWM: theta 217 MB, harmonic 184 MB, teich-wp 173 MB,
-    # bkn 146 MB).  The peak is VmHWM, the high-water RSS of the new process
+    # bkn has the largest peak of the guarded suites at n=2/m=12 (each suite
+    # alone, VmHWM: bkn 122 MB, ricci-laws 121 MB after its numeric failure,
+    # teich-connection 116 MB, theta 114 MB, harmonic 110 MB, teich-wp
+    # 109 MB).  The peak is VmHWM, the high-water RSS of the new process
     # image: Linux carries ru_maxrss over fork and exec, so a child of this
     # test process would report the test process's own RSS.
     proc = _run_python("-c", "from geodesk import cli; "
-                             "cli.run_suite('theta', 2, 12, 1, None, 1.0); "
+                             "cli.run_suite('bkn', 2, 12, 1, None, 1.0); "
                              "print(open('/proc/self/status').read())")
     assert proc.returncode == 0, proc.stderr
     peak = int(re.search(r"VmHWM:\s+(\d+) kB", proc.stdout).group(1)) * 1024
     assert peak <= cli.estimate_peak_bytes(2, 12)
+
+
+@pytest.mark.parametrize("suite, m", [("theta", 12), ("ricci-laws", 14), ("harmonic", 12),
+                                      ("teich-wp", 12)])
+def test_suite_sections_release_their_fields(suite, m):
+    # each group of checks is a section whose fields die when it returns, so
+    # a suite's Python-allocated peak stays within 7.7 d³ fields (measured at
+    # most 6.99, by harmonic; each of these suites held 9.3 to 15.1 while its
+    # body kept every field to its end).  ricci-laws runs at m = 14: at
+    # m = 12 it records a numeric failure after three checks.
+    tracemalloc.start()
+    try:
+        rep = cli.run_suite(suite, 2, m, 1, None, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak <= 7.7 * 4 ** 3 * m ** 4 * 8
 
 
 def test_lincs_overflow_is_recorded_without_warnings(tmp_path):
