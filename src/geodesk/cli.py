@@ -42,8 +42,8 @@ def estimate_peak_bytes(n: int, m: int) -> int:
     n = 1.  Calibrated on the peak RSS of each suite alone in a fresh process
     at n = 2, m = 8…18 and n = 1, m = 64…720, when bkn still built 4-index
     fields.  No suite holds a d⁴ field now, so at n = 2 the bound has room:
-    at m = 16 it is 0.89 GB, and the heaviest suites alone, ricci-laws, bkn
-    and theta, peak at 0.32, 0.30 and 0.29 GB."""
+    at m = 16 it is 0.89 GB, and the heaviest suites alone, bkn, ricci-laws
+    and theta, peak at 0.28, 0.27 and 0.26 GB."""
     d = 2 * n
     return 80_000_000 + 8 * m ** d * (5 * d ** 4 + 256)
 
@@ -55,8 +55,9 @@ class Suite:
     applies, and whether it seeds almost complex structures at the run's
     amplitude, which ``grid.ACS_AMPLITUDE_CAP`` bounds.  Every torus suite is
     guarded, only lincs, which builds no grid field, is not.  The torus
-    suites admit n = 1 and 2: at n = 3 one d⁴ field alone takes 2.7 GB at
-    the smallest grid, m = 8."""
+    suites admit n = 1 and 2: at n = 3 one d³ field alone takes 453 MB at
+    the smallest grid, m = 8, and the suites measured there peaked at 1.8
+    to 2.5 GB, over ``MEMORY_CAP_BYTES``."""
 
     body: Callable
     amp: tuple[float, float] = (0.1, 0.05)

@@ -13,7 +13,7 @@ from . import pointwise as P
 from .combi import vol_sign
 from .errors import DomainError
 from .grid import TorusGrid, constant_field, form_from_matrix, metric_sqrt_det
-from .report import rel_max1
+from .report import max_abs, rel_max1
 
 
 def compatible_pair(grid: TorusGrid, rho: np.ndarray, J: np.ndarray,
@@ -60,7 +60,10 @@ class ConnectionField:
 
     @cached_property
     def torsion_free(self) -> bool:
-        return self.zero or float(np.max(np.abs(self.torsion()))) <= 1e-9
+        """max|Γ^k_{ij} − Γ^k_{ji}| ≤ 1e-9, one upper index k at a time, so
+        that no d³ temporary is built."""
+        return self.zero or float(np.max([max_abs(g - g.swapaxes(0, 1))
+                                          for g in self.gamma])) <= 1e-9
 
     @cached_property
     def zero(self) -> bool:
@@ -81,16 +84,18 @@ def levi_civita(grid: TorusGrid, g: np.ndarray) -> ConnectionField:
     if float(np.ptp(g.reshape(g.shape[:2] + (-1,)), axis=-1).max()) == 0.0:
         return ConnectionField.flat(grid)
     ginv = P.inv(g)
-    dg = grid.derivs(g)  # dg[l, i, j] = ∂_l g_{ij}
-    gamma = 0.5 * P.contract("kl...,ijl...->kij...", ginv, _sym_sum(dg))
+    gamma = P.contract("kl...,ijl...->kij...", ginv, _sym_sum(grid.derivs(g)))
+    gamma *= 0.5
     return ConnectionField(grid, gamma)
 
 
 def _sym_sum(dg: np.ndarray) -> np.ndarray:
-    """∂_i g_{jl} + ∂_j g_{il} − ∂_l g_{ij}, indexed [i, j, l]."""
-    return (P.contract("ijl...->ijl...", dg)
-            + P.contract("jil...->ijl...", dg)
-            - P.contract("lij...->ijl...", dg))
+    """∂_i g_{jl} + ∂_j g_{il} − ∂_l g_{ij}, indexed [i, j, l], from
+    dg[l, i, j] = ∂_l g_{ij}: the three permutations of dg accumulated
+    into one output."""
+    out = np.add(dg, P.contract("jil...->ijl...", dg))
+    P.contract_add(out, -1, "lij...->ijl...", dg)
+    return out
 
 
 def curvature(grid: TorusGrid, conn: ConnectionField) -> np.ndarray:
@@ -145,8 +150,8 @@ def contract_curvature(grid: TorusGrid, conn: ConnectionField, *specs) -> list[n
         for j in range(d):
             rs[:, j] -= next(dga)  # ∂_jΓ^l_{ak}
         for l in range(d):  # the ΓΓ terms one upper index l at a time
-            rs[l] += P.contract("m...,mjk...->jk...", ga[l], gam)
-            rs[l] -= P.contract("jm...,mk...->jk...", gam[l], ga)
+            P.contract_add(rs[l], 1, "m...,mjk...->jk...", ga[l], gam)
+            P.contract_add(rs[l], -1, "jm...,mk...->jk...", gam[l], ga)
         for (sub, ops, at), out in zip(plans, outs):
             term = P.contract(sub, rs, *(op if p < 0 else np.take(op, a, axis=p)
                                          for p, op in ops))
@@ -190,7 +195,7 @@ def cov(grid: TorusGrid, conn: ConnectionField, T: np.ndarray, slots: str,
     dT = grid.derivs_by_axis(T)
     out = P.contract(sub, ginv[0], next(dT))
     for k in range(1, grid.d):
-        out += P.contract(sub, ginv[k], next(dT))
+        P.contract_add(out, 1, sub, ginv[k], next(dT))
     if not conn.zero:
         _christoffel_terms(P.contract("ks...,akm...->asm...", ginv, conn.gamma), s, T, slots, out)
     return out
@@ -198,17 +203,18 @@ def cov(grid: TorusGrid, conn: ConnectionField, T: np.ndarray, slots: str,
 
 def _christoffel_terms(gamma: np.ndarray, k: str, T: np.ndarray, slots: str,
                        out: np.ndarray) -> None:
-    """The Leibniz rule's Γ terms of ``cov``, accumulated into out in place,
-    with the middle index of gamma[a, k, m] named k: the derivative axis,
-    whose letter then leads out, or a traced slot, which out then lacks."""
+    """The Leibniz rule's Γ terms of ``cov``, accumulated into out in place
+    by ``P.contract_add``, with the middle index of gamma[a, k, m] named k:
+    the derivative axis, whose letter then leads out, or a traced slot, which
+    out then lacks."""
     names = "abcdefghij"[:len(slots)]
     out_names = (k + names) if k not in names else names.replace(k, "")
     for p, a in sorted(enumerate(names), key=lambda pa: slots[pa[0]] == "d"):
         t = names[:p] + "m" + names[p + 1:]  # T with slot p contracted
         if slots[p] == "u":
-            out += P.contract(f"{a}{k}m...,{t}...->{out_names}...", gamma, T)
+            P.contract_add(out, 1, f"{a}{k}m...,{t}...->{out_names}...", gamma, T)
         else:
-            out -= P.contract(f"m{k}{a}...,{t}...->{out_names}...", gamma, T)
+            P.contract_add(out, -1, f"m{k}{a}...,{t}...->{out_names}...", gamma, T)
 
 
 def cov_endo(grid: TorusGrid, conn: ConnectionField, E: np.ndarray) -> np.ndarray:
@@ -229,7 +235,8 @@ def nijenhuis(grid: TorusGrid, J: np.ndarray, conn: ConnectionField | None = Non
 
     Route one uses spectral derivatives of J directly; route two uses the
     torsion-free connection formula.  Returns (N, agreement residual).
-    Each route's four terms are summed into one output, left to right; Γ ≡ 0
+    Each route's four terms are summed into one output, left to right, the
+    last three by ``P.contract_add``, so no full-grid term is built; Γ ≡ 0
     (no ``conn``, or ``conn.zero``) takes ∇J = ∂J, so J is differentiated
     once, and ∂J and ∇J are dropped before the difference.
     """
@@ -239,15 +246,15 @@ def nijenhuis(grid: TorusGrid, J: np.ndarray, conn: ConnectionField | None = Non
     dJ = grid.derivs(J)  # dJ[m, k, j] = ∂_m J^k_j
     # frame/bracket route: J^m_i ∂_m J^k_j − J^m_j ∂_m J^k_i + J^k_m(∂_j J^m_i − ∂_i J^m_j)
     n_bracket = P.contract("mi...,mkj...->kij...", J, dJ)
-    n_bracket -= P.contract("mj...,mki...->kij...", J, dJ)
-    n_bracket += P.contract("km...,jmi...->kij...", J, dJ)
-    n_bracket -= P.contract("km...,imj...->kij...", J, dJ)
+    P.contract_add(n_bracket, -1, "mj...,mki...->kij...", J, dJ)
+    P.contract_add(n_bracket, 1, "km...,jmi...->kij...", J, dJ)
+    P.contract_add(n_bracket, -1, "km...,imj...->kij...", J, dJ)
     nJ = dJ if flat else cov_endo(grid, conn, J)  # [m, k, j] = (∇_m J)^k_j
     del dJ
     n_conn = P.contract("ikm...,mj...->kij...", nJ, J)
-    n_conn += P.contract("mi...,mkj...->kij...", J, nJ)
-    n_conn -= P.contract("jkm...,mi...->kij...", nJ, J)
-    n_conn -= P.contract("mj...,mki...->kij...", J, nJ)
+    P.contract_add(n_conn, 1, "mi...,mkj...->kij...", J, nJ)
+    P.contract_add(n_conn, -1, "jkm...,mi...->kij...", nJ, J)
+    P.contract_add(n_conn, -1, "mj...,mki...->kij...", J, nJ)
     del nJ
     return n_bracket, rel_max1(np.subtract(n_bracket, n_conn, out=n_conn), n_bracket)
 

@@ -103,27 +103,28 @@ def dbar_q1(inst: KahlerInstance, jhat: np.ndarray,
             nJh: np.ndarray | None = None) -> np.ndarray:
     """(∂̄Ĵ)(u,v) = ½((∇_u Ĵ)v − (∇_v Ĵ)u − (∇_{Ju} Ĵ)Jv + (∇_{Jv} Ĵ)Ju);
     ``nJh`` is ∇Ĵ when the caller already holds it.  The four terms are
-    summed into one output, left to right, so at most three d³ fields are
-    alive at once, ∇Ĵ and the result included."""
+    summed into one output, left to right, the third term
+    t3[a, i, j] = ((∇_{J∂_i} Ĵ) J∂_j)^a = J^k_i (∇_k Ĵ)^a_m J^m_j and its
+    transpose in (i, j) by ``P.contract_add``, so beside ∇Ĵ only the result
+    is a d³ field."""
     J = inst.J
     if nJh is None:
         nJh = C.cov_endo(inst.grid, inst.lc, jhat)  # [k, a, b] = (∇_k Ĵ)^a_b
-    jn = P.contract("ki...,kab...->iab...", J, nJh)  # (∇_{J∂_i} Ĵ)^a_b
-    t3 = P.contract("iam...,mj...->aij...", jn, J)
-    del jn
     t1 = np.swapaxes(nJh, 0, 1)  # [a, i, j] = ((∇_i Ĵ)∂_j)^a
     out = t1 - np.swapaxes(t1, 1, 2)
-    out -= t3
-    out += np.swapaxes(t3, 1, 2)
+    P.contract_add(out, -1, "ki...,kam...,mj...->aij...", J, nJh, J)
+    P.contract_add(out, 1, "kj...,kam...,mi...->aij...", J, nJh, J)
     out *= 0.5
     return out
 
 
 def dbar_adjoint_q1(inst: KahlerInstance, jhat: np.ndarray,
                     nJh: np.ndarray | None = None) -> np.ndarray:
-    """∂̄*Ĵ = −Σ (∇_{e_i} Ĵ) e_i as a vector field; ``nJh`` as in ``dbar_q1``."""
+    """∂̄*Ĵ = −Σ (∇_{e_i} Ĵ) e_i as a vector field: the trace of ``nJh``
+    (as in ``dbar_q1``) when the caller holds ∇Ĵ, else the g-traced
+    ``cov``, which never builds the stacked ∇Ĵ."""
     if nJh is None:
-        nJh = C.cov_endo(inst.grid, inst.lc, jhat)
+        return -C.cov(inst.grid, inst.lc, jhat, "ud", trace=(inst.ginv, 1))
     return -P.contract("ij...,iaj...->a...", inst.ginv, nJh)
 
 
@@ -144,6 +145,8 @@ def l2_inner_q1(inst: KahlerInstance, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def l2_inner_q2(inst: KahlerInstance, x: np.ndarray, y: np.ndarray) -> float:
+    """½ ∫ g^{ik} g^{jl} g_{ab} x^a_{ij} y^b_{kl} ρ; ``P.contract`` takes the
+    chain one grid slice at a time, so no d³ intermediate is built."""
     val = 0.5 * P.contract("ik...,jl...,ab...,aij...,bkl...->...",
                            inst.ginv, inst.ginv, inst.metric, x, y)
     return G.integrate_against_volume(inst.grid, val, inst.rho)
@@ -183,12 +186,13 @@ def bkn_residual(inst: KahlerInstance, jhat: np.ndarray, lhs: np.ndarray,
     that its other checks read too (``bkn_suite``); ``curv`` is the first
     three of ``curvature_traces``."""
     grid, lc, J, ginv = inst.grid, inst.lc, inst.J, inst.ginv
+    # ∇*∇Ĵ, nonnegative; taken first, so that Q, Qf and JQ are not held
+    # through the d³ transients of its two derivatives
+    rough = -C.cov(grid, lc, C.cov_endo(grid, lc, jhat), "dud", trace=(ginv, 0))
     jr, rf, tj = curv
     Q = P.contract("ik...,jk...->ij...", ginv, 0.5 * jr)
     Qf = -0.5 * rf
     jq = P.mul(J, Q)
-    rough = -C.cov(grid, lc, C.cov_endo(grid, lc, jhat), "dud",  # ∇*∇Ĵ, nonnegative
-                   trace=(ginv, 0))
     rhs = (0.5 * rough
            + 0.5 * (P.mul(jq, jhat) - P.mul(jhat, jq))
            + tj)
@@ -474,8 +478,8 @@ def _bkn_checks(rep: CheckReport, tag: str, inst: KahlerInstance, seed: int,
     band = G.acs_band(grid.m)
     key = "flat_identity" if tag == "flat" else (
         "curved_identity_n1" if grid.n == 1 else "curved_identity_n2")
-    raw = G.random_band_limited(grid, "endo", seed + 11, amplitude, band=band)
-    jhat = Ric.anticommute_project(inst.J, raw)
+    jhat = Ric.anticommute_project(inst.J, G.random_band_limited(grid, "endo", seed + 11,
+                                                                 amplitude, band=band))
     rep.add(f"anti_linearity[{tag}]", anti_linearity_residual(inst.J, jhat, 1))
 
     # ∇Ĵ, ∂̄Ĵ and ∂̄*Ĵ once each.  Every pairing that reads ∂̄Ĵ runs first,

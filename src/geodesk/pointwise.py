@@ -11,22 +11,134 @@ einsums.  The order of the chain is numpy's greedy contraction path
 (``np.einsum_path``, the opt_einsum technique of Smith & Gray, JOSS 3(26):753,
 2018), a pure function of the subscripts and the operand shapes, so the same
 inputs always take the same path and give bit-identical results.
+
+A chain whose output keeps the grid, and every ``contract_add``, is evaluated
+in slices of the flattened grid axis, sized so that one slice's operand
+copies, intermediates and result stay within ``_CHUNK_BYTES``: no full-grid
+intermediate is built.  Each output value takes the same arithmetic in the
+same order as on the whole grid, so the results are bit-identical.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
 
+_CHUNK_BYTES = 1 << 22  # budget for the temporaries of one grid slice of a contraction
+_CHUNK_POINTS = 256  # and the fewest points a slice holds: with one, numpy's loops
+#                      would reduce over a component axis in another order
+
+
 def contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
     """``np.einsum(subscripts, *operands)`` on C-contiguous operands, with
-    three or more operands contracted pairwise along a fixed greedy path."""
-    ops = [np.ascontiguousarray(op) for op in operands]
+    three or more operands contracted pairwise along a fixed greedy path,
+    slice by slice into the output when the output keeps the grid."""
+    if len(operands) <= 2:
+        return np.einsum(subscripts, *[np.ascontiguousarray(op) for op in operands])
+    plan = _grid_plan(subscripts, operands)
+    if plan is None or len(plan.bounds) == 2:  # no grid to slice, or one slice
+        return _evaluate(subscripts, operands, [np.ascontiguousarray(op) for op in operands])
+    out = np.empty(plan.out_shape, dtype=np.result_type(*operands))
+    _by_slices(out.reshape(plan.flat_out), np.copyto, subscripts, operands, plan)
+    return out
+
+
+def contract_add(out: np.ndarray, sign: int, subscripts: str, *operands: np.ndarray) -> None:
+    """``out += contract(...)`` for sign +1 and ``out -= contract(...)`` for
+    −1, bit for bit, one slice of the flattened grid axis at a time, so the
+    full-grid term is never built.  The output term, and the term of every
+    operand that carries the grid, end in "..."; out's grid axes must merge
+    into one axis without a copy."""
+    if sign not in (1, -1):
+        raise ValueError(f"contract_add: sign must be +1 or -1, got {sign!r}")
+    plan = _grid_plan(subscripts, operands)
+    if plan is None or out.shape != plan.out_shape:
+        raise ValueError(f"contract_add: {subscripts!r} does not give a grid field "
+                         f"of out's shape {out.shape}")
+    target = out.reshape(plan.flat_out)
+    if not np.may_share_memory(target, out):  # reshape had to copy
+        raise ValueError(f"contract_add: out's grid axes {out.shape} do not merge into one "
+                         "axis without a copy")
+    step = np.add if sign > 0 else np.subtract
+    _by_slices(target, lambda view, term: step(view, term, out=view), subscripts, operands, plan)
+
+
+class _GridPlan:
+    """The slicing of one contraction: the output's shape and its shape with
+    the grid flattened, the number of component axes of each operand that
+    carries the grid (None for one that does not), and the slice bounds.
+    A plain class: a NamedTuple would cost milliseconds at import."""
+
+    __slots__ = ("out_shape", "flat_out", "ncomp", "bounds")
+
+    def __init__(self, out_shape: tuple[int, ...], flat_out: tuple[int, ...],
+                 ncomp: tuple[int | None, ...], bounds: tuple[int, ...]):
+        self.out_shape, self.flat_out, self.ncomp, self.bounds = out_shape, flat_out, ncomp, bounds
+
+
+def _grid_plan(subscripts: str, operands) -> _GridPlan | None:
+    return _plan(subscripts, tuple(op.shape for op in operands),
+                 np.result_type(*operands).itemsize, _CHUNK_BYTES)
+
+
+@lru_cache(maxsize=1024)
+def _plan(subscripts: str, shapes: tuple[tuple[int, ...], ...], itemsize: int, budget: int):
+    """How to slice a contraction whose output and gridded operands end in
+    "..." over one common grid shape; None for any other.  The slices differ
+    in size by at most one point, and one slice's operand copies, chain
+    intermediates and result take at most ``budget`` bytes, unless that
+    would leave fewer than ``_CHUNK_POINTS`` points to a slice."""
+    terms, output = subscripts.split("->")
+    if not output.endswith("...") or "..." in output[:-3]:
+        return None
+    dims, grid, ncomp, per_point = {}, None, [], 0
+    for t, shape in zip(terms.split(","), shapes):
+        letters = t.removesuffix("...")
+        if "..." in letters:
+            return None
+        dims.update(zip(letters, shape))
+        ncomp.append(len(letters) if t.endswith("...") else None)
+        if ncomp[-1] is not None:
+            if grid is None:
+                grid = shape[len(letters):]
+            elif shape[len(letters):] != grid:
+                return None
+            per_point += math.prod(shape[:len(letters)])
+    if not grid:
+        return None
+    results = [output] if len(shapes) <= 2 else [
+        st.split("->")[1] for _, steps in _chain(subscripts, shapes) for st in steps]
+    per_point += sum(math.prod(dims[c] for c in r.replace("...", "")) for r in results)
+    npoints = math.prod(grid)
+    total = per_point * itemsize * npoints
+    chunks = max(1, min(npoints // _CHUNK_POINTS, -(-total // budget)))
+    comp = tuple(dims[c] for c in output[:-3])
+    return _GridPlan(comp + grid, comp + (npoints,), tuple(ncomp),
+                     tuple(npoints * k // chunks for k in range(chunks + 1)))
+
+
+def _by_slices(target: np.ndarray, store, subscripts: str, operands, plan: _GridPlan) -> None:
+    """``store(view, term)`` for each slice of the flattened grid, view being
+    that slice of target and term the contraction of C-contiguous copies of
+    the operands' slices."""
+    flat = [op if k is None else np.reshape(op, op.shape[:k] + (-1,))
+            for op, k in zip(operands, plan.ncomp)]
+    for lo, hi in zip(plan.bounds[:-1], plan.bounds[1:]):
+        store(target[..., lo:hi], _evaluate(subscripts, operands, [
+            np.ascontiguousarray(op if k is None else op[..., lo:hi])
+            for op, k in zip(flat, plan.ncomp)]))
+
+
+def _evaluate(subscripts: str, operands, ops: list[np.ndarray]) -> np.ndarray:
+    """The contraction of ops, C-contiguous wholes or grid slices of
+    operands, three or more pairwise along the greedy path of the operands'
+    full shapes."""
     if len(ops) <= 2:
         return np.einsum(subscripts, *ops)
-    for group, steps in _chain(subscripts, tuple(op.shape for op in ops)):
+    for group, steps in _chain(subscripts, tuple(op.shape for op in operands)):
         items = [ops[p] for p in group]
         for p in sorted(group, reverse=True):
             del ops[p]
@@ -34,6 +146,7 @@ def contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
         for item, sub in zip(items[1:], steps):
             acc = np.ascontiguousarray(np.einsum(sub, acc, item))
         ops.append(acc)
+        del items, acc  # the group's inputs die before the next group runs
     return ops[0]
 
 

@@ -150,14 +150,24 @@ TOLERANCES: dict[str, dict[str, float | tuple[float, float]]] = {
 FLAG_TOL = 0.5
 
 
+def max_abs(a) -> float:
+    """max|a|; for real input max(max a, −min a), the same value without an
+    |a| temporary of a's size (+ 0.0 turns a −0.0 into 0.0, as |a| would).
+    NaN anywhere gives NaN."""
+    a = np.asarray(a)
+    if np.iscomplexobj(a):
+        return float(np.max(np.abs(a)))
+    return float(np.maximum(np.max(a), -np.min(a))) + 0.0
+
+
 def rel_max1(a, b) -> float:
     """max|a| / max(1, max|b|): a residual against the scale of b, floored at 1."""
-    return float(np.max(np.abs(a))) / max(1.0, float(np.max(np.abs(b))))
+    return max_abs(a) / max(1.0, max_abs(b))
 
 
 def rel_plus1(a, b) -> float:
     """max|a| / (max|b| + 1): a residual against the scale of b plus 1."""
-    return float(np.max(np.abs(a))) / (float(np.max(np.abs(b))) + 1.0)
+    return max_abs(a) / (max_abs(b) + 1.0)
 
 
 @dataclass

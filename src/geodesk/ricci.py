@@ -14,7 +14,7 @@ from . import grid as G
 from . import pointwise as P
 from .errors import DomainError
 from .grid import TorusGrid
-from .report import CheckReport, rel_max1, rel_plus1
+from .report import CheckReport, max_abs, rel_max1, rel_plus1
 
 
 def trace_pairing(grid: TorusGrid, jh1: np.ndarray, J: np.ndarray, jh2: np.ndarray) -> np.ndarray:
@@ -113,20 +113,43 @@ def lambda_rho(grid: TorusGrid, rho: np.ndarray, J: np.ndarray, jhat: np.ndarray
                conn: C.ConnectionField | None = None,
                anticommute_tol: float = 1e-8, volume_tol: float = 1e-9,
                nJh: np.ndarray | None = None) -> np.ndarray:
-    """Λ(u) = trace((∇Ĵ)u) + ½ tr(Ĵ J ∇_u J) as a one-form field; ``nJh`` is
-    ∇Ĵ for ``conn`` when the caller already holds it."""
-    anti = np.max(np.abs(P.mul(jhat, J) + P.mul(J, jhat)))
-    if anti > anticommute_tol * max(1.0, float(np.max(np.abs(jhat)))):
+    """Λ_j = Σ_i (∇_iĴ)^i_j + ½ tr(M ∇_jJ), M = ĴJ, as a one-form field,
+    from traces: neither ∇Ĵ nor ∇J is built.
+
+    The first term is the divergence Σ_i ∂_iĴ^i_j, each row i of Ĵ
+    differentiated along axis i only, plus Σ Γ^i_{im}Ĵ^m_j − Σ Γ^m_{ij}Ĵ^i_m;
+    ``nJh``, ∇Ĵ for ``conn`` when the caller already holds it, gives it as
+    its trace instead.  The second is tr(M ∂_jJ), one derivative axis at a
+    time, plus tr(JMΓ_j) − tr(MJΓ_j) with (Γ_j)^c_m = Γ^c_{jm}, since
+    ∇_jJ = ∂_jJ + [Γ_j, J] and the trace is cyclic.  The Γ terms are added
+    by ``P.contract_add``, so beside the inputs only M and one d² transient
+    are held."""
+    M = P.mul(jhat, J)
+    anti_field = P.mul(J, jhat)
+    anti_field += M
+    anti = max_abs(anti_field)
+    del anti_field
+    if anti > anticommute_tol * max(1.0, max_abs(jhat)):
         raise DomainError(f"lambda_rho: Ĵ must anticommute with J ({anti:.2e})")
     if conn is None:
         conn = default_volume_connection(grid, rho)
     _check_volume_connection(grid, conn, rho, volume_tol)
-    if nJh is None:
-        nJh = C.cov_endo(grid, conn, jhat)
-    nJ = C.cov_endo(grid, conn, J)
-    first = P.contract("iij...->j...", nJh)
-    second = 0.5 * P.contract("ab...,bc...,jca...->j...", jhat, J, nJ)
-    return first + second
+    if nJh is not None:
+        first = P.contract("iij...->j...", nJh)
+    else:
+        first = grid.deriv(jhat[0], 0)
+        for i in range(1, grid.d):
+            first += grid.deriv(jhat[i], i)
+        if not conn.zero:
+            P.contract_add(first, 1, "iim...,mj...->j...", conn.gamma, jhat)
+            P.contract_add(first, -1, "mij...,im...->j...", conn.gamma, jhat)
+    dJ = grid.derivs_by_axis(J)
+    second = np.stack([P.contract("ac...,ca...->...", M, next(dJ)) for _ in range(grid.d)])
+    if not conn.zero:
+        P.contract_add(second, 1, "mb...,bc...,cjm...->j...", J, M, conn.gamma)
+        P.contract_add(second, -1, "mb...,bc...,cjm...->j...", M, J, conn.gamma)
+    first += 0.5 * second
+    return first
 
 
 def scalar_curvature(grid: TorusGrid, omega: np.ndarray, J: np.ndarray,

@@ -5,7 +5,8 @@ compute something the package computes (an RK4 flow for the Lie
 derivatives, the conformal Gaussian curvature for the Ricci form, the
 special connections and the first Bianchi identity for the curvature, the
 four-term ∂̄ on TM-valued 1-forms, the Nijenhuis tensor's two routes as
-four-term expressions, and the d⁺ ranks one mode at a time), so
+four-term expressions, Λ through the stacked ∇Ĵ and ∇J, and the d⁺ ranks
+one mode at a time), so
 they live with the tests rather than in ``geodesk``.
 """
 
@@ -157,6 +158,17 @@ def nijenhuis_four_terms(grid: TorusGrid, J: np.ndarray,
               - P.contract("jkm...,mi...->kij...", nJ, J)
               - P.contract("mj...,mki...->kij...", J, nJ))
     return n_bracket, rel_max1(n_bracket - n_conn, n_bracket)
+
+
+def lambda_rho_stacked(grid: TorusGrid, J: np.ndarray, jhat: np.ndarray,
+                       conn: ConnectionField, nJh: np.ndarray | None = None) -> np.ndarray:
+    """``ricci.lambda_rho`` without its guards, from the stacked d³ fields
+    ∇Ĵ and ∇J: Λ_j = (∇_iĴ)^i_j + ½ Ĵ^a_b J^b_c (∇_jJ)^c_a."""
+    if nJh is None:
+        nJh = cov_endo(grid, conn, jhat)
+    nJ = cov_endo(grid, conn, J)
+    return (P.contract("iij...->j...", nJh)
+            + 0.5 * P.contract("ab...,bc...,jca...->j...", jhat, J, nJ))
 
 
 def dplus_ranks_per_mode(grid: TorusGrid, kmax: int) -> dict:

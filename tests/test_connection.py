@@ -103,8 +103,10 @@ def test_zero_connection_path_makes_no_contraction(monkeypatch, name):
     conn = C.ConnectionField.flat(g)
     x = _field(g, (g.d,) * len(chain[0]), 5)
     calls = []
-    contract = P.contract
+    contract, contract_add = P.contract, P.contract_add
     monkeypatch.setattr(P, "contract", lambda *a: calls.append(a[0]) or contract(*a))
+    monkeypatch.setattr(P, "contract_add",
+                        lambda *a: calls.append(a[2]) or contract_add(*a))
     _chain(g, conn, x, chain)
     C.cov_volume_residual(g, conn, G.standard_volume_field(g))
     assert calls == []

@@ -1,5 +1,7 @@
 import ast
 import re
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,9 @@ GRID = (3, 5)
 def _used_subscripts() -> list[str]:
     found = {"ik...,kj...->ij...", "ii...->..."}  # mul and trace
     for path in SRC.glob("*.py"):
-        found.update(re.findall(r'P\.contract\(\s*"([^"]+)"', path.read_text()))
+        text = path.read_text()
+        found.update(re.findall(r'P\.contract\(\s*"([^"]+)"', text))
+        found.update(re.findall(r'P\.contract_add\(\s*[^,]+,\s*-?1,\s*"([^"]+)"', text))
     return sorted(found)
 
 
@@ -193,3 +197,63 @@ def test_every_top_level_definition_is_used():
             used |= _tracer_targets(tree)
     assert [f"{module}: {name}" for module, name in defined
             if (module, name) not in used] == []
+
+
+# the package's subscripts whose output keeps the grid: contract_add serves
+# each, and a chain of three or more among them is sliced into its output
+GRID_SUBSCRIPTS = [s for s in SUBSCRIPTS if s.endswith("...")]
+CHUNK_GRID = (36, 37)  # 1332 points: up to five slices of at least 256 points
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "transposed", "moveaxis"])
+@pytest.mark.parametrize("d", [2, 4])
+def test_contract_add_is_bitwise_out_plus_or_minus_contract(monkeypatch, d, layout):
+    monkeypatch.setattr(sys.modules[__name__], "GRID", CHUNK_GRID)
+    rng = np.random.default_rng(d)
+    slices = set()
+    for budget in (1, 1 << 16, 1 << 18, 1 << 62):
+        for subscripts in GRID_SUBSCRIPTS:
+            terms = subscripts.split("->")[0].split(",")
+            ops = [_operand(rng, _shape(t, d), layout) for t in terms]
+            monkeypatch.setattr(P, "_CHUNK_BYTES", 1 << 62)  # one slice: the whole grid
+            whole = P.contract(subscripts, *ops)
+            monkeypatch.setattr(P, "_CHUNK_BYTES", budget)
+            slices.add(len(P._grid_plan(subscripts, ops).bounds) - 1)
+            assert np.array_equal(P.contract(subscripts, *ops), whole), subscripts
+            base = rng.standard_normal(whole.shape)
+            for sign in (1, -1):
+                out = base.copy()
+                P.contract_add(out, sign, subscripts, *ops)
+                assert np.array_equal(out, base + sign * whole), (subscripts, sign)
+    assert slices == {1, 2, 3, 4, 5}
+
+
+def test_contract_add_peak_is_one_slice_beyond_out():
+    # a Christoffel term of cov_endo and the chain of hodge.l2_inner_q2 at
+    # n = 2, m = 12: what is allocated beyond out stays within one slice's
+    # budget, where the full-grid term takes a d³ field (10.6 MB)
+    g = G.TorusGrid(2, 12)
+    rng = np.random.default_rng(3)
+    d3, d2 = (g.d,) * 3 + g.shape, (g.d,) * 2 + g.shape
+    gamma, endo = rng.standard_normal(d3), rng.standard_normal(d2)
+    x, y = rng.standard_normal(d3), rng.standard_normal(d3)
+    out, val = np.zeros(d3), np.zeros(g.shape)
+    tracemalloc.start()
+    try:
+        P.contract_add(out, 1, "akm...,mb...->kab...", gamma, endo)
+        P.contract_add(val, -1, "ik...,jl...,ab...,aij...,bkl...->...", endo, endo, endo, x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= P._CHUNK_BYTES < g.d ** 3 * g.npoints * 8
+
+
+def test_contract_add_refuses_what_it_cannot_slice():
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((2, 2) + GRID)
+    with pytest.raises(ValueError):
+        P.contract_add(np.zeros(GRID), 2, "ij...,ji...->...", a, a)
+    with pytest.raises(ValueError):  # the output sums over the grid
+        P.contract_add(np.zeros(()), 1, "ij...,ji...->", a, a)
+    with pytest.raises(ValueError):  # out's grid axes do not merge without a copy
+        P.contract_add(np.zeros((2, 2) + GRID[::-1]).swapaxes(2, 3), 1, "ij...->ij...", a)

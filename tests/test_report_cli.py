@@ -116,9 +116,9 @@ def test_memory_guard(monkeypatch, capsys):
 
 def test_memory_guard_bounds_the_heaviest_suite():
     # bkn has the largest peak of the guarded suites at n=2/m=12 (each suite
-    # alone, VmHWM: bkn 122 MB, ricci-laws 121 MB after its numeric failure,
-    # teich-connection 116 MB, theta 114 MB, harmonic 110 MB, teich-wp
-    # 109 MB).  The peak is VmHWM, the high-water RSS of the new process
+    # alone, VmHWM: bkn 119 MB, ricci-laws 110 MB after its numeric failure,
+    # teich-connection 105 MB, harmonic 105 MB, theta 104 MB, ricci-moment
+    # 98 MB).  The peak is VmHWM, the high-water RSS of the new process
     # image: Linux carries ru_maxrss over fork and exec, so a child of this
     # test process would report the test process's own RSS.
     proc = _run_python("-c", "from geodesk import cli; "
@@ -130,12 +130,13 @@ def test_memory_guard_bounds_the_heaviest_suite():
 
 
 @pytest.mark.parametrize("suite, m", [("theta", 12), ("ricci-laws", 14), ("harmonic", 12),
-                                      ("teich-wp", 12)])
+                                      ("teich-wp", 12), ("bkn", 12), ("ricci-moment", 12)])
 def test_suite_sections_release_their_fields(suite, m):
-    # each group of checks is a section whose fields die when it returns, so
-    # a suite's Python-allocated peak stays within 7.7 d³ fields (measured at
-    # most 6.99, by harmonic; each of these suites held 9.3 to 15.1 while its
-    # body kept every field to its end).  ricci-laws runs at m = 14: at
+    # each group of checks is a section whose fields die when it returns, and
+    # Λ, ∂̄*Ĵ and the Leibniz sums build no full-grid temporary they do not
+    # read, so a suite's Python-allocated peak stays within 7.43 d³ fields
+    # (measured at most 6.76, by bkn's curvature sweep; 6.37, 6.11, 6.54,
+    # 5.73 and 4.93 for the others in order).  ricci-laws runs at m = 14: at
     # m = 12 it records a numeric failure after three checks.
     tracemalloc.start()
     try:
@@ -144,7 +145,7 @@ def test_suite_sections_release_their_fields(suite, m):
     finally:
         tracemalloc.stop()
     assert rep.passed
-    assert peak <= 7.7 * 4 ** 3 * m ** 4 * 8
+    assert peak <= 7.43 * 4 ** 3 * m ** 4 * 8
 
 
 def test_lincs_overflow_is_recorded_without_warnings(tmp_path):

@@ -13,7 +13,7 @@ from geodesk import ricci as R
 from geodesk.errors import DomainError
 from geodesk.grid import TorusGrid
 
-from oracles import gaussian_curvature
+from oracles import gaussian_curvature, lambda_rho_stacked
 
 
 def test_flat_baseline_zero():
@@ -156,3 +156,40 @@ def test_ricci_module_never_builds_the_curvature_array():
     # connection.curvature stays with the suites that need all of R
     text = Path(R.__file__).read_text()
     assert re.findall(r"(?<!\w)curvature\(", text) == []
+
+
+def _lambda_case(n, m, volume):
+    g = TorusGrid(n, m)
+    rho, J, K, _ = R.seeded_instance(g, 5, 0.1 if n == 1 else 0.02)
+    if volume == "flat":
+        rho = G.standard_volume_field(g)  # Γ ≡ 0
+    conn = R.default_volume_connection(g, rho)
+    assert conn.zero == (volume == "flat")
+    return g, rho, J, R.anticommute_project(J, K), conn
+
+
+@pytest.mark.parametrize("given_nJh", [False, True])
+@pytest.mark.parametrize("volume", ["seeded", "flat"])
+@pytest.mark.parametrize("n, m", [(1, 32), (2, 8), (2, 12)])
+def test_lambda_from_traces_matches_stacked_route(n, m, volume, given_nJh):
+    g, rho, J, jhat, conn = _lambda_case(n, m, volume)
+    nJh = C.cov_endo(g, conn, jhat) if given_nJh else None
+    ref = lambda_rho_stacked(g, J, jhat, conn)
+    # the routes are compared, not the guard: at m = 8 the seeded volume
+    # connection preserves ρ to 3e-8 only (an aliasing floor)
+    lam = R.lambda_rho(g, rho, J, jhat, conn, volume_tol=1e-7, nJh=nJh)
+    assert np.max(np.abs(lam - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_lambda_from_traces_builds_no_d3_field():
+    # the stacked route holds ∇Ĵ and ∇J, two d³ fields; the traces hold
+    # d²-sized fields only
+    g, rho, J, jhat, conn = _lambda_case(2, 12, "seeded")
+    assert conn.torsion_free  # read once, before the measurement
+    tracemalloc.start()
+    try:
+        R.lambda_rho(g, rho, J, jhat, conn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < g.d ** 3 * g.npoints * 8
