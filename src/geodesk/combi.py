@@ -124,69 +124,50 @@ def interior_coef(v: np.ndarray, a: np.ndarray, dim: int, k: int) -> np.ndarray:
     return out
 
 
-def det_batched(mat: np.ndarray) -> np.ndarray:
-    """Determinant of a (k, k) + batch array along the two leading axes."""
-    k = mat.shape[0]
-    if k == 0:
-        return np.ones(mat.shape[2:], dtype=mat.dtype)
-    if k == 1:
-        return mat[0, 0]
-    if k == 2:
-        return mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-    if k == 3:
-        return (mat[0, 0] * (mat[1, 1] * mat[2, 2] - mat[1, 2] * mat[2, 1])
-                - mat[0, 1] * (mat[1, 0] * mat[2, 2] - mat[1, 2] * mat[2, 0])
-                + mat[0, 2] * (mat[1, 0] * mat[2, 1] - mat[1, 1] * mat[2, 0]))
-    return P.det(mat)
-
-
-def pullback_linear_coef(a: np.ndarray, dim: int, k: int, A: np.ndarray) -> np.ndarray:
-    """Coefficients of the pullback (A^* a)_I = sum_J a_J det(A[J, I])."""
-    if k == 0:
-        return a.copy()
+def compound_apply(A: np.ndarray, a: np.ndarray, dim: int, k: int) -> np.ndarray:
+    """(Λ^k A) a, i.e. out_I = Σ_J det(A[I, J]) a_J over the k-tuples of
+    ``range(dim)``: the one minor loop, holding besides ``out`` only the
+    current minor and its determinant."""
     cs = combos(dim, k)
     out = np.zeros((len(cs),) + np.broadcast_shapes(a.shape[1:], A.shape[2:]),
                    dtype=np.result_type(a.dtype, A.dtype))
     for ii, I in enumerate(cs):
         for jj, J in enumerate(cs):
-            out[ii] += a[jj] * det_batched(A[np.ix_(J, I)])
+            out[ii] += a[jj] * P.det(A[np.ix_(I, J)])
     return out
+
+
+def pullback_linear_coef(a: np.ndarray, dim: int, k: int, A: np.ndarray) -> np.ndarray:
+    """Coefficients of the pullback (A^* a)_I = Σ_J a_J det(A[J, I])."""
+    return compound_apply(np.swapaxes(A, 0, 1), a, dim, k)
 
 
 def metric_inner_coef(a: np.ndarray, b: np.ndarray, dim: int, k: int, ginv: np.ndarray) -> np.ndarray:
-    """Pointwise inner product <a, b> of k-forms for the metric with inverse ginv.
+    """Pointwise inner product <a, b> = Σ_I conj(a_I) ((Λ^k g⁻¹) b)_I of
+    k-forms for the metric with inverse ginv.
 
     Hermitian in the first slot when coefficients are complex.
     """
-    if k == 0:
-        return np.conj(a[0]) * b[0]
-    cs = combos(dim, k)
-    out = 0.0
-    for ii, I in enumerate(cs):
-        for jj, J in enumerate(cs):
-            out = out + np.conj(a[ii]) * b[jj] * det_batched(ginv[np.ix_(I, J)])
-    return out
+    return sum(np.conj(ai) * ci for ai, ci in zip(a, compound_apply(ginv, b, dim, k)))
 
 
 def star_coef(a: np.ndarray, dim: int, k: int, ginv: np.ndarray,
               sqrt_det_g: np.ndarray, orient_sign: int) -> np.ndarray:
-    """Hodge star determined by a∧(*b) = <a,b> vol, vol the positive volume form.
+    """Hodge star determined by a∧(*b) = <a,b> vol, vol the positive volume
+    form: (Λ^k g⁻¹) a, signed and scaled in place, put on the complementary
+    index sets.
 
     ``orient_sign`` is the sign making the lexicographic top basis form
     positively oriented (+1) or negatively oriented (−1).
     """
-    cs_in = combos(dim, k)
-    idx_out = combo_index(dim, dim - k)
-    out = np.zeros((n_combos(dim, dim - k),) + np.broadcast_shapes(a.shape[1:], np.shape(sqrt_det_g)),
-                   dtype=np.result_type(a.dtype, ginv.dtype))
+    out = compound_apply(ginv, a, dim, k)
     full = set(range(dim))
-    for ii, I in enumerate(cs_in):
-        comp = tuple(sorted(full - set(I)))
-        eps = _merge_sign(I, comp)
-        acc = 0.0
-        for jj, J in enumerate(cs_in):
-            acc = acc + a[jj] * det_batched(ginv[np.ix_(I, J)])
-        out[idx_out[comp]] += eps * orient_sign * sqrt_det_g * acc
+    for ii, I in enumerate(combos(dim, k)):
+        out[ii] *= _merge_sign(I, tuple(sorted(full - set(I)))) * orient_sign * sqrt_det_g
+    # complementation reverses lexicographic order: the complement of the
+    # ii-th k-set is the (N − 1 − ii)-th (dim − k)-set
+    for ii in range(len(out) // 2):
+        out[[ii, -1 - ii]] = out[[-1 - ii, ii]]
     return out
 
 
@@ -220,24 +201,22 @@ def derivation_coef(E: np.ndarray, a: np.ndarray, dim: int, k: int) -> np.ndarra
 
 
 def pq_project_coef(a: np.ndarray, dim: int, k: int, J: np.ndarray, p: int, q: int) -> np.ndarray:
-    """(p, q)-component relative to J via an exact circle average.
+    """(p, q)-component relative to J.
 
-    Pulls back by R_t = cos(t) + sin(t) J (exact since J² = −1) and weights by
-    e^{−i(p−q)t}; the integrand is a trig polynomial of degree ≤ k in t, so
-    2k + 2 equispaced samples integrate it exactly.
+    The J-derivation D (``derivation_coef`` of J) acts on (p', q')-forms as
+    i(p' − q'), so the projector is the Lagrange polynomial
+    Π_{p' ≠ p} (D − i(2p' − k)) / (i(2p − k) − i(2p' − k)): k applications of D.
     """
     if p + q != k:
         raise ValueError("p + q must equal the form degree")
-    nsamp = 2 * k + 2
-    eye = np.eye(dim)
-    if J.ndim > 2:
-        eye = eye.reshape((dim, dim) + (1,) * (J.ndim - 2))
-    out = np.zeros(a.shape, dtype=complex)
-    for s in range(nsamp):
-        t = 2.0 * np.pi * s / nsamp
-        R = np.cos(t) * eye + np.sin(t) * J
-        out = out + np.exp(-1j * (p - q) * t) * pullback_linear_coef(a, dim, k, R)
-    return out / nsamp
+    out = a.astype(complex)
+    for r in range(k + 1):
+        if r != p:
+            eig = 1j * (2 * r - k)
+            term = derivation_coef(J, out, dim, k)
+            term -= eig * out
+            out = term / (1j * (2 * p - k) - eig)
+    return out
 
 
 def interior_pairs_coef(N: np.ndarray, theta: np.ndarray, dim: int, k: int) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 from . import pointwise as P
 from .combi import vol_sign
 from .errors import DomainError
-from .grid import TorusGrid, constant_field, form_from_matrix, metric_sqrt_det
+from .grid import TorusGrid, constant_field, form_from_matrix, is_constant, metric_sqrt_det
 from .report import max_abs, rel_max1
 
 
@@ -33,10 +33,10 @@ def compatible_pair(grid: TorusGrid, rho: np.ndarray, J: np.ndarray,
     scale = (rho_density / metric_sqrt_det(gJ)) ** (1.0 / grid.n)
     g = scale * gJ
     omega_mat = P.contract("ki...,kj...->ij...", J, g)
-    asym = np.max(np.abs(omega_mat + np.swapaxes(omega_mat, 0, 1)))
-    if asym > tol * max(1.0, float(np.max(np.abs(omega_mat)))):
+    asym = max_abs(omega_mat + np.swapaxes(omega_mat, 0, 1))
+    if asym > tol * max(1.0, max_abs(omega_mat)):
         raise DomainError(f"compatible_pair: ω not antisymmetric ({asym:.2e})")
-    vol_resid = np.max(np.abs(metric_sqrt_det(g) - rho_density))
+    vol_resid = max_abs(metric_sqrt_det(g) - rho_density)
     if vol_resid > tol * max(1.0, float(np.max(rho_density))):
         raise DomainError(f"compatible_pair: volume residual {vol_resid:.2e}")
     return g, form_from_matrix(grid, omega_mat)
@@ -81,7 +81,7 @@ def _check_spd(g: np.ndarray, what: str) -> None:
 
 def levi_civita(grid: TorusGrid, g: np.ndarray) -> ConnectionField:
     _check_spd(g, "levi_civita")
-    if float(np.ptp(g.reshape(g.shape[:2] + (-1,)), axis=-1).max()) == 0.0:
+    if is_constant(grid, g):
         return ConnectionField.flat(grid)
     ginv = P.inv(g)
     gamma = P.contract("kl...,ijl...->kij...", ginv, _sym_sum(grid.derivs(g)))
@@ -264,7 +264,7 @@ def conformally_flat_volume_connection(grid: TorusGrid, rho: np.ndarray) -> Conn
     density = vol_sign(grid.n) * rho[0]
     if np.any(density <= 0):
         raise DomainError("volume form must be positive")
-    if float(np.ptp(density)) == 0.0:
+    if is_constant(grid, density):
         return ConnectionField.flat(grid)
     g = constant_field(grid, np.eye(grid.d)) * density ** (1.0 / grid.n)
     return levi_civita(grid, g)

@@ -18,6 +18,7 @@ from . import combi
 from . import pointwise as P
 from .combi import standard_j, standard_omega_matrix, vol_sign
 from .errors import DomainError, NumericError, UsageError
+from .report import max_abs
 
 _CACHE: dict[tuple[int, int], dict] = {}
 # Largest m at which derivatives use the dense (m, m) matrix instead of an FFT:
@@ -183,6 +184,13 @@ def constant_field(grid: TorusGrid, mat: np.ndarray) -> np.ndarray:
     mat = np.asarray(mat)
     return np.broadcast_to(mat.reshape(mat.shape + (1,) * grid.d),
                            mat.shape + grid.shape).copy()
+
+
+def is_constant(grid: TorusGrid, field: np.ndarray) -> bool:
+    """True when every component of ``field`` takes one value over the grid;
+    False when it holds a NaN."""
+    flat = field.reshape(field.shape[:field.ndim - grid.d] + (-1,))
+    return bool(np.all(np.ptp(flat, axis=-1) == 0.0))
 
 
 def standard_j_field(grid: TorusGrid) -> np.ndarray:
@@ -396,7 +404,7 @@ def poisson_solve(grid: TorusGrid, f: np.ndarray, g: np.ndarray | None = None,
     sq = 1.0 if g is None else metric_sqrt_det(g)
     rhs = sq * f
     mean = abs(grid.mean(rhs))
-    if mean > 1e-8 * max(1.0, float(np.max(np.abs(rhs)))):
+    if mean > 1e-8 * max(1.0, max_abs(rhs)):
         raise DomainError(f"poisson_solve: source has nonzero √g-weighted mean {mean:.3e}")
     if g is None:
         return flat_green(grid, f)
@@ -497,7 +505,7 @@ def _smooth_channels(grid: TorusGrid, rng: np.random.Generator,
     F = grid.rfft(raw)
     F *= _band_mask(grid, grid.band if band is None else band)[..., :grid.m // 2 + 1]
     out = grid.irfft(F)
-    peak = np.max(np.abs(out))
+    peak = max_abs(out)
     if peak > 0:
         out *= amplitude / peak
     return out

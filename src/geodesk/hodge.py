@@ -13,7 +13,7 @@ from . import pointwise as P
 from . import ricci as Ric
 from .errors import DomainError
 from .grid import TorusGrid
-from .report import CheckReport, rel_max1, rel_plus1
+from .report import CheckReport, max_abs, rel_max1, rel_plus1
 
 
 # ---------------------------------------------------------------------------
@@ -28,11 +28,11 @@ class KahlerInstance:
         self.grid = grid
         self.omega = omega
         self.J = J
-        d_omega = np.max(np.abs(G.exterior_d(grid, omega, 2))) if grid.d > 2 else 0.0
+        d_omega = max_abs(G.exterior_d(grid, omega, 2)) if grid.d > 2 else 0.0
         if d_omega > kahler_tol:
             raise DomainError(f"instance is not symplectic (dω residual {d_omega:.2e})")
         g = P.mul(G.form_to_matrix(grid, omega), J)
-        asym = np.max(np.abs(g - np.swapaxes(g, 0, 1)))
+        asym = max_abs(g - np.swapaxes(g, 0, 1))
         if asym > kahler_tol:
             raise DomainError(f"(ω, J) not compatible (asymmetry {asym:.2e})")
         self.metric = 0.5 * (g + np.swapaxes(g, 0, 1))
@@ -40,7 +40,7 @@ class KahlerInstance:
         self.ginv = P.inv(self.metric)
         self.rho = G.standard_volume_field(grid) * G.metric_sqrt_det(self.metric)
         self.lc = C.levi_civita(grid, self.metric)
-        self.nabla_j_residual = float(np.max(np.abs(C.cov_endo(grid, self.lc, J))))
+        self.nabla_j_residual = max_abs(C.cov_endo(grid, self.lc, J))
         if self.nabla_j_residual > kahler_tol:
             raise DomainError(f"∇J residual {self.nabla_j_residual:.2e}: not Kähler")
 
@@ -314,12 +314,10 @@ def _divergences(rep: CheckReport, inst: KahlerInstance, seed: int, amplitude: f
     grid = inst.grid
     H = G.random_band_limited(grid, "scalar", seed, amplitude, band=G.acs_band(grid.m))
     vH = Ric.hamiltonian_vector_field(grid, inst.omega, H)
-    rep.add("hamiltonian_divergence",
-            float(np.max(np.abs(G.divergence_frho(grid, vH, inst.rho)))))
+    rep.add("hamiltonian_divergence", max_abs(G.divergence_frho(grid, vH, inst.rho)))
     gradH = P.contract("ij...,j...->i...", inst.ginv, G.exterior_d(grid, H[None], 0))
     rep.add("gradient_divergence",
-            float(np.max(np.abs(G.divergence_frho(grid, gradH, inst.rho)
-                                + G.laplacian(grid, H)))))
+            max_abs(G.divergence_frho(grid, gradH, inst.rho) + G.laplacian(grid, H)))
 
 
 def _star_contraction(rep: CheckReport, inst: KahlerInstance, v: np.ndarray) -> np.ndarray:
@@ -328,7 +326,7 @@ def _star_contraction(rep: CheckReport, inst: KahlerInstance, v: np.ndarray) -> 
     lhs = G.star_f(grid, G.interior_f(grid, v, inst.omega, 2), 1)
     Jv = P.contract("ij...,j...->i...", inst.J, v)
     rhs = G.interior_f(grid, Jv, inst.rho, grid.d)
-    rep.add("star_contraction", float(np.max(np.abs(lhs - rhs))))
+    rep.add("star_contraction", max_abs(lhs - rhs))
     return Jv
 
 
@@ -381,7 +379,7 @@ def _lambda_split(rep: CheckReport, inst: KahlerInstance, v: np.ndarray, Jv: np.
     fv = G.divergence_frho(grid, v, rho)
     fJv = G.divergence_frho(grid, Jv, rho)
     rep.add("lambda_fg_lie_oracle",
-            rel_max1(max(np.max(np.abs(f - fv)), np.max(np.abs(gsc - fJv))), fv))
+            rel_max1(max(max_abs(f - fv), max_abs(gsc - fJv)), fv))
 
     jhat_cc = project_coclosed_q1(inst, jhat)
     lam_cc = Ric.lambda_rho(grid, rho, J, jhat_cc)
@@ -398,8 +396,8 @@ def _adjoint_harmonic(rep: CheckReport, inst: KahlerInstance, seed: int,
     jh_star = endo_adjoint(inst, jh_h)
     n_star = C.cov_endo(grid, inst.lc, jh_star)
     resid_h = max(
-        float(np.max(np.abs(dbar_q1(inst, jh_star, n_star)))),
-        float(np.max(np.abs(dbar_adjoint_q1(inst, jh_star, n_star)))),
+        max_abs(dbar_q1(inst, jh_star, n_star)),
+        max_abs(dbar_adjoint_q1(inst, jh_star, n_star)),
     )
     rep.add("adjoint_harmonic", rel_max1(resid_h, jh_h))
 
@@ -448,10 +446,9 @@ def _holomorphic_direction(rep: CheckReport, inst: KahlerInstance, seed: int,
     Λ(J, L_vJ) = 0."""
     grid, J, rho = inst.grid, inst.J, inst.rho
     v_hol = divergence_free_pair_field(grid, seed + 6, amplitude)
-    rep.add("holomorphic_divergence", float(max(
-        np.max(np.abs(G.divergence_frho(grid, v_hol, rho))),
-        np.max(np.abs(G.divergence_frho(
-            grid, P.contract("ij...,j...->i...", J, v_hol), rho))))))
+    rep.add("holomorphic_divergence", max(
+        max_abs(G.divergence_frho(grid, v_hol, rho)),
+        max_abs(G.divergence_frho(grid, P.contract("ij...,j...->i...", J, v_hol), rho))))
     lam_h = Ric.lambda_rho(grid, rho, J, G.lie_endo(grid, v_hol, J))
     rep.add("holomorphic_lambda_zero", rel_max1(lam_h, v_hol))
 
@@ -634,9 +631,9 @@ def _selfdual_checks(rep: CheckReport, inst: KahlerInstance) -> None:
     # self-dual harmonic forms include ω with <ω, ω> = n ≠ 0, so the
     # vanishing-pairing branch fails and the Bott-Chern defect is zero
     pairing = two_form_omega_inner(inst, inst.omega)
-    rep.add("selfdual_pairing", float(np.max(np.abs(pairing - grid.n))))
+    rep.add("selfdual_pairing", max_abs(pairing - grid.n))
     star_w = G.star_f(grid, inst.omega, 2, inst.metric)
-    rep.add("omega_self_dual", float(np.max(np.abs(star_w - inst.omega))))
+    rep.add("omega_self_dual", max_abs(star_w - inst.omega))
     # b^{2,+} = 3 on the flat four-torus: constant self-dual forms
     consts = np.eye(6)
     sd = []

@@ -14,7 +14,7 @@ import numpy as np
 from .combi import standard_j, standard_omega_matrix, vol_sign
 from .errors import DomainError, NumericError, UsageError
 from .grid import TorusGrid
-from .report import CheckReport, rel_max1, rel_plus1
+from .report import CheckReport, max_abs, rel_max1, rel_plus1
 from .ricci import richardson
 
 MATRIX_TOL = 1e-12
@@ -57,7 +57,7 @@ class LinCS:
         object.__setattr__(self, "n", J.shape[0] // 2)
         if not np.all(np.isfinite(J)):
             raise DomainError("J has non-finite entries")
-        resid = np.max(np.abs(J @ J + np.eye(J.shape[0])))
+        resid = max_abs(J @ J + np.eye(J.shape[0]))
         if resid > MATRIX_TOL:
             raise DomainError(f"J² + 1 residual {resid:.3e}")
         if orientation_frame_det(J) <= 0:
@@ -112,7 +112,7 @@ class TangentJ:
         jh = np.asarray(self.jhat, dtype=float)
         object.__setattr__(self, "jhat", jh)
         J = self.base.matrix
-        resid = np.max(np.abs(jh @ J + J @ jh))
+        resid = max_abs(jh @ J + J @ jh)
         if resid > ANTICOMMUTE_TOL:
             raise DomainError(f"tangent anticommutation residual {resid:.3e}")
 
@@ -161,7 +161,7 @@ class SiegelPoint:
         Z = np.asarray(self.Z, dtype=complex)
         object.__setattr__(self, "Z", Z)
         object.__setattr__(self, "n", Z.shape[0])
-        if np.max(np.abs(Z - Z.T)) > 1e-10:
+        if max_abs(Z - Z.T) > 1e-10:
             raise DomainError("Siegel point must be symmetric")
         if np.linalg.eigvalsh(Z.imag).min() <= 0:
             raise DomainError("imaginary part must be positive definite")
@@ -193,7 +193,7 @@ def compatibility_residual(J: LinCS) -> float:
     """Residual of J*ω0 = ω0 plus positivity defect of ω0(·, J·)."""
     W = standard_omega_matrix(J.n)
     Jm = J.matrix
-    resid = np.max(np.abs(Jm.T @ W @ Jm - W))
+    resid = max_abs(Jm.T @ W @ Jm - W)
     gram = W @ Jm
     gram = 0.5 * (gram + gram.T)
     lam = np.linalg.eigvalsh(gram).min()
@@ -221,7 +221,7 @@ def random_symplectic(rng: np.random.Generator, n: int, scale: float = 0.3) -> n
 def siegel_metric(Z: SiegelPoint, Zhat: np.ndarray) -> float:
     """|Ẑ|² = tr((Y^{-1} X̂)² + (Y^{-1} Ŷ)²)."""
     Zhat = np.asarray(Zhat, dtype=complex)
-    if np.max(np.abs(Zhat - Zhat.T)) > 1e-10:
+    if max_abs(Zhat - Zhat.T) > 1e-10:
         raise UsageError("siegel_metric: tangent matrix must be symmetric")
     Yinv = np.linalg.inv(Z.Y)
     a = Yinv @ Zhat.real
@@ -270,7 +270,7 @@ def lincs_suite(rep: CheckReport, grid: TorusGrid, seed: int, amp: float) -> Non
         g = random_symplectic(rng, n)
         lhs = siegel_to_acs(symplectic_action(g, Z)).matrix
         rhs = g @ siegel_to_acs(Z).matrix @ np.linalg.inv(g)
-        worst_sg = max(worst_sg, float(np.max(np.abs(lhs - rhs))))
+        worst_sg = max(worst_sg, max_abs(lhs - rhs))
     rep.add("siegel_equivariance", worst_sg)
 
     worst_iso = 0.0

@@ -199,10 +199,6 @@ def trace(E: np.ndarray) -> np.ndarray:
     return contract("ii...->...", E)
 
 
-def _closed_form(E: np.ndarray) -> bool:
-    return E.dtype == np.float64 and E.shape[0] in (2, 4)
-
-
 def _minors(E: np.ndarray):
     """The 2×2 minors of rows (0, 1) and of rows (2, 3) of a 4×4 field."""
     a = E
@@ -228,12 +224,22 @@ def _det4(s, c):
 def det(E: np.ndarray) -> np.ndarray:
     """Pointwise determinant of a (d, d) + grid field.
 
-    Closed form for float64 at d = 2 and d = 4, LAPACK otherwise.
+    Closed form for float64 at d ≤ 4 (d = 3 by cofactors of the first row),
+    LAPACK otherwise.
     """
-    if not _closed_form(E):
+    d = E.shape[0]
+    if E.dtype != np.float64 or d > 4:
         return np.linalg.det(np.moveaxis(E, (0, 1), (-2, -1)))
-    if E.shape[0] == 2:
+    if d == 0:
+        return np.ones(E.shape[2:])
+    if d == 1:
+        return E[0, 0]
+    if d == 2:
         return E[0, 0] * E[1, 1] - E[0, 1] * E[1, 0]
+    if d == 3:
+        return (E[0, 0] * (E[1, 1] * E[2, 2] - E[1, 2] * E[2, 1])
+                - E[0, 1] * (E[1, 0] * E[2, 2] - E[1, 2] * E[2, 0])
+                + E[0, 2] * (E[1, 0] * E[2, 1] - E[1, 1] * E[2, 0]))
     return _det4(*_minors(E))
 
 
@@ -243,7 +249,7 @@ def inv(E: np.ndarray) -> np.ndarray:
     Closed-form adjugate for float64 at d = 2 and d = 4, LAPACK otherwise.
     A zero or non-finite determinant raises ``np.linalg.LinAlgError``.
     """
-    if not _closed_form(E):
+    if E.dtype != np.float64 or E.shape[0] not in (2, 4):
         return np.moveaxis(np.linalg.inv(np.moveaxis(E, (0, 1), (-2, -1))), (-2, -1), (0, 1))
     a = E
     out = np.empty(E.shape)

@@ -54,22 +54,24 @@ def lambda_one_form(grid: TorusGrid, conn: C.ConnectionField, J: np.ndarray,
     return P.contract("iij...->j...", nJ)
 
 
-def tau_two_form(grid: TorusGrid, conn: C.ConnectionField, J: np.ndarray,
-                 nJ: np.ndarray | None = None) -> np.ndarray:
-    """τ_{ij} = ½ tr((∇_i J) J (∇_j J)) + tr(J R(∂_i, ∂_j)).
+def tau_lambda(grid: TorusGrid, conn: C.ConnectionField, J: np.ndarray):
+    """(τ, λ) from one ∇J: τ_{ij} = ½ tr((∇_i J) J (∇_j J)) + tr(J R(∂_i, ∂_j))
+    and λ_j = (∇_i J)^i_j.
 
     The curvature trace J^k_l R^l_{kij} is (A + B)_{ij} − (A + B)_{ji}, with
     A_{ij} = J^k_l ∂_i Γ^l_{jk} and B_{ij} = (J^k_l Γ^l_{im}) Γ^m_{jk}
     (Kobayashi–Nomizu I, ch. III).  A is assembled one derivative axis i at
-    a time, so the 4-index R^l_{kij} is never built; Γ = 0 has none."""
+    a time, so the 4-index R^l_{kij} is never built; Γ = 0 has none.  ∇J is
+    dropped after λ and the quadratic term, before the curvature part,
+    which reads only Γ and J."""
     d = grid.d
-    if nJ is None:
-        nJ = C.cov_endo(grid, conn, J)
+    nJ = C.cov_endo(grid, conn, J)
+    lam = lambda_one_form(grid, conn, J, nJ)
     nJ = nJ.reshape((d, d, d, -1))
     Jf = J.reshape((d, d, -1))
     jn = P.contract("bcx,jcax->jbax", Jf, nJ)
     tau = 0.5 * P.contract("iabx,jbax->ijx", nJ, jn)
-    del jn
+    del jn, nJ
     if not conn.zero:
         gam = conn.gamma.reshape((d, d, d, -1))
         ab = P.contract("kimx,mjkx->ijx", P.contract("klx,limx->kimx", Jf, gam), gam)
@@ -77,7 +79,7 @@ def tau_two_form(grid: TorusGrid, conn: C.ConnectionField, J: np.ndarray,
         for i in range(d):
             ab[i] += P.contract("klx,ljkx->jx", Jf, next(dgam).reshape((d, d, d, -1)))
         tau += ab - ab.swapaxes(0, 1)
-    return G.form_from_matrix(grid, tau.reshape((d, d) + grid.shape))
+    return G.form_from_matrix(grid, tau.reshape((d, d) + grid.shape)), lam
 
 
 @dataclass(frozen=True)
@@ -100,9 +102,7 @@ def ricci_form(grid: TorusGrid, rho: np.ndarray, J: np.ndarray,
     if conn is None:
         conn = default_volume_connection(grid, rho)
     _check_volume_connection(grid, conn, rho, volume_tol)
-    nJ = C.cov_endo(grid, conn, J)
-    tau = tau_two_form(grid, conn, J, nJ)
-    lam = lambda_one_form(grid, conn, J, nJ)
+    tau, lam = tau_lambda(grid, conn, J)
     ric = 0.5 * (tau + G.exterior_d(grid, lam, 1))
     dric = G.exterior_d(grid, ric, 2) if grid.d > 2 else None
     resid = 0.0 if dric is None else rel_max1(dric, ric)
@@ -488,11 +488,11 @@ def _kahler_slice(rep: CheckReport, grid: TorusGrid, seed: int, amplitude: float
     omega_h = G.standard_omega_field(grid) + 0.5 * G.exterior_d(grid, dh_j, 1)
     metric_h = P.mul(G.form_to_matrix(grid, omega_h), J0)
     lam_k = lambda_one_form(grid, C.levi_civita(grid, metric_h), J0)
-    rep.add("kahler_lambda_vanishes", float(np.max(np.abs(lam_k))))
+    rep.add("kahler_lambda_vanishes", max_abs(lam_k))
     Jc = G.random_acs_symplectic(grid, seed + 903, amplitude)
     metric_c = P.mul(G.form_to_matrix(grid, G.standard_omega_field(grid)), Jc)
     lam_c = lambda_one_form(grid, C.levi_civita(grid, metric_c), Jc)
-    rep.add("kahler_lambda_vanishes_compatible", float(np.max(np.abs(lam_c))))
+    rep.add("kahler_lambda_vanishes_compatible", max_abs(lam_c))
 
 
 def _integrable_pullback(rep: CheckReport, grid: TorusGrid, seed: int, amplitude: float,

@@ -18,7 +18,7 @@ from . import ricci as Ric
 from .combi import standard_j
 from .errors import DomainError, UsageError
 from .grid import TorusGrid
-from .report import CheckReport, rel_max1, rel_plus1
+from .report import CheckReport, max_abs, rel_max1, rel_plus1
 
 
 def c_const(n: int) -> complex:
@@ -51,7 +51,7 @@ class WPVector:
 
     def __post_init__(self):
         grid = self.base.grid
-        if float(np.ptp(self.jhat.reshape(grid.d * grid.d, -1), axis=-1).max()) == 0.0:
+        if G.is_constant(grid, self.jhat):
             zero = np.zeros(grid.shape)
             split = zero, zero, np.broadcast_to(zero, (grid.d,) + grid.shape), 0.0, 0.0
         else:
@@ -222,8 +222,8 @@ def connection_A(base: H.KahlerInstance, what: np.ndarray, closed_tol: float = 1
     Ĵ0 realizes the skew half of the harmonic part.
     """
     grid = base.grid
-    d_resid = float(np.max(np.abs(G.exterior_d(grid, what, 2)))) if grid.d > 2 else 0.0
-    if d_resid > closed_tol * max(1.0, float(np.max(np.abs(what)))):
+    d_resid = max_abs(G.exterior_d(grid, what, 2)) if grid.d > 2 else 0.0
+    if d_resid > closed_tol * max(1.0, max_abs(what)):
         raise DomainError(f"connection_A: ŵ not closed ({d_resid:.2e})")
     const, lam_hat = hodge_decompose_closed_two_form(grid, what)
     # ι(v)ω = λ̂ pointwise
@@ -341,8 +341,7 @@ def beta_theta(grid: TorusGrid, beta: np.ndarray, theta: np.ndarray,
     M = np.stack(cols, axis=1)  # [comb, i] + grid
     Mr = np.concatenate([M.real, M.imag], axis=0)  # [2comb, i] + grid
     origin = (0,) * grid.d
-    flat_theta = bool(np.all(theta.reshape(theta.shape[0], -1)
-                             == theta.reshape(theta.shape[0], -1)[:, :1]))
+    flat_theta = G.is_constant(grid, theta)
     jhat = np.zeros((d, d) + grid.shape)
     pinv = np.linalg.pinv(Mr[(Ellipsis,) + origin]) if flat_theta else \
         np.linalg.pinv(np.moveaxis(Mr, (0, 1), (-2, -1)))
@@ -428,7 +427,7 @@ def _wp_constants(rep: CheckReport, base: H.KahlerInstance, mats: list[np.ndarra
     vol = (2.0 * np.pi) ** grid.d
     c1 = WPVector(base, G.constant_field(grid, mats[0]))
     c2 = WPVector(base, G.constant_field(grid, mats[-1]))
-    rep.add("constant_fg_zero", float(max(np.max(np.abs(c1.f)), np.max(np.abs(c1.g)))))
+    rep.add("constant_fg_zero", max(max_abs(c1.f), max_abs(c1.g)))
     orbit = 0.5 * float(np.trace(mats[0] @ standard_j(grid.n) @ mats[-1]))
     rep.add("constant_reduction", rel_plus1(wp_form(c1, c2) - vol * orbit, vol * orbit))
     return orbit
@@ -441,7 +440,7 @@ def _wp_descent(rep: CheckReport, base: H.KahlerInstance, seed: int, amplitude: 
     grid = base.grid
     v = G.random_band_limited(grid, "vector", seed + 11, amplitude, band=G.acs_band(grid.m))
     lie = WPVector(base, G.lie_endo(grid, v, base.J))
-    scale = max(1.0, float(np.max(np.abs(x1.jhat))) * float(np.max(np.abs(v))))
+    scale = max(1.0, max_abs(x1.jhat) * max_abs(v))
     rep.add("descent", abs(wp_form(x1, lie)) / scale)
     return v, lie
 
@@ -490,11 +489,11 @@ def _wp_fg_solver(rep: CheckReport, base: H.KahlerInstance, x1: WPVector, v: np.
     Jv = P.contract("ij...,j...->i...", base.J, v)
     fJv = G.divergence_frho(grid, Jv, base.rho)
     rep.add("fg_lie_oracle",
-            rel_max1(max(np.max(np.abs(lie.f - fv)), np.max(np.abs(lie.g - fJv))), fv))
+            rel_max1(max(max_abs(lie.f - fv), max_abs(lie.g - fJv)), fv))
     rep.add("fg_plugback", x1.plugback_residual)
     jcc = H.project_coclosed_q1(base, x1.jhat)
     xcc = WPVector(base, harmonic_closure(base, jcc))
-    rep.add("fg_coclosed_zero", float(max(np.max(np.abs(xcc.f)), np.max(np.abs(xcc.g)))))
+    rep.add("fg_coclosed_zero", max(max_abs(xcc.f), max_abs(xcc.g)))
 
 
 def _wp_dimensions(rep: CheckReport, n: int) -> None:
@@ -610,7 +609,7 @@ def theta_suite(rep: CheckReport, grid: TorusGrid, seed: int, amplitude: float) 
     is a section on the flat base and θ whose fields die when it returns."""
     base = H.flat_instance(grid)
     theta = standard_theta(grid)
-    rep.add("rho_from_theta", float(np.max(np.abs(rho_from_theta(grid, theta) - base.rho))))
+    rep.add("rho_from_theta", max_abs(rho_from_theta(grid, theta) - base.rho))
     _correspondence(rep, base, theta, seed, amplitude)
     _integrability_bridge(rep, grid, seed, amplitude)
     _integrable_theta(rep, base, theta, seed)
@@ -638,7 +637,7 @@ def _theta_roundtrip(rep: CheckReport, base: H.KahlerInstance, theta: np.ndarray
     raw = G.random_band_limited(grid, "endo", seed, amplitude, band=G.acs_band(grid.m))
     jh = Ric.anticommute_project(base.J, raw)
     beta = theta_beta(grid, jh, theta)
-    rep.add("roundtrip", float(np.max(np.abs(beta_theta(grid, beta, theta) - jh))))
+    rep.add("roundtrip", max_abs(beta_theta(grid, beta, theta) - jh))
     return jh, beta
 
 
@@ -650,17 +649,16 @@ def _theta_flags(rep: CheckReport, base: H.KahlerInstance, theta: np.ndarray, jh
     sb = G.star_f(grid, beta, n)
     jh_star = P.contract("ij...->ji...", jh)  # flat metric adjoint
     rep.add("star_adjoint_flag",
-            float(np.max(np.abs(np.conj(cn) * sb - theta_beta(grid, -jh_star, theta)))))
+            max_abs(np.conj(cn) * sb - theta_beta(grid, -jh_star, theta)))
     sym_part = 0.5 * (jh + jh_star)
     b_sym = theta_beta(grid, sym_part, theta)
-    rep.add("sym_star_flag", float(np.max(np.abs(G.star_f(grid, b_sym, n) + cn * b_sym))))
+    rep.add("sym_star_flag", max_abs(G.star_f(grid, b_sym, n) + cn * b_sym))
     if n >= 2:  # β ∧ ω has degree n + 2 <= 2n only from complex dimension two
         rep.add("sym_wedge_omega_flag",
-                float(np.max(np.abs(G.wedge_f(grid, b_sym, base.omega.astype(complex),
-                                              n, 2)))))
+                max_abs(G.wedge_f(grid, b_sym, base.omega.astype(complex), n, 2)))
     skew_part = 0.5 * (jh - jh_star)
     b_skew = theta_beta(grid, skew_part, theta)
-    rep.add("skew_star_flag", float(np.max(np.abs(G.star_f(grid, b_skew, n) - cn * b_skew))))
+    rep.add("skew_star_flag", max_abs(G.star_f(grid, b_skew, n) - cn * b_skew))
 
 
 def _theta_pairings(rep: CheckReport, base: H.KahlerInstance, theta: np.ndarray, seed: int,
@@ -675,10 +673,10 @@ def _theta_pairings(rep: CheckReport, base: H.KahlerInstance, theta: np.ndarray,
     tr_plain = P.contract("ik...,ki...->...", jh, jh2)
     tr_j = P.contract("ik...,kl...,li...->...", jh, J0, jh2)
     rhs_s = (-tr_plain / 8.0 + 1j * tr_j / 8.0) * base.rho
-    rep.add("symplectic_pairing", float(np.max(np.abs(lhs_s - rhs_s))))
+    rep.add("symplectic_pairing", max_abs(lhs_s - rhs_s))
     lhs_i = theta_pairing_form(grid, beta, G.star_f(grid, beta2, n), n).real
     rhs_i = P.contract("ki...,ki...->...", jh, jh2) / 8.0 * base.rho
-    rep.add("inner_pairing", float(np.max(np.abs(lhs_i - rhs_i))))
+    rep.add("inner_pairing", max_abs(lhs_i - rhs_i))
 
 
 def _lie_beta(rep: CheckReport, base: H.KahlerInstance, theta: np.ndarray, seed: int,
@@ -694,9 +692,9 @@ def _lie_beta(rep: CheckReport, base: H.KahlerInstance, theta: np.ndarray, seed:
     fv = G.divergence_frho(grid, v, base.rho)
     fJv = G.divergence_frho(grid, P.contract("ij...,j...->i...", J0, v), base.rho)
     h_v = 0.5 * (fv - 1j * fJv)
-    rep.add("lie_beta_oracle", float(np.max(np.abs(d_iv - beta_v - h_v * theta))))
+    rep.add("lie_beta_oracle", max_abs(d_iv - beta_v - h_v * theta))
     proj = G.pq_project_f(grid, d_iv, n, J0, n - 1, 1)
-    rep.add("lie_beta_projection", float(np.max(np.abs(proj - beta_v))))
+    rep.add("lie_beta_projection", max_abs(proj - beta_v))
 
 
 def _holomorphic_flags(rep: CheckReport, base: H.KahlerInstance, theta: np.ndarray,
@@ -745,8 +743,8 @@ def _closed_correction(rep: CheckReport, base: H.KahlerInstance, theta: np.ndarr
     x_cl = WPVector(base, jh_cl)
     h_cl = 0.5 * (x_cl.f - 1j * x_cl.g)
     theta_hat = b_cl + h_cl * theta
-    rep.add("closed_correction", float(np.max(np.abs(
-        G.exterior_d(grid, theta_hat, n)))) if n < grid.d else 0.0)
+    rep.add("closed_correction",
+            max_abs(G.exterior_d(grid, theta_hat, n)) if n < grid.d else 0.0)
     rep.add("closed_correction_mean", abs(G.integrate_against_volume(grid, h_cl, base.rho)))
 
     x2_cl = WPVector(base, _closed_jhat(base, seed + 5, amplitude))
@@ -778,14 +776,14 @@ def _integrability_bridge(rep: CheckReport, grid: TorusGrid, seed: int,
     lhs_b = G.pq_project_f(grid, d_th, n + 1, J_non, n - 1, 2)
     N, _ = C.nijenhuis(grid, J_non)
     rhs_b = 0.25 * combi.interior_pairs_coef(N, th_j, grid.d, n)
-    rep.add("integrability_bridge", float(np.max(np.abs(lhs_b - rhs_b)))
-            / max(1e-3, float(np.max(np.abs(rhs_b)))))
+    rep.add("integrability_bridge", max_abs(lhs_b - rhs_b)
+            / max(1e-3, max_abs(rhs_b)))
     if n >= 2:
         # complex dimension one is always integrable; the defect is nonzero
         # only from n = 2 on
-        rep.add_flag("bridge_nonzero", float(np.max(np.abs(rhs_b))) > 1e-6)
+        rep.add_flag("bridge_nonzero", max_abs(rhs_b) > 1e-6)
     else:
-        rep.add("bridge_vanishes_n1", float(np.max(np.abs(rhs_b))))
+        rep.add("bridge_vanishes_n1", max_abs(rhs_b))
 
 
 def _integrable_theta(rep: CheckReport, base: H.KahlerInstance, theta: np.ndarray,
@@ -801,4 +799,4 @@ def _integrable_theta(rep: CheckReport, base: H.KahlerInstance, theta: np.ndarra
     rho_int = rho_from_theta(grid, th_int)
     ric = Ric.ricci_form(grid, rho_int, J_int,
                          volume_tol=1e-7 if grid.m <= 16 else 1e-9)
-    rep.add("flat_bundle_ricci_zero", float(np.max(np.abs(ric.ric))))
+    rep.add("flat_bundle_ricci_zero", max_abs(ric.ric))

@@ -5,8 +5,8 @@ compute something the package computes (an RK4 flow for the Lie
 derivatives, the conformal Gaussian curvature for the Ricci form, the
 special connections and the first Bianchi identity for the curvature, the
 four-term ∂̄ on TM-valued 1-forms, the Nijenhuis tensor's two routes as
-four-term expressions, Λ through the stacked ∇Ĵ and ∇J, and the d⁺ ranks
-one mode at a time), so
+four-term expressions, Λ through the stacked ∇Ĵ and ∇J, the d⁺ ranks
+one mode at a time, and the (p, q) projection as a circle average), so
 they live with the tests rather than in ``geodesk``.
 """
 
@@ -169,6 +169,25 @@ def lambda_rho_stacked(grid: TorusGrid, J: np.ndarray, jhat: np.ndarray,
     nJ = cov_endo(grid, conn, J)
     return (P.contract("iij...->j...", nJh)
             + 0.5 * P.contract("ab...,bc...,jca...->j...", jhat, J, nJ))
+
+
+def pq_project_circle(a: np.ndarray, dim: int, k: int, J: np.ndarray, p: int, q: int) -> np.ndarray:
+    """``combi.pq_project_coef`` as an exact circle average: pulls back by
+    R_t = cos(t) + sin(t) J (exact since J² = −1) and weights by e^{−i(p−q)t};
+    the integrand is a trig polynomial of degree ≤ k in t, so 2k + 2
+    equispaced samples integrate it exactly."""
+    if p + q != k:
+        raise ValueError("p + q must equal the form degree")
+    nsamp = 2 * k + 2
+    eye = np.eye(dim)
+    if J.ndim > 2:
+        eye = eye.reshape((dim, dim) + (1,) * (J.ndim - 2))
+    out = np.zeros(a.shape, dtype=complex)
+    for s in range(nsamp):
+        t = 2.0 * np.pi * s / nsamp
+        R = np.cos(t) * eye + np.sin(t) * J
+        out = out + np.exp(-1j * (p - q) * t) * combi.pullback_linear_coef(a, dim, k, R)
+    return out / nsamp
 
 
 def dplus_ranks_per_mode(grid: TorusGrid, kmax: int) -> dict:

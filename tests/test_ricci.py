@@ -133,7 +133,7 @@ def test_tau_contracted_route_matches_full_curvature(n, m, volume):
     conn = R.default_volume_connection(g, rho)
     assert (np.max(np.abs(conn.gamma)) == 0.0) == (volume == "flat")
     ref = _tau_from_full_curvature(g, conn, J)
-    tau = R.tau_two_form(g, conn, J)
+    tau = R.tau_lambda(g, conn, J)[0]
     assert np.max(np.abs(tau - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -141,10 +141,9 @@ def test_tau_peak_memory_below_one_curvature_array():
     g = TorusGrid(2, 12)
     rho, J, _, _ = R.seeded_instance(g, 1, 0.05)
     conn = R.default_volume_connection(g, rho)
-    nJ = C.cov_endo(g, conn, J)
     tracemalloc.start()
     try:
-        R.tau_two_form(g, conn, J, nJ)
+        R.tau_lambda(g, conn, J)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

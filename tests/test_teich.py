@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from geodesk import cli
+from geodesk import connection as C
 from geodesk import grid as G
 from geodesk import hodge as H
 from geodesk import ricci as Ric
@@ -48,6 +49,35 @@ def test_roundtrip_with_adapted_theta():
     beta = T.theta_beta(g, jh, theta, J)
     back = T.beta_theta(g, beta, theta, J)
     assert np.max(np.abs(back - jh)) <= 1e-10
+
+
+def test_constant_inputs_take_their_shortcuts(monkeypatch):
+    # one grid test decides "constant" for the Levi-Civita and volume
+    # connections, the (f, g) split and the θ solve; a NaN is never constant
+    g = TorusGrid(1, 16)
+    J0 = G.standard_j_field(g)
+    assert G.is_constant(g, J0) and G.is_constant(g, T.standard_theta(g))
+    assert not G.is_constant(g, G.random_band_limited(g, "acs", 5, 0.1))
+    J0[0, 0] = np.nan
+    assert not G.is_constant(g, J0) and not G.is_constant(g, J0[0, 0])
+    base, theta = H.flat_instance(g), T.standard_theta(g)
+    jh = G.constant_field(g, np.diag([1.0, -1.0]))
+    beta = T.theta_beta(g, jh, theta)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a constant input took the varying route")
+
+    pinv, ndims = np.linalg.pinv, []
+    monkeypatch.setattr(TorusGrid, "derivs", refuse)
+    monkeypatch.setattr(H, "fg_decompose", refuse)
+    monkeypatch.setattr(np.linalg, "pinv", lambda M: (ndims.append(M.ndim), pinv(M))[1])
+    assert C.levi_civita(g, G.constant_field(g, np.diag([2.0, 3.0]))).zero
+    monkeypatch.setattr(C, "levi_civita", refuse)
+    assert C.conformally_flat_volume_connection(g, 2.0 * G.standard_volume_field(g)).zero
+    x = T.WPVector(base, jh)
+    assert not np.any(x.f) and not np.any(x.g) and not np.any(x.lam)
+    np.testing.assert_allclose(T.beta_theta(g, beta, theta), jh, atol=1e-14)
+    assert ndims == [2]  # one pseudo-inverse, at the origin
 
 
 def test_fg_decompose_rejects_nonclosed():

@@ -12,6 +12,7 @@ from geodesk import combi
 from geodesk.combi import standard_j, standard_omega_matrix, vol_sign
 from geodesk.errors import DomainError
 from geodesk.lincs import LinCS
+from oracles import pq_project_circle
 
 
 def random_form(rng, n, k, complex_=False):
@@ -195,6 +196,41 @@ def test_pq_quarter_identity_for_two_forms():
             rhs = (0.25 * (w - combi.pullback_linear_coef(w, 2 * n, 2, J))
                    - 0.25j * combi.derivation_coef(J, w, 2 * n, 2))
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+
+def _seeded_j(rng, n):
+    """A constant complex structure S J0 S⁻¹ away from J0."""
+    S = np.eye(2 * n) + 0.3 * rng.standard_normal((2 * n, 2 * n))
+    return S @ standard_j(n) @ np.linalg.inv(S)
+
+
+def test_pq_project_matches_the_circle_average():
+    # the Lagrange polynomial in the J-derivation against the 2k + 2 pullbacks
+    rng = np.random.default_rng(22)
+    for n in (1, 2, 3):
+        J = _seeded_j(rng, n)
+        for k in range(2 * n + 1):
+            a = random_form(rng, n, k, complex_=True)
+            for p in range(k + 1):
+                ref = pq_project_circle(a, 2 * n, k, J, p, k - p)
+                out = combi.pq_project_coef(a, 2 * n, k, J, p, k - p)
+                assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(a)), (n, k, p)
+
+
+def test_compound_apply_is_every_minor_determinant():
+    # out_I = Σ_J det(A[I, J]) a_J with one LAPACK determinant per minor,
+    # k = 0 (the empty minor, det 1) and k = dim included
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 3):
+        d = 2 * n
+        A = rng.standard_normal((d, d))
+        for k in range(d + 1):
+            a = random_form(rng, n, k, complex_=True)
+            cs = combi.combos(d, k)
+            ref = np.array([sum(np.linalg.det(A[np.ix_(I, J)]) * a[jj] for jj, J in enumerate(cs))
+                            for I in cs])
+            out = combi.compound_apply(A, a, d, k)
+            assert np.max(np.abs(out - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref))), (n, k)
 
 
 def test_hodge_star_basics():
