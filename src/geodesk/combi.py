@@ -220,28 +220,12 @@ def pq_project_coef(a: np.ndarray, dim: int, k: int, J: np.ndarray, p: int, q: i
 
 
 def interior_pairs_coef(N: np.ndarray, theta: np.ndarray, dim: int, k: int) -> np.ndarray:
-    """Insert a TM-valued 2-form N into a k-form θ over all slot pairs.
-
-    Returns the (k+1)-form with value
+    """Insert a TM-valued 2-form N into a k-form θ over all slot pairs: the
+    (k+1)-form Σ_l N^l ∧ ι(∂_l)θ, N^l the 2-form N^l_{ij}, whose value is
     sum_{i<j} (−1)^{i+j−1} θ(N(v_i, v_j), v_1, .., v̂_i, .., v̂_j, .., v_{k+1});
     N has layout N[l, i, j] = l-th component of N(e_i, e_j).
     """
-    idx_th = combo_index(dim, k)
-    cs_out = combos(dim, k + 1)
-    out = np.zeros((len(cs_out),) + np.broadcast_shapes(theta.shape[1:], N.shape[3:]),
-                   dtype=np.result_type(theta.dtype, N.dtype))
-    for i_out, K in enumerate(cs_out):
-        acc = 0.0
-        for pi in range(k + 1):
-            for pj in range(pi + 1, k + 1):
-                rest = tuple(x for r, x in enumerate(K) if r not in (pi, pj))
-                pair_sign = (-1) ** (pi + pj - 1)
-                for l in range(dim):
-                    if l in rest:
-                        continue
-                    ins = tuple(sorted((l,) + rest))
-                    before = sum(1 for x in rest if x < l)
-                    sgn = pair_sign * ((-1) ** before)
-                    acc = acc + sgn * N[l, K[pi], K[pj]] * theta[idx_th[ins]]
-        out[i_out] = acc
-    return out
+    i, j = np.array(combos(dim, 2)).T
+    eye = np.eye(dim)
+    return sum(wedge_coef(N[l, i, j], interior_coef(eye[l], theta, dim, k), dim, 2, k - 1)
+               for l in range(dim))

@@ -16,28 +16,26 @@ from .grid import TorusGrid, constant_field, form_from_matrix, is_constant, metr
 from .report import max_abs, rel_max1
 
 
-def compatible_pair(grid: TorusGrid, rho: np.ndarray, J: np.ndarray,
-                    g0: np.ndarray | None = None, tol: float = 1e-10):
+def compatible_pair(grid: TorusGrid, rho: np.ndarray, J: np.ndarray):
     """Metric and 2-form compatible with J whose volume form is exactly ρ.
 
-    Builds g = (ρ/dvol)^{1/n} (g0 + J*g0) and ω = g(J·, ·); raises if the
-    result misses compatibility or the volume normalization.
+    Builds g = (ρ/dvol)^{1/n} (I + J*I) and ω = g(J·, ·); raises if the
+    result misses compatibility or the volume normalization by more than
+    1e-10 (relative, floored at 1).
     """
     rho_density = vol_sign(grid.n) * rho[0]
     if np.any(rho_density <= 0):
         raise DomainError("compatible_pair: volume form must be positive")
-    if g0 is None:
-        g0 = constant_field(grid, np.eye(grid.d))
-    _check_spd(g0, "compatible_pair")
-    gJ = g0 + P.contract("ki...,kl...,lj...->ij...", J, g0, J)  # g0 + g0(J·, J·)
+    eye = constant_field(grid, np.eye(grid.d))
+    gJ = eye + P.contract("ki...,kl...,lj...->ij...", J, eye, J)  # I + I(J·, J·)
     scale = (rho_density / metric_sqrt_det(gJ)) ** (1.0 / grid.n)
     g = scale * gJ
     omega_mat = P.contract("ki...,kj...->ij...", J, g)
     asym = max_abs(omega_mat + np.swapaxes(omega_mat, 0, 1))
-    if asym > tol * max(1.0, max_abs(omega_mat)):
+    if asym > 1e-10 * max(1.0, max_abs(omega_mat)):
         raise DomainError(f"compatible_pair: ω not antisymmetric ({asym:.2e})")
     vol_resid = max_abs(metric_sqrt_det(g) - rho_density)
-    if vol_resid > tol * max(1.0, float(np.max(rho_density))):
+    if vol_resid > 1e-10 * max(1.0, float(np.max(rho_density))):
         raise DomainError(f"compatible_pair: volume residual {vol_resid:.2e}")
     return g, form_from_matrix(grid, omega_mat)
 
@@ -230,33 +228,18 @@ def cov_volume_residual(grid: TorusGrid, conn: ConnectionField, rho: np.ndarray)
     return rel_max1(out, r)
 
 
-def nijenhuis(grid: TorusGrid, J: np.ndarray, conn: ConnectionField | None = None):
-    """Nijenhuis tensor N[k, i, j] = N(∂_i, ∂_j)^k, by two routes.
-
-    Route one uses spectral derivatives of J directly; route two uses the
-    torsion-free connection formula.  Returns (N, agreement residual).
-    Each route's four terms are summed into one output, left to right, the
-    last three by ``P.contract_add``, so no full-grid term is built; Γ ≡ 0
-    (no ``conn``, or ``conn.zero``) takes ∇J = ∂J, so J is differentiated
-    once, and ∂J and ∇J are dropped before the difference.
-    """
-    flat = conn is None or conn.zero
-    if not flat and not conn.torsion_free:
-        raise DomainError("nijenhuis: connection must be torsion-free")
+def nijenhuis(grid: TorusGrid, J: np.ndarray) -> np.ndarray:
+    """Nijenhuis tensor N[k, i, j] = N(∂_i, ∂_j)^k from spectral derivatives
+    of J (the frame/bracket route): J^m_i ∂_m J^k_j − J^m_j ∂_m J^k_i
+    + J^k_m(∂_j J^m_i − ∂_i J^m_j).  The four terms are summed into one
+    output, left to right, the last three by ``P.contract_add``, so no
+    full-grid term is built."""
     dJ = grid.derivs(J)  # dJ[m, k, j] = ∂_m J^k_j
-    # frame/bracket route: J^m_i ∂_m J^k_j − J^m_j ∂_m J^k_i + J^k_m(∂_j J^m_i − ∂_i J^m_j)
-    n_bracket = P.contract("mi...,mkj...->kij...", J, dJ)
-    P.contract_add(n_bracket, -1, "mj...,mki...->kij...", J, dJ)
-    P.contract_add(n_bracket, 1, "km...,jmi...->kij...", J, dJ)
-    P.contract_add(n_bracket, -1, "km...,imj...->kij...", J, dJ)
-    nJ = dJ if flat else cov_endo(grid, conn, J)  # [m, k, j] = (∇_m J)^k_j
-    del dJ
-    n_conn = P.contract("ikm...,mj...->kij...", nJ, J)
-    P.contract_add(n_conn, 1, "mi...,mkj...->kij...", J, nJ)
-    P.contract_add(n_conn, -1, "jkm...,mi...->kij...", nJ, J)
-    P.contract_add(n_conn, -1, "mj...,mki...->kij...", J, nJ)
-    del nJ
-    return n_bracket, rel_max1(np.subtract(n_bracket, n_conn, out=n_conn), n_bracket)
+    out = P.contract("mi...,mkj...->kij...", J, dJ)
+    P.contract_add(out, -1, "mj...,mki...->kij...", J, dJ)
+    P.contract_add(out, 1, "km...,jmi...->kij...", J, dJ)
+    P.contract_add(out, -1, "km...,imj...->kij...", J, dJ)
+    return out
 
 
 def conformally_flat_volume_connection(grid: TorusGrid, rho: np.ndarray) -> ConnectionField:

@@ -225,17 +225,8 @@ def form_to_matrix(grid: TorusGrid, coef: np.ndarray) -> np.ndarray:
     return out
 
 
-def form_degree(grid: TorusGrid, coef: np.ndarray) -> int:
-    for k in range(grid.d + 1):
-        if coef.shape[0] == combi.n_combos(grid.d, k):
-            return k
-    raise UsageError("coefficient array does not match any form degree")
-
-
-def exterior_d(grid: TorusGrid, coef: np.ndarray, k: int | None = None) -> np.ndarray:
+def exterior_d(grid: TorusGrid, coef: np.ndarray, k: int) -> np.ndarray:
     """Spectral exterior derivative of a k-form field."""
-    if k is None:
-        k = form_degree(grid, coef)
     if k >= grid.d:
         raise UsageError("exterior_d: form already has top degree")
     i_hi, j, i_lo, sign = combi._interior_table(grid.d, k + 1)
@@ -253,20 +244,13 @@ def exterior_d(grid: TorusGrid, coef: np.ndarray, k: int | None = None) -> np.nd
     return inverse(out_hat)
 
 
-def wedge_f(grid: TorusGrid, a: np.ndarray, b: np.ndarray,
-            p: int | None = None, q: int | None = None) -> np.ndarray:
-    if p is None:
-        p = form_degree(grid, a)
-    if q is None:
-        q = form_degree(grid, b)
+def wedge_f(grid: TorusGrid, a: np.ndarray, b: np.ndarray, p: int, q: int) -> np.ndarray:
     if p + q > grid.d:
         raise UsageError("wedge_f: degree exceeds dimension")
     return combi.wedge_coef(a, b, grid.d, p, q)
 
 
-def interior_f(grid: TorusGrid, v: np.ndarray, a: np.ndarray, k: int | None = None) -> np.ndarray:
-    if k is None:
-        k = form_degree(grid, a)
+def interior_f(grid: TorusGrid, v: np.ndarray, a: np.ndarray, k: int) -> np.ndarray:
     if k < 1:
         raise UsageError("interior_f: form must have degree >= 1")
     return combi.interior_coef(v, a, grid.d, k)
@@ -298,20 +282,16 @@ def _star_metric(grid: TorusGrid, g: np.ndarray | None):
     return P.inv(g), metric_sqrt_det(g)
 
 
-def star_f(grid: TorusGrid, coef: np.ndarray, k: int | None = None,
+def star_f(grid: TorusGrid, coef: np.ndarray, k: int,
            g: np.ndarray | None = None) -> np.ndarray:
     """Hodge star; flat metric when g is None."""
-    if k is None:
-        k = form_degree(grid, coef)
     return combi.star_coef(coef, grid.d, k, *_star_metric(grid, g), vol_sign(grid.n))
 
 
-def codiff_f(grid: TorusGrid, coef: np.ndarray, k: int | None = None,
+def codiff_f(grid: TorusGrid, coef: np.ndarray, k: int,
              g: np.ndarray | None = None) -> np.ndarray:
     """d* = −*d* (even-dimensional convention, all degrees); g⁻¹ and √det g
     are computed once for both stars."""
-    if k is None:
-        k = form_degree(grid, coef)
     if k < 1:
         raise UsageError("codiff_f: degree must be >= 1")
     d, metric, sign = grid.d, _star_metric(grid, g), vol_sign(grid.n)
@@ -319,19 +299,14 @@ def codiff_f(grid: TorusGrid, coef: np.ndarray, k: int | None = None,
     return -combi.star_coef(exterior_d(grid, star, d - k), d, d - k + 1, *metric, sign)
 
 
-def form_inner_f(grid: TorusGrid, a: np.ndarray, b: np.ndarray, k: int,
-                 g: np.ndarray | None = None) -> np.ndarray:
-    ginv = np.eye(grid.d) if g is None else P.inv(g)
-    return combi.metric_inner_coef(a, b, grid.d, k, ginv)
-
-
 def l2_inner_form(grid: TorusGrid, a: np.ndarray, b: np.ndarray, k: int,
-                  g: np.ndarray | None = None, rho: np.ndarray | None = None):
-    """L² pairing ∫ <a, b> vol_g; ρ defaults to the metric volume."""
+                  rho: np.ndarray | None = None):
+    """L² pairing ∫ <a, b> ρ of k-forms for the flat metric; ρ defaults to
+    its volume form."""
     if rho is None:
-        sq = 1.0 if g is None else metric_sqrt_det(g)
-        rho = standard_volume_field(grid) * sq
-    return integrate_against_volume(grid, form_inner_f(grid, a, b, k, g), rho)
+        rho = standard_volume_field(grid)
+    return integrate_against_volume(
+        grid, combi.metric_inner_coef(a, b, grid.d, k, np.eye(grid.d)), rho)
 
 
 def pq_project_f(grid: TorusGrid, coef: np.ndarray, k: int, J: np.ndarray,
@@ -356,9 +331,7 @@ def lie_endo(grid: TorusGrid, v: np.ndarray, E: np.ndarray) -> np.ndarray:
             + P.contract("ik...,jk...->ij...", E, dv))
 
 
-def lie_form(grid: TorusGrid, v: np.ndarray, a: np.ndarray, k: int | None = None) -> np.ndarray:
-    if k is None:
-        k = form_degree(grid, a)
+def lie_form(grid: TorusGrid, v: np.ndarray, a: np.ndarray, k: int) -> np.ndarray:
     if k == 0:
         return P.contract("j...,j...->...", v, grid.derivs(a))
     out = exterior_d(grid, interior_f(grid, v, a, k), k - 1)
@@ -394,8 +367,12 @@ def vector_from_contraction(grid: TorusGrid, rho: np.ndarray, sigma: np.ndarray)
 # Poisson solves
 
 
-def poisson_solve(grid: TorusGrid, f: np.ndarray, g: np.ndarray | None = None,
-                  tol: float = 1e-10, max_iter: int = 800) -> np.ndarray:
+# relative residual at which poisson_solve's CG stops, and its iteration cap
+_CG_TOL = 1e-10
+_CG_MAX_ITER = 800
+
+
+def poisson_solve(grid: TorusGrid, f: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
     """Solve Δu = f with Δ = d*d ≥ 0, mean-zero u.
 
     Flat metric: ``flat_green``, exact.  Curved metric: preconditioned CG on
@@ -414,9 +391,7 @@ def poisson_solve(grid: TorusGrid, f: np.ndarray, g: np.ndarray | None = None,
     coef = P.contract("ij...->...", ginv * sq) / grid.d  # scale for the preconditioner
 
     def op(u):
-        du = grid.derivs(u)
-        flux = P.contract("ij...,j...->i...", ginv, du) * sq
-        return -sum(grid.deriv(flux[i], i) for i in range(grid.d))
+        return _divergence_form(grid, u, ginv, sq)
 
     def precond(r):
         return flat_green(grid, r) / float(np.mean(coef))
@@ -427,12 +402,12 @@ def poisson_solve(grid: TorusGrid, f: np.ndarray, g: np.ndarray | None = None,
     p = z
     rz = np.sum(r * z)
     norm_rhs = np.sqrt(np.sum(rhs * rhs))
-    for _ in range(max_iter):
+    for _ in range(_CG_MAX_ITER):
         Ap = op(p)
         alpha = rz / np.sum(p * Ap)
         u = u + alpha * p
         r = r - alpha * Ap
-        if np.sqrt(np.sum(r * r)) <= tol * norm_rhs:
+        if np.sqrt(np.sum(r * r)) <= _CG_TOL * norm_rhs:
             break
         z = precond(r)
         rz_new = np.sum(r * z)
@@ -461,10 +436,14 @@ def laplacian(grid: TorusGrid, u: np.ndarray, g: np.ndarray | None = None) -> np
         out = grid.ifft(grid._cache()["ksq"] * grid.fft(u))
         return out.real if np.isrealobj(u) else out
     sq = metric_sqrt_det(g)
-    ginv = P.inv(g)
-    du = grid.derivs(u)
-    flux = P.contract("ij...,j...->i...", ginv, du) * sq
-    return -sum(grid.deriv(flux[i], i) for i in range(grid.d)) / sq
+    return _divergence_form(grid, u, P.inv(g), sq) / sq
+
+
+def _divergence_form(grid: TorusGrid, u: np.ndarray, ginv: np.ndarray,
+                     sq: np.ndarray) -> np.ndarray:
+    """−Σ_i ∂_i(√g g^{ij} ∂_j u), from g⁻¹ and √det g."""
+    flux = P.contract("ij...,j...->i...", ginv, grid.derivs(u)) * sq
+    return -sum(grid.deriv(flux[i], i) for i in range(grid.d))
 
 
 # ---------------------------------------------------------------------------
@@ -546,12 +525,13 @@ def random_band_limited(grid: TorusGrid, kind: str, seed: int, amplitude: float 
     raise UsageError(f"unknown field kind {kind!r}")
 
 
-def matrix_exp_field(F: np.ndarray, order: int = 12) -> np.ndarray:
-    """Pointwise exp of an endomorphism field with small entries."""
+def matrix_exp_field(F: np.ndarray) -> np.ndarray:
+    """Pointwise exp of an endomorphism field with small entries: its Taylor
+    series to order 12."""
     d = F.shape[0]
     out = constant_field_like(F, np.eye(d))
     term = out.copy()
-    for k in range(1, order + 1):
+    for k in range(1, 13):
         term = P.mul(term, F) / k
         out = out + term
     return out
@@ -561,23 +541,21 @@ def constant_field_like(F: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return np.broadcast_to(mat.reshape(mat.shape + (1,) * (F.ndim - 2)), F.shape).copy()
 
 
-def random_acs_symplectic(grid: TorusGrid, seed: int, amplitude: float = 0.1,
-                          band: int | None = None) -> np.ndarray:
+def random_acs_symplectic(grid: TorusGrid, seed: int, amplitude: float = 0.1) -> np.ndarray:
     """ω0-compatible almost complex structure field e^ξ J0 e^{−ξ}, ξ ∈ sp(2n)."""
     if amplitude > ACS_AMPLITUDE_CAP:
         raise UsageError(f"amplitude capped at {ACS_AMPLITUDE_CAP}")
     if not amplitude:
         return standard_j_field(grid)
-    E = matrix_exp_field(random_hamiltonian_matrix_field(grid, seed, amplitude, band))
+    E = matrix_exp_field(random_hamiltonian_matrix_field(grid, seed, amplitude))
     return P.mul(E, standard_j_field(grid), P.inv(E))
 
 
-def random_hamiltonian_matrix_field(grid: TorusGrid, seed: int, amplitude: float = 0.1,
-                                    band: int | None = None) -> np.ndarray:
-    """Band-limited field with values in sp(2n)."""
+def random_hamiltonian_matrix_field(grid: TorusGrid, seed: int,
+                                    amplitude: float = 0.1) -> np.ndarray:
+    """Field with values in sp(2n), band-limited to ``acs_band``."""
     rng = np.random.default_rng(seed)
-    S = _smooth_channels(grid, rng, (grid.d, grid.d), amplitude,
-                         acs_band(grid.m) if band is None else band)
+    S = _smooth_channels(grid, rng, (grid.d, grid.d), amplitude, acs_band(grid.m))
     S = 0.5 * (S + np.swapaxes(S, 0, 1))
     Winv = np.linalg.inv(standard_omega_matrix(grid.n))
     return P.contract("ik,kj...->ij...", Winv, S)
@@ -588,14 +566,14 @@ def random_hamiltonian_matrix_field(grid: TorusGrid, seed: int, amplitude: float
 
 
 _INTERP_BYTES = 1 << 24  # budget for the largest temporary of fourier_interpolate
+_INTERP_REL_CUT = 1e-14  # the modes fourier_interpolate keeps, relative to the largest
 
 
-def fourier_interpolate(grid: TorusGrid, arr: np.ndarray, pts: np.ndarray,
-                        rel_cut: float = 1e-14) -> np.ndarray:
+def fourier_interpolate(grid: TorusGrid, arr: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Evaluate the trigonometric interpolant of arr at points (d, P).
 
     Sums exactly the Fourier modes whose magnitude, over all components,
-    exceeds ``rel_cut`` times the largest.  The sum factors over the torus
+    exceeds ``_INTERP_REL_CUT`` times the largest.  The sum factors over the torus
     axes: the kept modes lie in the box K_0 × … × K_{d−1} of the frequencies
     each axis keeps, and the other modes of the box are zeroed.  Each chunk of
     points builds per-axis phase tables exp(i k x_j), contracts the last axis
@@ -609,7 +587,7 @@ def fourier_interpolate(grid: TorusGrid, arr: np.ndarray, pts: np.ndarray,
     flat = arr.reshape((-1,) + grid.shape)
     F = grid.fft(flat) / grid.npoints
     mags = np.max(np.abs(F), axis=0)
-    mask = mags > rel_cut * np.max(mags)
+    mask = mags > _INTERP_REL_CUT * np.max(mags)
     npts = pts.shape[1]
     if not mask.any():  # a zero (or NaN) field: no mode is kept
         return np.zeros(comp_shape + (npts,), dtype=float if np.isrealobj(arr) else complex)

@@ -20,20 +20,23 @@ from .report import CheckReport, max_abs, rel_max1, rel_plus1
 # Kähler instances
 
 
+# largest dω, asymmetry of ω(·, J·) and ∇J a KahlerInstance accepts
+_KAHLER_TOL = 1e-8
+
+
 class KahlerInstance:
     """Compatible (ω, J, g, ρ) with Levi-Civita data on a torus grid."""
 
-    def __init__(self, grid: TorusGrid, omega: np.ndarray, J: np.ndarray,
-                 kahler_tol: float = 1e-8):
+    def __init__(self, grid: TorusGrid, omega: np.ndarray, J: np.ndarray):
         self.grid = grid
         self.omega = omega
         self.J = J
         d_omega = max_abs(G.exterior_d(grid, omega, 2)) if grid.d > 2 else 0.0
-        if d_omega > kahler_tol:
+        if d_omega > _KAHLER_TOL:
             raise DomainError(f"instance is not symplectic (dω residual {d_omega:.2e})")
         g = P.mul(G.form_to_matrix(grid, omega), J)
         asym = max_abs(g - np.swapaxes(g, 0, 1))
-        if asym > kahler_tol:
+        if asym > _KAHLER_TOL:
             raise DomainError(f"(ω, J) not compatible (asymmetry {asym:.2e})")
         self.metric = 0.5 * (g + np.swapaxes(g, 0, 1))
         C._check_spd(self.metric, "KahlerInstance")
@@ -41,7 +44,7 @@ class KahlerInstance:
         self.rho = G.standard_volume_field(grid) * G.metric_sqrt_det(self.metric)
         self.lc = C.levi_civita(grid, self.metric)
         self.nabla_j_residual = max_abs(C.cov_endo(grid, self.lc, J))
-        if self.nabla_j_residual > kahler_tol:
+        if self.nabla_j_residual > _KAHLER_TOL:
             raise DomainError(f"∇J residual {self.nabla_j_residual:.2e}: not Kähler")
 
     def frame(self) -> np.ndarray:
@@ -61,13 +64,12 @@ def conformal_instance(grid: TorusGrid, phi: np.ndarray) -> KahlerInstance:
                           G.standard_j_field(grid))
 
 
-def potential_instance(grid: TorusGrid, h: np.ndarray,
-                       kahler_tol: float = 1e-8) -> KahlerInstance:
+def potential_instance(grid: TorusGrid, h: np.ndarray) -> KahlerInstance:
     """ω0 + ½ d(dh∘J0) with the constant J0."""
     J0 = G.standard_j_field(grid)
     dh_j = G.one_form_compose_j(G.exterior_d(grid, h[None], 0), J0)
     omega = G.standard_omega_field(grid) + 0.5 * G.exterior_d(grid, dh_j, 1)
-    return KahlerInstance(grid, omega, J0, kahler_tol)
+    return KahlerInstance(grid, omega, J0)
 
 
 # ---------------------------------------------------------------------------
@@ -234,18 +236,18 @@ def project_coclosed_q1(flat: KahlerInstance, jhat: np.ndarray) -> np.ndarray:
     return jhat - dbar_exact_part(flat, jhat)
 
 
-def fg_decompose(base: KahlerInstance, jhat: np.ndarray, dbar_tol: float = 1e-7):
+def fg_decompose(base: KahlerInstance, jhat: np.ndarray):
     """The unique mean-zero (f, g) with Λ(J, Ĵ) = −df∘J + dg on the flat
     instance, by the flat Poisson solves Δg = d*Λ and Δf = d*(Λ∘J).
 
     Returns (f, g, Λ, ∂̄ residual, plug-back residual): the residuals are
     ∂̄Ĵ relative to Ĵ and Λ + df∘J − dg relative to Λ (``rel_max1``).  ∇Ĵ is
-    taken once, for the ∂̄ guard and for Λ.  Raises unless ∂̄Ĵ ≈ 0 and the
-    split plugs back."""
+    taken once, for the ∂̄ guard and for Λ.  Raises unless both residuals
+    are small: ∂̄Ĵ at most 1e-7, the plug-back at most 1e-6."""
     grid = base.grid
     nJh = C.cov_endo(grid, base.lc, jhat)
     dbar = rel_max1(dbar_q1(base, jhat, nJh), jhat)
-    if dbar > dbar_tol:
+    if dbar > 1e-7:
         raise DomainError(f"fg_decompose: ∂̄Ĵ residual {dbar:.2e}")
     lam = Ric.lambda_rho(grid, base.rho, base.J, jhat, base.lc, nJh=nJh)
     del nJh
@@ -588,7 +590,7 @@ def _ddc_nijenhuis(rep: CheckReport, grid: TorusGrid, seed: int, amplitude: floa
     tau_f = G.exterior_d(grid, G.one_form_compose_j(df, J_non), 1)
     tm = G.form_to_matrix(grid, tau_f)
     lhs = tm - P.mul(J_non.swapaxes(0, 1), tm, J_non)
-    N, _ = C.nijenhuis(grid, J_non)
+    N = C.nijenhuis(grid, J_non)
     jn = P.contract("kl...,lij...->kij...", J_non, N)
     rhs = P.contract("k...,kij...->ij...", df, jn)
     rep.add("ddc_nijenhuis", rel_max1(lhs - rhs, rhs))
@@ -638,7 +640,7 @@ def _selfdual_checks(rep: CheckReport, inst: KahlerInstance) -> None:
     consts = np.eye(6)
     sd = []
     for c in consts:
-        w = np.broadcast_to(c.reshape(6, 1, 1, 1, 1), (6,) + grid.shape).copy()
+        w = G.constant_field(grid, c)
         sd.append((G.star_f(grid, w, 2) + w).reshape(6, -1)[:, 0] / 2.0)
     rank = int(np.linalg.matrix_rank(np.column_stack(sd), tol=1e-8))
     rep.add_flag("b2_plus_is_three", rank == 3)

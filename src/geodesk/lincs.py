@@ -68,9 +68,10 @@ class LinCS:
         return cls(standard_j(n))
 
 
-def expm(a: np.ndarray, order: int = 18) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring Taylor series.  A result
-    that would not be finite raises NumericError, with no warning printed."""
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling-and-squaring Taylor series of order 18.
+    A result that would not be finite raises NumericError, with no warning
+    printed."""
     a = np.asarray(a, dtype=float)
     norm = np.linalg.norm(a, ord=np.inf)
     if not np.isfinite(norm):
@@ -81,7 +82,7 @@ def expm(a: np.ndarray, order: int = 18) -> np.ndarray:
     term = np.eye(a.shape[0])
     try:
         with np.errstate(over="raise", invalid="raise"):
-            for k in range(1, order + 1):
+            for k in range(1, 19):
                 term = term @ b / k
                 out = out + term
             for _ in range(squarings):
@@ -209,12 +210,12 @@ def symplectic_action(g: np.ndarray, Z: SiegelPoint) -> SiegelPoint:
     return SiegelPoint(0.5 * (W + W.T))
 
 
-def random_symplectic(rng: np.random.Generator, n: int, scale: float = 0.3) -> np.ndarray:
-    """exp(ξ) with ξ in sp(2n): ξᵀΩ + Ωξ = 0."""
+def random_symplectic(rng: np.random.Generator, n: int) -> np.ndarray:
+    """exp(ξ) with ξ in sp(2n): ξᵀΩ + Ωξ = 0, ξ = Ω⁻¹S for a symmetric S of
+    normal entries scaled by 0.3."""
     W = standard_omega_matrix(n)
-    S = scale * rng.standard_normal((2 * n, 2 * n))
+    S = 0.3 * rng.standard_normal((2 * n, 2 * n))
     S = 0.5 * (S + S.T)
-    # ξ = Ω^{-1} S is Hamiltonian for symmetric S
     return expm(np.linalg.solve(W, S))
 
 
@@ -229,17 +230,19 @@ def siegel_metric(Z: SiegelPoint, Zhat: np.ndarray) -> float:
     return float(np.trace(a @ a + b @ b).real)
 
 
-def siegel_pushforward_fd(Z: SiegelPoint, Zhat: np.ndarray, step: float = 1e-5) -> np.ndarray:
-    """Central finite-difference push-forward of siegel_to_acs along Ẑ."""
+def siegel_pushforward_fd(Z: SiegelPoint, Zhat: np.ndarray) -> np.ndarray:
+    """Central finite-difference push-forward of siegel_to_acs along Ẑ, step 1e-5."""
+    step = 1e-5
     Zp = SiegelPoint(Z.Z + step * Zhat)
     Zm = SiegelPoint(Z.Z - step * Zhat)
     return (siegel_to_acs(Zp).matrix - siegel_to_acs(Zm).matrix) / (2.0 * step)
 
 
-def random_siegel_point(rng: np.random.Generator, n: int, scale: float = 0.4) -> SiegelPoint:
-    X = scale * rng.standard_normal((n, n))
+def random_siegel_point(rng: np.random.Generator, n: int) -> SiegelPoint:
+    """X + i(1 + AAᵀ) with X symmetric, both from normal entries scaled by 0.4."""
+    X = 0.4 * rng.standard_normal((n, n))
     X = 0.5 * (X + X.T)
-    A = scale * rng.standard_normal((n, n))
+    A = 0.4 * rng.standard_normal((n, n))
     Y = np.eye(n) + A @ A.T
     return SiegelPoint(X + 1j * Y)
 

@@ -304,10 +304,9 @@ def validate_report(doc) -> list[str]:
     return problems
 
 
-def compare_to_baseline(reports: CheckReport | list[CheckReport], baseline: dict,
-                        factor: float = 10.0) -> list[str]:
+def compare_to_baseline(reports: CheckReport | list[CheckReport], baseline: dict) -> list[str]:
     """Names of checks that regressed against the baseline: the residual grew
-    by more than `factor`, is NaN on either side, or the check vanished.
+    by more than a factor 10, is NaN on either side, or the check vanished.
 
     Pass every report of a run together: a baseline check counts as vanished
     only if no suite of the run produced it.  A null baseline residual (a NaN
@@ -321,6 +320,6 @@ def compare_to_baseline(reports: CheckReport | list[CheckReport], baseline: dict
     floor = 1e-15
     grown = [c.name for c in checks if c.name in base and (
         math.isnan(c.residual) or math.isnan(base[c.name])
-        or c.residual > factor * max(base[c.name], floor))]
+        or c.residual > 10.0 * max(base[c.name], floor))]
     return grown + sorted(set(base) - {c.name for c in checks})
 

@@ -33,10 +33,6 @@ def anticommute_project(J: np.ndarray, A: np.ndarray) -> np.ndarray:
     return 0.5 * (A + P.mul(J, A, J))
 
 
-def default_volume_connection(grid: TorusGrid, rho: np.ndarray) -> C.ConnectionField:
-    return C.conformally_flat_volume_connection(grid, rho)
-
-
 def _check_volume_connection(grid: TorusGrid, conn: C.ConnectionField, rho: np.ndarray,
                              volume_tol: float = 1e-9):
     if not conn.torsion_free:
@@ -86,32 +82,29 @@ def tau_lambda(grid: TorusGrid, conn: C.ConnectionField, J: np.ndarray):
 class RicciData:
     """τ, λ, and the assembled Ricci form for one connection choice."""
 
-    grid: TorusGrid
     tau: np.ndarray
     lam: np.ndarray
     ric: np.ndarray
-    connection_tag: str
     closedness_residual: float
 
 
 def ricci_form(grid: TorusGrid, rho: np.ndarray, J: np.ndarray,
                conn: C.ConnectionField | None = None,
-               connection_tag: str = "conformally-flat",
                volume_tol: float = 1e-9) -> RicciData:
-    """Ric = ½(τ + dλ) for a torsion-free ρ-preserving connection."""
+    """Ric = ½(τ + dλ) for a torsion-free ρ-preserving connection, by default
+    the conformally flat volume connection of ρ."""
     if conn is None:
-        conn = default_volume_connection(grid, rho)
+        conn = C.conformally_flat_volume_connection(grid, rho)
     _check_volume_connection(grid, conn, rho, volume_tol)
     tau, lam = tau_lambda(grid, conn, J)
     ric = 0.5 * (tau + G.exterior_d(grid, lam, 1))
     dric = G.exterior_d(grid, ric, 2) if grid.d > 2 else None
     resid = 0.0 if dric is None else rel_max1(dric, ric)
-    return RicciData(grid, tau, lam, ric, connection_tag, resid)
+    return RicciData(tau, lam, ric, resid)
 
 
 def lambda_rho(grid: TorusGrid, rho: np.ndarray, J: np.ndarray, jhat: np.ndarray,
-               conn: C.ConnectionField | None = None,
-               anticommute_tol: float = 1e-8, volume_tol: float = 1e-9,
+               conn: C.ConnectionField | None = None, volume_tol: float = 1e-9,
                nJh: np.ndarray | None = None) -> np.ndarray:
     """Λ_j = Σ_i (∇_iĴ)^i_j + ½ tr(M ∇_jJ), M = ĴJ, as a one-form field,
     from traces: neither ∇Ĵ nor ∇J is built.
@@ -123,16 +116,16 @@ def lambda_rho(grid: TorusGrid, rho: np.ndarray, J: np.ndarray, jhat: np.ndarray
     time, plus tr(JMΓ_j) − tr(MJΓ_j) with (Γ_j)^c_m = Γ^c_{jm}, since
     ∇_jJ = ∂_jJ + [Γ_j, J] and the trace is cyclic.  The Γ terms are added
     by ``P.contract_add``, so beside the inputs only M and one d² transient
-    are held."""
+    are held.  Ĵ must anticommute with J to 1e-8 (relative, floored at 1)."""
     M = P.mul(jhat, J)
     anti_field = P.mul(J, jhat)
     anti_field += M
     anti = max_abs(anti_field)
     del anti_field
-    if anti > anticommute_tol * max(1.0, max_abs(jhat)):
+    if anti > 1e-8 * max(1.0, max_abs(jhat)):
         raise DomainError(f"lambda_rho: Ĵ must anticommute with J ({anti:.2e})")
     if conn is None:
-        conn = default_volume_connection(grid, rho)
+        conn = C.conformally_flat_volume_connection(grid, rho)
     _check_volume_connection(grid, conn, rho, volume_tol)
     if nJh is not None:
         first = P.contract("iij...->j...", nJh)
@@ -152,14 +145,12 @@ def lambda_rho(grid: TorusGrid, rho: np.ndarray, J: np.ndarray, jhat: np.ndarray
     return first
 
 
-def scalar_curvature(grid: TorusGrid, omega: np.ndarray, J: np.ndarray,
-                     ric: np.ndarray | None = None) -> np.ndarray:
+def scalar_curvature(grid: TorusGrid, omega: np.ndarray, J: np.ndarray) -> np.ndarray:
     """S = 2 <Ric, ω> = 2 (Ric ∧ ω^{n−1}/(n−1)!) / (ω^n/n!)."""
     rho = omega_power(grid, omega, grid.n)
     if np.any(G.vol_sign(grid.n) * rho[0] <= 0):
         raise DomainError("scalar_curvature: ω^n must be positive")
-    if ric is None:
-        ric = ricci_form(grid, rho, J).ric
+    ric = ricci_form(grid, rho, J).ric
     if grid.n == 1:
         return 2.0 * ric[0] / rho[0]
     wn1 = omega_power(grid, omega, grid.n - 1)
@@ -270,7 +261,7 @@ def _ricci_variation(rep: CheckReport, grid: TorusGrid, case: int, s: int, ampli
                      rho: np.ndarray, J: np.ndarray, K: np.ndarray, v: np.ndarray) -> None:
     """lambda_pairing, ricci_variation_fd and moment_map_fd on a seeded
     (ρ, J, K, v)."""
-    conn = default_volume_connection(grid, rho)
+    conn = C.conformally_flat_volume_connection(grid, rho)
     rep.add(f"lambda_pairing[{case}]", lambda_pairing(grid, rho, J, K, v, conn))
 
     # variation of the Ricci form along the conjugated path J_t of J by K:
@@ -341,7 +332,7 @@ def _laws_case(rep: CheckReport, grid: TorusGrid, case: int, s: int, amplitude: 
     volume connection at ρ, Ric and Λ(J, Ĵ) for the J-anticommuting part Ĵ
     of K are taken once, for the sections that read them."""
     jhat = anticommute_project(J, K)
-    conn = default_volume_connection(grid, rho)
+    conn = C.conformally_flat_volume_connection(grid, rho)
     base = ricci_form(grid, rho, J, conn)
     lam0 = lambda_rho(grid, rho, J, jhat, conn)
     _conformal_shift(rep, grid, case, s, amplitude, rho, J, jhat, base.ric, lam0)
@@ -358,7 +349,7 @@ def _conformal_shift(rep: CheckReport, grid: TorusGrid, case: int, s: int, ampli
     their values at ρ."""
     f = G.random_band_limited(grid, "scalar", s + 20, amplitude, band=G.acs_band(grid.m))
     rho_f = rho * np.exp(f)
-    conn_f = default_volume_connection(grid, rho_f)
+    conn_f = C.conformally_flat_volume_connection(grid, rho_f)
     shifted = ricci_form(grid, rho_f, J, conn_f)
     lam1 = lambda_rho(grid, rho_f, J, jhat, conn_f)
     df = G.exterior_d(grid, f[None], 0)
@@ -376,7 +367,7 @@ def _connection_independence(rep: CheckReport, grid: TorusGrid, case: int, rho: 
     compatible-metric route against the conformally flat one."""
     metric, _ = C.compatible_pair(grid, rho, J)
     conn2 = C.levi_civita(grid, metric)
-    alt = ricci_form(grid, rho, J, conn2, connection_tag="compatible-metric")
+    alt = ricci_form(grid, rho, J, conn2)
     rep.add(f"connection_independence[{case}]", rel_plus1(alt.ric - ric, ric))
     lam_alt = lambda_rho(grid, rho, J, jhat, conn2)
     rep.add(f"lambda_connection_independence[{case}]", rel_plus1(lam_alt - lam0, lam0))
@@ -449,7 +440,7 @@ def _naturality(rep: CheckReport, grid: TorusGrid, seed: int, rho: np.ndarray,
     amplitude: that keeps sheared spectral tails below the fold, so the
     discrete identity is exact."""
     jhat_nat = anticommute_project(J, K)
-    conn_nat = default_volume_connection(grid, rho)
+    conn_nat = C.conformally_flat_volume_connection(grid, rho)
     base = ricci_form(grid, rho, J, conn_nat)
     A = np.eye(grid.d, dtype=int)
     A[0, 1] = 1  # SL(2n, Z) shear
@@ -460,8 +451,7 @@ def _naturality(rep: CheckReport, grid: TorusGrid, seed: int, rho: np.ndarray,
                                                      conn_nat.gamma, phi))
     rho_pulled = G.pullback(grid, f"form:{grid.d}", rho, phi)
     J_pulled = G.pullback(grid, "endo", J, phi)
-    rhs_map = ricci_form(grid, rho_pulled, J_pulled, conn_pulled,
-                         "pulled-back", volume_tol=vol_tol).ric
+    rhs_map = ricci_form(grid, rho_pulled, J_pulled, conn_pulled, volume_tol=vol_tol).ric
     rep.add("naturality_affine", rel_plus1(lhs_map - rhs_map, rhs_map))
     lam_nat = lambda_rho(grid, rho, J, jhat_nat, conn_nat)
     lam_pulled = lambda_rho(grid, rho_pulled, J_pulled,
@@ -516,9 +506,8 @@ def _integrable_pullback(rep: CheckReport, grid: TorusGrid, seed: int, amplitude
         # seeded exact complement plus the constant harmonic part
         alpha_c = G.random_band_limited(grid, f"form:{grid.d - 3}", seed + 906, amplitude)
         closed = G.exterior_d(grid, alpha_c, grid.d - 3)
-        closed = closed + G.random_band_limited(grid, f"form:{grid.d - 2}", seed + 907, 0.0) \
-            + np.mean(G.random_band_limited(grid, f"form:{grid.d - 2}", seed + 907, amplitude),
-                      axis=tuple(range(1, grid.d + 1)), keepdims=True)
+        seeded = G.random_band_limited(grid, f"form:{grid.d - 2}", seed + 907, amplitude)
+        closed = closed + np.mean(seeded, axis=tuple(range(1, grid.d + 1)), keepdims=True)
         pair = G.integrate(grid, G.wedge_f(grid, ric_p.ric, closed, 2, grid.d - 2))
         ref = closed
     rep.add("cohomology_pairing", rel_plus1(pair, ref))

@@ -215,15 +215,16 @@ def hodge_decompose_closed_two_form(grid: TorusGrid, what: np.ndarray):
     return const, lam_hat
 
 
-def connection_A(base: H.KahlerInstance, what: np.ndarray, closed_tol: float = 1e-8):
-    """The horizontal lift Ĵ = L_v J + Ĵ0 of a closed 2-form ŵ at the flat base.
+def connection_A(base: H.KahlerInstance, what: np.ndarray):
+    """The horizontal lift Ĵ = L_v J + Ĵ0 of a closed 2-form ŵ at the flat
+    base, and the co-closed primitive λ̂ of ŵ's exact part.
 
-    v solves ι(v)ω = λ̂ for the co-closed primitive λ̂ of the exact part;
-    Ĵ0 realizes the skew half of the harmonic part.
+    v solves ι(v)ω = λ̂; Ĵ0 realizes the skew half of the harmonic part.
+    Raises unless |dŵ| ≤ 1e-8 max(1, |ŵ|).
     """
     grid = base.grid
     d_resid = max_abs(G.exterior_d(grid, what, 2)) if grid.d > 2 else 0.0
-    if d_resid > closed_tol * max(1.0, max_abs(what)):
+    if d_resid > 1e-8 * max(1.0, max_abs(what)):
         raise DomainError(f"connection_A: ŵ not closed ({d_resid:.2e})")
     const, lam_hat = hodge_decompose_closed_two_form(grid, what)
     # ι(v)ω = λ̂ pointwise
@@ -233,8 +234,7 @@ def connection_A(base: H.KahlerInstance, what: np.ndarray, closed_tol: float = 1
     tau_mat = G.form_to_matrix(grid, tau)
     # flat metric: g(Ĵ0 u, v) = ½ τ(u, v)  ⟹  (Ĵ0)^j_i = ½ τ_{ij}
     jhat0 = 0.5 * P.contract("ij...->ji...", tau_mat)
-    jhat = G.lie_endo(grid, v, base.J) + jhat0
-    return jhat, v, lam_hat, jhat0
+    return G.lie_endo(grid, v, base.J) + jhat0, lam_hat
 
 
 @dataclass(frozen=True)
@@ -249,7 +249,7 @@ class Lift:
 
 def horizontal_lift(base: H.KahlerInstance, what: np.ndarray) -> Lift:
     """𝒜(ŵ) with its (f, g) split, built once for every check that reads it."""
-    jhat, _, lam_hat, _ = connection_A(base, what)
+    jhat, lam_hat = connection_A(base, what)
     return Lift(what, WPVector(base, jhat), lam_hat)
 
 
@@ -276,17 +276,9 @@ def curvature_hamiltonian(l1: Lift, l2: Lift) -> dict:
 
 
 def standard_theta(grid: TorusGrid) -> np.ndarray:
-    """(dz_1/√2) ∧ … ∧ (dz_n/√2) as a constant complex n-form field."""
-    n, d = grid.n, grid.d
-    theta = np.ones((1,) + grid.shape, dtype=complex)
-    deg = 0
-    for j in range(n):
-        dz = np.zeros((d,) + grid.shape, dtype=complex)
-        dz[j] = 1.0 / np.sqrt(2.0)
-        dz[n + j] = 1j / np.sqrt(2.0)
-        theta = G.wedge_f(grid, theta, dz, deg, 1)
-        deg += 1
-    return theta
+    """(dz_1/√2) ∧ … ∧ (dz_n/√2) as a constant complex n-form field: the
+    J0-adapted θ."""
+    return adapted_theta(grid, G.standard_j_field(grid))
 
 
 def adapted_theta(grid: TorusGrid, J: np.ndarray) -> np.ndarray:
@@ -303,12 +295,9 @@ def adapted_theta(grid: TorusGrid, J: np.ndarray) -> np.ndarray:
     return theta
 
 
-def theta_pairing_form(grid: TorusGrid, th1: np.ndarray, th2: np.ndarray,
-                       k: int | None = None) -> np.ndarray:
-    """Hermitian wedge conj(th1) ∧ th2."""
-    if k is None:
-        k = G.form_degree(grid, th1)
-    return G.wedge_f(grid, np.conj(th1), th2, k, G.form_degree(grid, th2))
+def theta_pairing_form(grid: TorusGrid, th1: np.ndarray, th2: np.ndarray, k: int) -> np.ndarray:
+    """Hermitian wedge conj(th1) ∧ th2 of two k-forms."""
+    return G.wedge_f(grid, np.conj(th1), th2, k, k)
 
 
 def rho_from_theta(grid: TorusGrid, theta: np.ndarray) -> np.ndarray:
@@ -522,10 +511,8 @@ def connection_suite(rep: CheckReport, grid: TorusGrid, seed: int, amplitude: fl
     # seeded constant 2-forms with their (1,1)-parts removed
     rng = np.random.default_rng(seed)
     pairs = combi.combos(grid.d, 2)
-    c1 = np.broadcast_to(rng.standard_normal(len(pairs)).reshape(-1, 1, 1, 1, 1),
-                         (len(pairs),) + grid.shape).copy()
-    c2 = np.broadcast_to(rng.standard_normal(len(pairs)).reshape(-1, 1, 1, 1, 1),
-                         (len(pairs),) + grid.shape).copy()
+    c1 = G.constant_field(grid, rng.standard_normal(len(pairs)))
+    c2 = G.constant_field(grid, rng.standard_normal(len(pairs)))
     c1 = c1 - G.pq_project_f(grid, c1, 2, J0, 1, 1).real
     c2 = c2 - G.pq_project_f(grid, c2, 2, J0, 1, 1).real
     _constant_curvature(rep, base, c1, c2)
@@ -597,7 +584,7 @@ def _lie_reproduction(rep: CheckReport, base: H.KahlerInstance, seed: int,
     F = G.random_band_limited(grid, "scalar", seed + 4, amplitude, band=G.acs_band(grid.m))
     gradF = G.exterior_d(grid, F[None], 0)
     w_exact = G.exterior_d(grid, G.interior_f(grid, gradF, base.omega, 2), 1)
-    jh_a2, *_ = connection_A(base, w_exact)
+    jh_a2, _ = connection_A(base, w_exact)
     lie = G.lie_endo(grid, gradF, base.J)
     rep.add("lie_reproduction", rel_max1(jh_a2 - lie, lie))
 
@@ -774,7 +761,7 @@ def _integrability_bridge(rep: CheckReport, grid: TorusGrid, seed: int,
     th_j = adapted_theta(grid, J_non)
     d_th = G.exterior_d(grid, th_j, n)
     lhs_b = G.pq_project_f(grid, d_th, n + 1, J_non, n - 1, 2)
-    N, _ = C.nijenhuis(grid, J_non)
+    N = C.nijenhuis(grid, J_non)
     rhs_b = 0.25 * combi.interior_pairs_coef(N, th_j, grid.d, n)
     rep.add("integrability_bridge", max_abs(lhs_b - rhs_b)
             / max(1e-3, max_abs(rhs_b)))

@@ -4,10 +4,12 @@ None of these is reached by the command line: each is a second way to
 compute something the package computes (an RK4 flow for the Lie
 derivatives, the conformal Gaussian curvature for the Ricci form, the
 special connections and the first Bianchi identity for the curvature, the
-four-term ∂̄ on TM-valued 1-forms, the Nijenhuis tensor's two routes as
-four-term expressions, Λ through the stacked ∇Ĵ and ∇J, the d⁺ ranks
-one mode at a time, and the (p, q) projection as a circle average), so
-they live with the tests rather than in ``geodesk``.
+four-term ∂̄ on TM-valued 1-forms, the Nijenhuis tensor's bracket route
+as a four-term expression and its route through a torsion-free connection,
+Λ through the stacked ∇Ĵ and ∇J, the d⁺ ranks one mode at a time, the
+(p, q) projection as a circle average, and the insertion of a TM-valued
+2-form into a k-form as a signed loop over slot pairs), so they live with
+the tests rather than in ``geodesk``.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ def special_connections(grid: TorusGrid, rho: np.ndarray, J: np.ndarray,
                - 0.25 * P.contract("lj...,lki...->kij...", J, nJ)
                + corr)
     hat = ConnectionField(grid, gamma_h)
-    n_tensor, _ = nijenhuis(grid, J, lc)
+    n_tensor = nijenhuis(grid, J)
     flags["volume"] = {
         "nabla_rho": cov_volume_residual(grid, hat, rho),
         "nabla_J": rel_max1(cov_endo(grid, hat, J), J),
@@ -142,9 +144,13 @@ def dbar_q1_four_terms(inst, jhat: np.ndarray) -> np.ndarray:
 
 def nijenhuis_four_terms(grid: TorusGrid, J: np.ndarray,
                          conn: ConnectionField | None = None):
-    """``connection.nijenhuis`` with each route one expression of its four
-    terms, each a separate d³ field, and ∇J taken by ``cov_endo`` even when
-    Γ ≡ 0."""
+    """The Nijenhuis tensor by two routes, each one expression of its four
+    terms, each a separate d³ field: the frame/bracket route of
+    ``connection.nijenhuis`` and the formula through ∇J for a torsion-free
+    connection (flat when ``conn`` is None), ∇J taken by ``cov_endo`` even
+    when Γ ≡ 0.  Returns (bracket N, agreement residual of the routes)."""
+    if conn is not None and not conn.torsion_free:
+        raise DomainError("nijenhuis_four_terms: connection must be torsion-free")
     dJ = grid.derivs(J)
     n_bracket = (P.contract("mi...,mkj...->kij...", J, dJ)
                  - P.contract("mj...,mki...->kij...", J, dJ)
@@ -211,3 +217,28 @@ def dplus_ranks_per_mode(grid: TorusGrid, kmax: int) -> dict:
         if np.any(sv >= 0.5):
             min_gap = min(min_gap, float(sv[sv >= 0.5].min()))
     return {"kappa1": kappa1, "min_gap": float(min_gap)}
+
+
+def interior_pairs_loop(N: np.ndarray, theta: np.ndarray, dim: int, k: int) -> np.ndarray:
+    """``combi.interior_pairs_coef`` as a signed loop over the slot pairs of
+    each (k+1)-tuple: sum_{i<j} (−1)^{i+j−1} θ(N(v_i, v_j), v_1, .., v̂_i, ..,
+    v̂_j, .., v_{k+1}), N[l, i, j] the l-th component of N(e_i, e_j)."""
+    idx_th = combi.combo_index(dim, k)
+    cs_out = combi.combos(dim, k + 1)
+    out = np.zeros((len(cs_out),) + np.broadcast_shapes(theta.shape[1:], N.shape[3:]),
+                   dtype=np.result_type(theta.dtype, N.dtype))
+    for i_out, K in enumerate(cs_out):
+        acc = 0.0
+        for pi in range(k + 1):
+            for pj in range(pi + 1, k + 1):
+                rest = tuple(x for r, x in enumerate(K) if r not in (pi, pj))
+                pair_sign = (-1) ** (pi + pj - 1)
+                for l in range(dim):
+                    if l in rest:
+                        continue
+                    ins = tuple(sorted((l,) + rest))
+                    before = sum(1 for x in rest if x < l)
+                    sgn = pair_sign * ((-1) ** before)
+                    acc = acc + sgn * N[l, K[pi], K[pj]] * theta[idx_th[ins]]
+        out[i_out] = acc
+    return out

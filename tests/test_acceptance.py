@@ -73,7 +73,7 @@ def test_criterion_2_moment_identities():
         for s in range(20):
             seed = 1000 + 37 * s
             rho, J, K, v = Ric.seeded_instance(grid, seed, amp)
-            conn = Ric.default_volume_connection(grid, rho)
+            conn = C.conformally_flat_volume_connection(grid, rho)
             alpha = G.random_band_limited(grid, f"form:{grid.d - 2}", seed + 5, amp,
                                           band=G.acs_band(m))
             ric_dot = Ric.richardson(lambda t: Ric.ricci_form(
@@ -99,7 +99,7 @@ def test_criterion_3_connection_independence():
             a = Ric.ricci_form(grid, rho, J)
             metric, _ = C.compatible_pair(grid, rho, J)
             conn2 = C.levi_civita(grid, metric)
-            b = Ric.ricci_form(grid, rho, J, conn2, "compatible-metric")
+            b = Ric.ricci_form(grid, rho, J, conn2)
             worst = max(worst, float(np.max(np.abs(a.ric - b.ric)))
                         / max(1.0, float(np.max(np.abs(a.ric)))))
             lam_a = Ric.lambda_rho(grid, rho, J, jhat)
@@ -240,7 +240,7 @@ def test_criterion_10_theta_beta():
         th_j = T.adapted_theta(g4, J_non)
         d_th = G.exterior_d(g4, th_j, 2)
         lhs = G.pq_project_f(g4, d_th, 3, J_non, 1, 2)
-        N, _ = C.nijenhuis(g4, J_non)
+        N = C.nijenhuis(g4, J_non)
         rhs = 0.25 * T.combi.interior_pairs_coef(N, th_j, 4, 2)
         lhs_norms.append(float(np.sqrt(np.mean(np.abs(lhs) ** 2))))
         rhs_norms.append(float(np.sqrt(np.mean(np.abs(rhs) ** 2))))

@@ -74,7 +74,7 @@ def test_wedge_interior_match_pointwise_core():
     g = T2
     a = random_band_limited(g, "form:1", 3)
     b = random_band_limited(g, "form:1", 4)
-    w = wedge_f(g, a, b)
+    w = wedge_f(g, a, b, 1, 1)
     np.testing.assert_allclose(w[0], a[0] * b[1] - a[1] * b[0], atol=1e-13)
     v = random_band_limited(g, "vector", 5)
     iv = interior_f(g, v, w, 2)
@@ -398,8 +398,8 @@ def test_pullback_functoriality_and_d_commutes():
     phi = DisplacementMap(u)
     a = random_band_limited(g, "form:1", 92, 0.3, band=3)
     b = random_band_limited(g, "form:1", 93, 0.3, band=3)
-    lhs = pullback(g, "form:2", wedge_f(g, a, b), phi)
-    rhs = wedge_f(g, pullback(g, "form:1", a, phi), pullback(g, "form:1", b, phi))
+    lhs = pullback(g, "form:2", wedge_f(g, a, b, 1, 1), phi)
+    rhs = wedge_f(g, pullback(g, "form:1", a, phi), pullback(g, "form:1", b, phi), 1, 1)
     assert np.max(np.abs(lhs - rhs)) <= 1e-8
     lhs_d = pullback(g, "form:2", exterior_d(g, a, 1), phi)
     rhs_d = exterior_d(g, pullback(g, "form:1", a, phi), 1)

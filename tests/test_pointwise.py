@@ -199,6 +199,69 @@ def test_every_top_level_definition_is_used():
             if (module, name) not in used] == []
 
 
+# defaulted parameters that no call in src/geodesk or perfbench passes, each
+# kept because tests pass it
+UNPASSED_DEFAULTS = {
+    "hodge.dplus_kernel_ranks(kmax)": "compared with the per-mode oracle over several mode boxes",
+    "teich.teich_dimensions(kmax)": "its dimensions are checked over several mode boxes",
+    "teich.theta_beta(J)": "the θ/β round trip runs at a varying J",
+    "teich.beta_theta(J)": "the θ/β round trip runs at a varying J",
+}
+
+
+def _defaulted_parameters(module: str, tree: ast.Module) -> list[tuple[str, str, str, int | None]]:
+    """(label, callee name, parameter, position) for each parameter with a
+    default of each function of a module, methods and nested functions
+    included.  The position counts the positional arguments of a call (a
+    method's self or cls not among them); it is None for a keyword-only
+    parameter.  A constructor's callee name is its class's."""
+    found = []
+
+    def visit(body, cls):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                pos = a.posonlyargs + a.args
+                bound = cls is not None  # self or cls (the package has no staticmethod)
+                callee = cls if node.name == "__init__" else node.name
+                first = len(pos) - len(a.defaults)
+                for i, arg in enumerate(pos[first:], start=first):
+                    found.append((f"{module}.{node.name}({arg.arg})", callee, arg.arg, i - bound))
+                found.extend((f"{module}.{node.name}({arg.arg})", callee, arg.arg, None)
+                             for arg, default in zip(a.kwonlyargs, a.kw_defaults)
+                             if default is not None)
+                visit(node.body, None)
+
+    visit(tree.body, None)
+    return found
+
+
+def test_every_defaulted_parameter_is_passed():
+    # a default that no call in src/geodesk or perfbench overrides is a knob
+    # nobody sets: it belongs beside its function as a fixed value.  A call
+    # matches by the callee's name and passes the parameter by keyword, by
+    # position or through *args or **kwargs.
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    params, calls = [], []
+    for path in [*SRC.glob("*.py"), *perfbench.glob("*.py")]:
+        tree = ast.parse(path.read_text())
+        if path.parent == SRC:
+            params += _defaulted_parameters(path.stem, tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                star = any(isinstance(a, ast.Starred) for a in node.args) or any(
+                    k.arg is None for k in node.keywords)
+                calls.append((name, len(node.args), {k.arg for k in node.keywords}, star))
+    unpassed = {label for label, callee, arg, pos in params if not any(
+        name == callee and (star or arg in kws or (pos is not None and npos > pos))
+        for name, npos, kws, star in calls)}
+    assert sorted(unpassed) == sorted(UNPASSED_DEFAULTS)
+
+
 # the package's subscripts whose output keeps the grid: contract_add serves
 # each, and a chain of three or more among them is sliced into its output
 GRID_SUBSCRIPTS = [s for s in SUBSCRIPTS if s.endswith("...")]

@@ -109,7 +109,7 @@ def test_connection_independence_explicit():
     J = G.random_band_limited(g, "acs", 12, 0.1)
     a = R.ricci_form(g, rho, J)
     metric, _ = C.compatible_pair(g, rho, J)
-    b = R.ricci_form(g, rho, J, C.levi_civita(g, metric), "compatible-metric")
+    b = R.ricci_form(g, rho, J, C.levi_civita(g, metric))
     # τ and λ differ between connections but the assembled form agrees
     assert np.max(np.abs(a.tau - b.tau)) > 1e-6
     assert np.max(np.abs(a.ric - b.ric)) <= 1e-7 * max(1.0, np.max(np.abs(a.ric)))
@@ -130,7 +130,7 @@ def test_tau_contracted_route_matches_full_curvature(n, m, volume):
     rho, J, _, _ = R.seeded_instance(g, 3, 0.1 if n == 1 else 0.05)
     if volume == "flat":
         rho = G.standard_volume_field(g)  # Γ = 0: only the quadratic term is left
-    conn = R.default_volume_connection(g, rho)
+    conn = C.conformally_flat_volume_connection(g, rho)
     assert (np.max(np.abs(conn.gamma)) == 0.0) == (volume == "flat")
     ref = _tau_from_full_curvature(g, conn, J)
     tau = R.tau_lambda(g, conn, J)[0]
@@ -140,7 +140,7 @@ def test_tau_contracted_route_matches_full_curvature(n, m, volume):
 def test_tau_peak_memory_below_one_curvature_array():
     g = TorusGrid(2, 12)
     rho, J, _, _ = R.seeded_instance(g, 1, 0.05)
-    conn = R.default_volume_connection(g, rho)
+    conn = C.conformally_flat_volume_connection(g, rho)
     tracemalloc.start()
     try:
         R.tau_lambda(g, conn, J)
@@ -162,7 +162,7 @@ def _lambda_case(n, m, volume):
     rho, J, K, _ = R.seeded_instance(g, 5, 0.1 if n == 1 else 0.02)
     if volume == "flat":
         rho = G.standard_volume_field(g)  # Γ ≡ 0
-    conn = R.default_volume_connection(g, rho)
+    conn = C.conformally_flat_volume_connection(g, rho)
     assert conn.zero == (volume == "flat")
     return g, rho, J, R.anticommute_project(J, K), conn
 

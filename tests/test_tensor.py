@@ -12,7 +12,7 @@ from geodesk import combi
 from geodesk.combi import standard_j, standard_omega_matrix, vol_sign
 from geodesk.errors import DomainError
 from geodesk.lincs import LinCS
-from oracles import pq_project_circle
+from oracles import interior_pairs_loop, pq_project_circle
 
 
 def random_form(rng, n, k, complex_=False):
@@ -231,6 +231,22 @@ def test_compound_apply_is_every_minor_determinant():
                             for I in cs])
             out = combi.compound_apply(A, a, d, k)
             assert np.max(np.abs(out - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref))), (n, k)
+
+
+def test_interior_pairs_is_the_signed_pair_loop():
+    # Σ_l N^l ∧ ι(∂_l)θ against the loop over slot pairs, for every degree
+    # that leaves room for the inserted pair
+    rng = np.random.default_rng(24)
+    for n in (1, 2, 3):
+        d = 2 * n
+        N = rng.standard_normal((d, d, d))
+        N -= N.swapaxes(1, 2)
+        for k in range(1, d):
+            theta = random_form(rng, n, k, complex_=True)
+            ref = interior_pairs_loop(N, theta, d, k)
+            out = combi.interior_pairs_coef(N, theta, d, k)
+            assert out.shape == ref.shape
+            assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref)), (n, k)
 
 
 def test_hodge_star_basics():
