@@ -43,7 +43,7 @@ def estimate_peak_bytes(n: int, m: int) -> int:
     at n = 2, m = 8…18 and n = 1, m = 64…720, when bkn still built 4-index
     fields.  No suite holds a d⁴ field now, so at n = 2 the bound has room:
     at m = 16 it is 0.89 GB, and the heaviest suites alone, bkn, ricci-laws
-    and theta, peak at 0.28, 0.27 and 0.26 GB."""
+    and teich-connection, peak at 0.27, 0.24 and 0.23 GB."""
     d = 2 * n
     return 80_000_000 + 8 * m ** d * (5 * d ** 4 + 256)
 

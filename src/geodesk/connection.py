@@ -176,9 +176,11 @@ def cov(grid: TorusGrid, conn: ConnectionField, T: np.ndarray, slots: str,
 
     ``trace=(ginv, p)`` returns the trace Σ_k g^{ks} (∇_k T)[..s..] of the
     derivative axis against slot p instead, so the stacked ∇T is never
-    built: Σ_k g^{ks} ∂_k T is summed one derivative axis at a time, and the
-    Γ terms take Σ_k g^{ks} Γ^a_{km} in place of Γ^a_{km}, which also saves
-    a factor d in their arithmetic."""
+    built: Σ_k g^{ks} ∂_k T is summed one derivative axis at a time, and for
+    a T of three or more slots one index b of its first untraced slot at a
+    time, into out[b], so that no derivative of T's size is held either.
+    Each Γ term is the chain g^{zs} Γ^a_{zm} T^{..m..} of ``P.contract_add``,
+    so g⁻¹Γ is not built either."""
     if T.ndim != len(slots) + grid.d or set(slots) - set("ud"):
         raise ValueError(f"cov: slots {slots!r} do not name the component axes of {T.shape}")
     if trace is None:
@@ -189,30 +191,40 @@ def cov(grid: TorusGrid, conn: ConnectionField, T: np.ndarray, slots: str,
     ginv, p = trace
     names = "abcdefghij"[:len(slots)]
     s = names[p]
-    sub = f"{s}...,{names}...->{names.replace(s, '')}..."
-    dT = grid.derivs_by_axis(T)
-    out = P.contract(sub, ginv[0], next(dT))
-    for k in range(1, grid.d):
-        P.contract_add(out, 1, sub, ginv[k], next(dT))
+    out = np.empty((grid.d,) * (len(slots) - 1) + grid.shape, np.result_type(ginv, T))
+    if len(slots) < 3:
+        kept, parts = names, [(T, out)]
+    else:  # one index b of T's first untraced slot q, which out leads with
+        q = int(p == 0)
+        kept = names.replace(names[q], "")
+        parts = ((np.take(T, b, axis=q), out[b]) for b in range(grid.d))
+    sub = f"{s}...,{kept}...->{kept.replace(s, '')}..."
+    for part, view in parts:
+        dT = grid.derivs_by_axis(part)
+        view[...] = P.contract(sub, ginv[0], next(dT))
+        for k in range(1, grid.d):
+            P.contract_add(view, 1, sub, ginv[k], next(dT))
     if not conn.zero:
-        _christoffel_terms(P.contract("ks...,akm...->asm...", ginv, conn.gamma), s, T, slots, out)
+        _christoffel_terms(conn.gamma, s, T, slots, out, ginv)
     return out
 
 
 def _christoffel_terms(gamma: np.ndarray, k: str, T: np.ndarray, slots: str,
-                       out: np.ndarray) -> None:
+                       out: np.ndarray, ginv: np.ndarray | None = None) -> None:
     """The Leibniz rule's Γ terms of ``cov``, accumulated into out in place
     by ``P.contract_add``, with the middle index of gamma[a, k, m] named k:
-    the derivative axis, whose letter then leads out, or a traced slot, which
-    out then lacks."""
+    the derivative axis, whose letter then leads out, or, given ginv, a
+    traced slot, which out then lacks: each term then reads g^{zk}Γ^a_{zm}
+    as a third operand of its chain."""
     names = "abcdefghij"[:len(slots)]
     out_names = (k + names) if k not in names else names.replace(k, "")
+    lead, z, ops = ("", k, ()) if ginv is None else (f"z{k}...,", "z", (ginv,))
     for p, a in sorted(enumerate(names), key=lambda pa: slots[pa[0]] == "d"):
         t = names[:p] + "m" + names[p + 1:]  # T with slot p contracted
         if slots[p] == "u":
-            P.contract_add(out, 1, f"{a}{k}m...,{t}...->{out_names}...", gamma, T)
+            P.contract_add(out, 1, f"{lead}{a}{z}m...,{t}...->{out_names}...", *ops, gamma, T)
         else:
-            P.contract_add(out, -1, f"m{k}{a}...,{t}...->{out_names}...", gamma, T)
+            P.contract_add(out, -1, f"{lead}m{z}{a}...,{t}...->{out_names}...", *ops, gamma, T)
 
 
 def cov_endo(grid: TorusGrid, conn: ConnectionField, E: np.ndarray) -> np.ndarray:

@@ -324,11 +324,18 @@ def one_form_compose_j(lam: np.ndarray, J: np.ndarray) -> np.ndarray:
 
 
 def lie_endo(grid: TorusGrid, v: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """(L_v E)^i_j = v^k ∂_kE^i_j − ∂_kv^i E^k_j + E^i_k ∂_jv^k, summed into
+    one output: the first term one derivative axis k at a time, the others
+    by ``P.contract_add``, so neither the stacked ∂E nor a full-grid term is
+    built."""
+    dE = grid.derivs_by_axis(E)
+    out = v[0] * next(dE)
+    for k in range(1, grid.d):
+        P.contract_add(out, 1, "...,ij...->ij...", v[k], next(dE))
     dv = grid.derivs(v)  # dv[k, i] = ∂_k v^i
-    dE = grid.derivs(E)  # dE[k, i, j]
-    return (P.contract("k...,kij...->ij...", v, dE)
-            - P.contract("ki...,kj...->ij...", dv, E)
-            + P.contract("ik...,jk...->ij...", E, dv))
+    P.contract_add(out, -1, "ki...,kj...->ij...", dv, E)
+    P.contract_add(out, 1, "ik...,jk...->ij...", E, dv)
+    return out
 
 
 def lie_form(grid: TorusGrid, v: np.ndarray, a: np.ndarray, k: int) -> np.ndarray:

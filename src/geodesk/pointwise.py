@@ -1,4 +1,4 @@
-"""Pointwise algebra on sampled fields: contractions, products, traces,
+"""Pointwise algebra on sampled fields: contractions, products,
 inverses and determinants over the component axes, batched over the grid.
 
 Layout: component axes first, grid axes last (see ``grid``).  Every helper
@@ -192,11 +192,6 @@ def mul(*mats: np.ndarray) -> np.ndarray:
     for m in mats[1:]:
         out = contract("ik...,kj...->ij...", out, m)
     return out
-
-
-def trace(E: np.ndarray) -> np.ndarray:
-    """Pointwise trace of an endomorphism field."""
-    return contract("ii...->...", E)
 
 
 def _minors(E: np.ndarray):

@@ -18,8 +18,8 @@ from .report import CheckReport, max_abs, rel_max1, rel_plus1
 
 
 def trace_pairing(grid: TorusGrid, jh1: np.ndarray, J: np.ndarray, jh2: np.ndarray) -> np.ndarray:
-    """Pointwise ½ tr(Ĵ1 J Ĵ2)."""
-    return 0.5 * P.trace(P.mul(jh1, J, jh2))
+    """Pointwise ½ tr(Ĵ1 J Ĵ2), one chain of ``P.contract``."""
+    return 0.5 * P.contract("ij...,jk...,ki...->...", jh1, J, jh2)
 
 
 def omega_rho_pairing(grid: TorusGrid, rho: np.ndarray, J: np.ndarray,
@@ -56,26 +56,27 @@ def tau_lambda(grid: TorusGrid, conn: C.ConnectionField, J: np.ndarray):
 
     The curvature trace J^k_l R^l_{kij} is (A + B)_{ij} − (A + B)_{ji}, with
     A_{ij} = J^k_l ∂_i Γ^l_{jk} and B_{ij} = (J^k_l Γ^l_{im}) Γ^m_{jk}
-    (Kobayashi–Nomizu I, ch. III).  A is assembled one derivative axis i at
-    a time, so the 4-index R^l_{kij} is never built; Γ = 0 has none.  ∇J is
-    dropped after λ and the quadratic term, before the curvature part,
-    which reads only Γ and J."""
+    (Kobayashi–Nomizu I, ch. III).  A is assembled one middle index j of Γ
+    at a time, from the derivatives of the d² slice Γ^l_{jk}, so neither the
+    4-index R^l_{kij} nor the stacked ∂Γ is built; Γ = 0 has none.  The
+    quadratic term and B are chains of ``P.contract``, taken one grid slice
+    at a time, so neither builds a d³ intermediate.  ∇J is dropped after λ
+    and the quadratic term, before the curvature part, which reads only Γ
+    and J."""
     d = grid.d
     nJ = C.cov_endo(grid, conn, J)
     lam = lambda_one_form(grid, conn, J, nJ)
-    nJ = nJ.reshape((d, d, d, -1))
-    Jf = J.reshape((d, d, -1))
-    jn = P.contract("bcx,jcax->jbax", Jf, nJ)
-    tau = 0.5 * P.contract("iabx,jbax->ijx", nJ, jn)
-    del jn, nJ
+    tau = 0.5 * P.contract("bc...,jca...,iab...->ij...", J, nJ, nJ)  # greedy path: J·∇_jJ first
+    del nJ
     if not conn.zero:
-        gam = conn.gamma.reshape((d, d, d, -1))
-        ab = P.contract("kimx,mjkx->ijx", P.contract("klx,limx->kimx", Jf, gam), gam)
-        dgam = grid.derivs_by_axis(conn.gamma)
-        for i in range(d):
-            ab[i] += P.contract("klx,ljkx->jx", Jf, next(dgam).reshape((d, d, d, -1)))
+        gam = conn.gamma
+        ab = P.contract("kl...,lim...,mjk...->ij...", J, gam, gam)
+        for j in range(d):  # ∂_iΓ^l_{jk} for every i from the d² slice Γ^l_{jk}
+            dgam = grid.derivs_by_axis(gam[:, j])
+            for i in range(d):
+                P.contract_add(ab[i, j], 1, "kl...,lk...->...", J, next(dgam))
         tau += ab - ab.swapaxes(0, 1)
-    return G.form_from_matrix(grid, tau.reshape((d, d) + grid.shape)), lam
+    return G.form_from_matrix(grid, tau), lam
 
 
 @dataclass(frozen=True)

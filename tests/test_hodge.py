@@ -136,6 +136,32 @@ def test_curvature_traces_match_full_curvature(n, m):
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("slots, bound", [("dud", 1.25), ("ddd", 1.25), ("ud", 0.75)])
+def test_traced_cov_holds_no_derivative_of_its_input(slots, bound):
+    # the rough Laplacians' and ∂̄*Ĵ's traced cov: a 3-slot T is
+    # differentiated one index of an untraced slot at a time, and each Γ term
+    # is the chain g^{zs}Γ^a_{zm}T, so beside its input it holds its output,
+    # d²-sized derivatives and one grid slice of a chain (measured 0.97 d³
+    # for dud and ddd, 0.41 for ud), never ∂_kT of T's size or g⁻¹Γ
+    # (1.63 and 1.39 when it built them)
+    inst = _curved_instance(2, 12)
+    g = inst.grid
+    jhat = Ric.anticommute_project(inst.J, G.random_band_limited(g, "endo", 4, 0.05))
+    if slots == "dud":
+        T = C.cov_endo(g, inst.lc, jhat)
+    elif slots == "ddd":
+        T = C.cov(g, inst.lc, G.form_to_matrix(g, G.random_band_limited(g, "form:2", 5, 0.05)), "dd")
+    else:
+        T = jhat
+    tracemalloc.start()
+    try:
+        C.cov(g, inst.lc, T, slots, trace=(inst.ginv, int(slots == "ud")))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * g.d ** 3 * g.npoints * 8
+
+
 def test_hodge_module_never_builds_the_curvature_array():
     # every reader of R in hodge takes its traces from connection.contract_curvature
     text = Path(H.__file__).read_text()

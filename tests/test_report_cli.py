@@ -116,9 +116,9 @@ def test_memory_guard(monkeypatch, capsys):
 
 def test_memory_guard_bounds_the_heaviest_suite():
     # bkn has the largest peak of the guarded suites at n=2/m=12 (each suite
-    # alone, VmHWM: bkn 119 MB, ricci-laws 110 MB after its numeric failure,
-    # teich-connection 105 MB, harmonic 105 MB, theta 104 MB, ricci-moment
-    # 98 MB).  The peak is VmHWM, the high-water RSS of the new process
+    # alone, VmHWM: bkn 119 MB, teich-connection 102 MB, ricci-laws 99 MB
+    # after its numeric failure, theta 99 MB, teich-wp 95 MB, harmonic 91 MB,
+    # ricci-moment 87 MB).  The peak is VmHWM, the high-water RSS of the new process
     # image: Linux carries ru_maxrss over fork and exec, so a child of this
     # test process would report the test process's own RSS.
     proc = _run_python("-c", "from geodesk import cli; "
@@ -135,8 +135,8 @@ def test_suite_sections_release_their_fields(suite, m):
     # each group of checks is a section whose fields die when it returns, and
     # Λ, ∂̄*Ĵ and the Leibniz sums build no full-grid temporary they do not
     # read, so a suite's Python-allocated peak stays within 7.43 d³ fields
-    # (measured at most 6.76, by bkn's curvature sweep; 6.37, 6.11, 6.54,
-    # 5.73 and 4.93 for the others in order).  ricci-laws runs at m = 14: at
+    # (measured at most 6.76, by bkn's curvature sweep; 5.98, 5.05, 5.66,
+    # 5.73 and 4.05 for the others in order).  ricci-laws runs at m = 14: at
     # m = 12 it records a numeric failure after three checks.
     tracemalloc.start()
     try:

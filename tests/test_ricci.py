@@ -1,3 +1,4 @@
+import ast
 import re
 import tracemalloc
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 from geodesk import cli
 from geodesk import connection as C
 from geodesk import grid as G
+from geodesk import hodge as H
 from geodesk import pointwise as P
 from geodesk import ricci as R
 from geodesk.errors import DomainError
@@ -148,6 +150,41 @@ def test_tau_peak_memory_below_one_curvature_array():
     finally:
         tracemalloc.stop()
     assert peak < g.d ** 4 * g.npoints * 8  # one (d, d, d, d) + grid float array
+
+
+def test_tau_builds_no_d3_intermediate():
+    # beside ∇J, τ's quadratic term and B = (JΓ)Γ are chains taken one grid
+    # slice at a time and ∂Γ is taken one d² slice Γ^l_{jk} at a time, so the
+    # peak is ∇J, τ and one slice of the chain (measured 1.68 d³; 2.31 with
+    # the d³ intermediate J∇J and the stacked ∂_iΓ)
+    g = TorusGrid(2, 12)
+    rho, J, _, _ = R.seeded_instance(g, 1, 0.05)
+    conn = C.conformally_flat_volume_connection(g, rho)
+    tracemalloc.start()
+    try:
+        R.tau_lambda(g, conn, J)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.0 * g.d ** 3 * g.npoints * 8
+
+
+def test_contractions_name_the_grid_by_ellipsis():
+    # a flattened grid letter such as "x" hides the grid from the slice
+    # planner of P.contract and P.contract_add, which then builds whole-grid
+    # intermediates; every call in ricci and hodge spells its subscripts out,
+    # each grid as "..."
+    calls = 0
+    for module in (R, H):
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("contract", "contract_add")):
+                subscripts = [a for a in node.args if isinstance(a, ast.Constant)
+                              and isinstance(a.value, str)]
+                assert len(subscripts) == 1, (module.__name__, node.lineno)
+                assert "x" not in subscripts[0].value, (module.__name__, node.lineno)
+                calls += 1
+    assert calls > 0
 
 
 def test_ricci_module_never_builds_the_curvature_array():
